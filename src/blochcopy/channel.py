@@ -50,6 +50,7 @@ __all__ = [
     "extract_e_vectors",
     "gram_matrix",
     "realize_e_vectors",
+    "output_map",
     "affine_map_from_isometry",
     "map_bloch",
     "complex_matrix_to_json",
@@ -317,7 +318,8 @@ def tetrahedron_violations(b, tol: float = 1e-12) -> list[str]:
     if b.shape != (3,):
         raise ValueError("semi-axes must have three components")
     bad = []
-    if b.sum() < -1.0 - tol:
+    # written so that a NaN component fails the test
+    if not (b.sum() >= -1.0 - tol):
         bad.append("b1+b2+b3 < -1")
     for q, qp, qpp in CYCLIC:
         if b[q - 1] + b[qp - 1] > 1.0 + b[qpp - 1] + tol:
@@ -342,7 +344,7 @@ def isometry_from_beta(beta, tol: float = DEFAULT_TOL) -> np.ndarray:
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (4,):
         raise ValueError("beta must have four components")
-    if abs(beta @ beta - 1.0) > tol:
+    if not abs(beta @ beta - 1.0) <= tol:  # NaN and inf fail too
         raise NotNormalizedError(f"coefficients have squared norm {beta @ beta:.12f}")
     b0, b1, b2, b3 = beta
     v = np.zeros((8, 2), dtype=complex)
@@ -407,37 +409,40 @@ def realize_e_vectors(e_gram: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarra
     return u.conj() * np.sqrt(w)[None, :]
 
 
-def affine_map_from_isometry(v: np.ndarray, subsystem: str = "B") -> AffineBlochMap:
-    """Affine Bloch map of one output qubit of an isometry, via state pushes.
+def output_map(v: np.ndarray, qubit: str = "B") -> AffineBlochMap:
+    """Affine Bloch map of one output qubit of an isometry, in the Heisenberg picture.
 
-    subsystem "B" works for any E dimension; "C" requires the standard
-    4-dimensional E = C (x) D split.
+    With P_q the Pauli operator sigma_q on the kept qubit, M_q = V^dag P_q V
+    is a 2 x 2 operator on the input, and the output's Bloch component q is
+    Tr(rho M_q).  So delta_q = (1/2) Tr M_q and linear[p, q] =
+    (1/2) Tr(M_q sigma_p).
+
+    v has shape (2 d, 2) with rows ordered like isometry_from_e_vectors.
+    qubit "B" works for any E dimension d; "C" and "D" need d = 4, the
+    E = C (x) D split.
     """
-    from .linalg import partial_trace  # local import keeps module load light
-
     v = np.asarray(v, dtype=complex)
+    if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] % 2:
+        raise ValueError("expected a (2 d) x 2 isometry matrix")
     d = v.shape[0] // 2
-    sub = subsystem.upper()
-    if sub == "B":
-        dims, keep = (2, d), (0,)
-    elif sub == "C":
+    key = qubit.upper()
+    # row index = (left, kept qubit, right) with the kept qubit in the middle
+    if key == "B":
+        left, right = 1, d
+    elif key in ("C", "D"):
         if d != 4:
-            raise ValueError("C output requires a 4-dimensional E space")
-        dims, keep = (2, 2, 2), (1,)
+            raise ValueError(f"{key} output requires a 4-dimensional E space")
+        left, right = (2, 2) if key == "C" else (4, 1)
     else:
-        raise ValueError("subsystem must be 'B' or 'C'")
+        raise ValueError("output qubit must be 'B', 'C' or 'D'")
+    vk = v.reshape(left, 2, right, 2)
+    m = np.einsum("xbya,qbc,xcyd->qad", vk.conj(), SIGMA[1:], vk)
+    # row 0 is (1/2) Tr M_q, rows 1..3 the linear part
+    full = 0.5 * np.einsum("qad,pda->pq", m, SIGMA).real
+    return AffineBlochMap(full[0], full[1:])
 
-    plus = np.zeros((3, 3))
-    minus = np.zeros((3, 3))
-    for q in range(3):
-        for sign, store in ((1.0, plus), (-1.0, minus)):
-            r = np.zeros(3)
-            r[q] = sign
-            rho_out = v @ density_from_bloch(r) @ np.conj(v).T
-            store[q] = bloch_vector(partial_trace(rho_out, dims, keep))
-    linear = 0.5 * (plus - minus)  # row q of the linear part
-    delta = 0.5 * (plus + minus).mean(axis=0)
-    return AffineBlochMap(delta, linear)
+
+affine_map_from_isometry = output_map
 
 
 # ---------------------------------------------------------------------------

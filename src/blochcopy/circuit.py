@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import AffineBlochMap, bloch_vector, density_from_bloch
+from .channel import _RT2, AffineBlochMap, output_map
 from .errors import NotNormalizedError
 from .linalg import partial_trace
 
 __all__ = [
     "CIRCUIT_A",
     "CIRCUIT_B",
-    "CIRCUIT_B_FIRST",
     "apply_gate",
     "apply_circuit",
     "circuit_unitary",
@@ -33,20 +32,14 @@ __all__ = [
     "circuit_b",
     "reduced_state",
     "channel_tomography",
-    "pauli_mixture_check",
-    "circuit_to_json",
 ]
 
-_RT2 = 1.0 / np.sqrt(2.0)
 _IDX = np.arange(8)
 _SUBSYSTEM = {"B": 0, "C": 1, "D": 2}
 
 # Gate tuples: ("h", target), ("xor", control, target), ("phase", q1, q2).
 CIRCUIT_A = (("h", 1), ("xor", 0, 1), ("xor", 2, 0), ("xor", 1, 2))
 CIRCUIT_B = (("phase", 0, 1), ("xor", 2, 0), ("h", 1), ("xor", 1, 2))
-# Opening section of circuit "b": the middle qubit flips the phase of the
-# top qubit, then the bottom qubit flips its amplitude.  Order matters.
-CIRCUIT_B_FIRST = CIRCUIT_B[:2]
 
 
 def _bit(q: int) -> int:
@@ -107,6 +100,12 @@ def circuit_unitary(gates) -> np.ndarray:
     return u
 
 
+# Unitary of circuit "a", built once from the gate list; column 4 a + j is
+# the circuit's output for input |a> and ancilla |j>.
+_UNITARY_A = circuit_unitary(CIRCUIT_A)
+_UNITARY_A.setflags(write=False)
+
+
 def prepare_ancilla(beta, tol: float = 1e-9) -> np.ndarray:
     """Two-qubit ancilla amplitudes in the |cd> basis for coefficients beta.
 
@@ -116,7 +115,7 @@ def prepare_ancilla(beta, tol: float = 1e-9) -> np.ndarray:
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (4,):
         raise ValueError("beta must have four components")
-    if abs(beta @ beta - 1.0) > tol:
+    if not abs(beta @ beta - 1.0) <= tol:  # NaN and inf fail too
         raise NotNormalizedError(f"ancilla coefficients have squared norm {beta @ beta:.12f}")
     return np.array([beta[0], beta[1], beta[3], beta[2]], dtype=complex)
 
@@ -175,53 +174,15 @@ def reduced_state(state: np.ndarray, keep: str) -> np.ndarray:
     return partial_trace(rho, (2, 2, 2), axes)
 
 
-_AXIS_KETS = {
-    1: (np.array([1, 1]) * _RT2, np.array([1, -1]) * _RT2),
-    2: (np.array([1, 1j]) * _RT2, np.array([1, -1j]) * _RT2),
-    3: (np.array([1, 0]), np.array([0, 1])),
-}
-
-
 def channel_tomography(beta, channel: str = "B") -> AffineBlochMap:
-    """Reconstruct one output qubit's affine map by running the circuit.
+    """Reconstruct one output qubit's affine map from circuit "a".
 
-    Pushes the six Bloch-axis states through circuit "a" and reads off the
-    displacement and linear part from the reduced outputs.
+    The circuit with its ancilla prepared is the isometry
+    V = U_a (I (x) |ancilla>), whose output map is read off in the
+    Heisenberg picture by output_map.
     """
     keep = channel.upper()
-    if keep not in ("B", "C", "D"):
+    if keep not in _SUBSYSTEM:
         raise ValueError("channel must be 'B', 'C' or 'D'")
-    linear = np.zeros((3, 3))
-    offsets = np.zeros((3, 3))
-    for q in (1, 2, 3):
-        ket_plus, ket_minus = _AXIS_KETS[q]
-        s_plus = bloch_vector(reduced_state(circuit_a(ket_plus, beta), keep))
-        s_minus = bloch_vector(reduced_state(circuit_a(ket_minus, beta), keep))
-        linear[q - 1] = 0.5 * (s_plus - s_minus)
-        offsets[q - 1] = 0.5 * (s_plus + s_minus)
-    return AffineBlochMap(offsets.mean(axis=0), linear)
-
-
-def pauli_mixture_check(beta, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Compare the circuit's B output against the Pauli error mixture.
-
-    Returns (circuit output, sum_l beta_l^2 sigma_l rho sigma_l); the two
-    agree for every input density matrix.
-    """
-    from .pauli import SIGMA
-
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError("input must be a 2 x 2 density matrix")
-    beta = np.asarray(beta, dtype=float)
-    eps = prepare_ancilla(beta)
-    u = circuit_unitary(CIRCUIT_A)
-    full = u @ np.kron(rho, np.outer(eps, eps.conj())) @ u.conj().T
-    lhs = partial_trace(full, (2, 2, 2), (0,))
-    rhs = sum(beta[l] ** 2 * SIGMA[l] @ rho @ SIGMA[l] for l in range(4))
-    return lhs, rhs
-
-
-def circuit_to_json(gates) -> list:
-    """Gate list in a JSON-friendly form."""
-    return [[gate[0], *map(int, gate[1:])] for gate in gates]
+    v = _UNITARY_A.reshape(8, 2, 4) @ prepare_ancilla(beta)
+    return output_map(v, keep)

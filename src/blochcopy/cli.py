@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .channel import AffineBlochMap, check_physical, complex_matrix_from_json
+from .channel import _RT2, AffineBlochMap, check_physical, complex_matrix_from_json
 from .circuit import channel_tomography, circuit_a, circuit_b
 from .linalg import random_isometry
 from .optimizer import (
@@ -34,6 +34,10 @@ from .quality import quality_bloch, quality_e_diagonal
 from .validation import ScanConfig, concavity_check, monotonicity_scan
 
 __all__ = ["main"]
+
+
+class _UsageError(ValueError):
+    """Bad input found after argument parsing; exits 2 like a parser error."""
 
 
 # ---------------------------------------------------------------------------
@@ -100,20 +104,33 @@ def _parse_beta(text: str) -> np.ndarray:
         raise ValueError("beta must be four comma-separated numbers")
     beta = np.array([float(p) for p in parts])
     norm_sq = float(beta @ beta)
-    if abs(norm_sq - 1.0) > 1e-9:
+    if not abs(norm_sq - 1.0) <= 1e-9:  # NaN and inf fail too
         raise ValueError(f"beta must have unit squared norm, got {norm_sq!r}")
     return beta
 
 
-_KET_AXIS = {"x": 1, "y": 2, "z": 3}
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+# (+axis, -axis) eigenstates of each Pauli operator
+_AXIS_KETS = {
+    "x": (np.array([1, 1]) * _RT2, np.array([1, -1]) * _RT2),
+    "y": (np.array([1, 1j]) * _RT2, np.array([1, -1j]) * _RT2),
+    "z": (np.array([1, 0]), np.array([0, 1])),
+}
 
 
 def _parse_state(text: str) -> np.ndarray:
     """One qubit state: '+x'..'-z' or four numbers re0,im0,re1,im1."""
-    if len(text) == 2 and text[0] in "+-" and text[1] in _KET_AXIS:
-        from .circuit import _AXIS_KETS
-
-        plus, minus = _AXIS_KETS[_KET_AXIS[text[1]]]
+    if len(text) == 2 and text[0] in "+-" and text[1] in _AXIS_KETS:
+        plus, minus = _AXIS_KETS[text[1]]
         return np.asarray(plus if text[0] == "+" else minus, dtype=complex)
     parts = text.split(",")
     if len(parts) != 4:
@@ -351,10 +368,16 @@ def _cmd_jacobian_check(args, config) -> int:
 def _cmd_check_e(args, config) -> int:
     tol = _resolve(args, config, "tol", float, 1e-9)
     with open(args.file, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if isinstance(payload, dict):
-        payload = payload.get("e_gram", payload)
-    e_gram = complex_matrix_from_json(payload)
+        text = fh.read()
+    try:
+        payload = json.loads(text)
+        if isinstance(payload, dict):
+            payload = payload.get("e_gram", payload)
+        e_gram = complex_matrix_from_json(payload)
+    except (TypeError, ValueError) as exc:
+        raise _UsageError(f"{args.file}: malformed Gram matrix payload ({exc})") from None
+    if e_gram.shape != (4, 4):
+        raise _UsageError(f"{args.file}: Gram matrix must be 4 x 4, got shape {e_gram.shape}")
     report = check_physical(e_gram, tol=tol)
     _emit_json(report.to_json())
     return 0 if report.passed else 1
@@ -411,8 +434,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = _add_common(subs.add_parser("scan", help="randomized monotonicity scan of the trade-off"))
     p.add_argument("--region", choices=("good", "outside"), default=None)
-    p.add_argument("--n-outer", dest="n_outer", type=int, default=None)
-    p.add_argument("--n-inner", dest="n_inner", type=int, default=None)
+    p.add_argument("--n-outer", dest="n_outer", type=_positive_int, default=None)
+    p.add_argument("--n-inner", dest="n_inner", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-keep", dest="max_keep", type=int, default=None)
     p.add_argument("--full", action="store_true", default=None, help="4000 x 100000 preset")
@@ -446,6 +469,9 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config) if args.config else {}
         return args.func(args, config)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

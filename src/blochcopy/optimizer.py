@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import tetrahedron_check, tetrahedron_violations
 from .errors import NotPossibleError, NotPositiveOptimalError
-from .pauli import lambda_matrix
+from .pauli import CYCLIC_AXES, lambda_matrix
 
 __all__ = [
     "beta_from_b",
@@ -42,9 +42,6 @@ __all__ = [
     "JacobianPair",
     "jacobians",
 ]
-
-# 0-indexed cyclic triples for 3-component axis vectors.
-_CYC3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 def _lift(b) -> np.ndarray:
@@ -356,7 +353,7 @@ def jacobians(beta) -> JacobianPair:
     c = b_from_beta(gamma)
     j = np.empty((3, 3))
     k = np.empty((3, 3))
-    for q, qp, qpp in _CYC3:
+    for q, qp, qpp in CYCLIC_AXES:
         j[q, q] = h[qp] * h[qpp]
         j[q, qp] = -h[qp] * c[qpp]
         j[qp, q] = -h[q] * c[qpp]

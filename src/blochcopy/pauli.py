@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SIGMA", "CYCLIC", "pauli", "l_tensor", "l_table", "lambda_matrix"]
+__all__ = ["SIGMA", "CYCLIC", "CYCLIC_AXES", "pauli", "l_tensor", "l_table", "lambda_matrix"]
 
 SIGMA = np.array(
     [
@@ -24,6 +24,8 @@ SIGMA.setflags(write=False)
 
 # (q, q', q'') always runs over the even permutations of (1, 2, 3).
 CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+# The same triples 0-indexed, for 3-component axis vectors.
+CYCLIC_AXES = tuple((q - 1, qp - 1, qpp - 1) for q, qp, qpp in CYCLIC)
 
 _LAMBDA = np.array(
     [

@@ -26,7 +26,6 @@ __all__ = [
     "trace_norm",
     "min_error_rate",
     "quality_bloch",
-    "f_operator",
     "omega_e",
     "quality_e",
     "quality_e_from_vectors",
@@ -71,14 +70,10 @@ def quality_bloch(bmap: AffineBlochMap, m) -> float:
     return float(np.linalg.norm(m @ bmap.linear))
 
 
-def f_operator(e_vectors: np.ndarray, l: int, m: int) -> np.ndarray:
-    """Operator F_lm = sum_jk L(jk;lm) |e_j><e_k| on the E space."""
-    e_vectors = np.asarray(e_vectors, dtype=complex)
-    return np.einsum("jk,jd,ke->de", l_table()[:, :, l, m], e_vectors, e_vectors.conj())
-
-
 def omega_e(e_vectors: np.ndarray, m) -> np.ndarray:
     """Mode operator of the environment, sum_q m_q F_q0.
+
+    F_lm = sum_jk L(jk;lm) |e_j><e_k| is an operator on the E space.
 
     Works for expansion vectors of any dimension (the block-embedded case
     included).  Equals the partial trace over B of V (m . sigma / 2) V^dag.

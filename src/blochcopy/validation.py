@@ -31,6 +31,7 @@ from .channel import (
 from .errors import NotPhysicalError
 from .linalg import random_isometry
 from .optimizer import g_map, g_map_many, positive_optimal_condition
+from .pauli import CYCLIC_AXES, lambda_matrix
 from .quality import quality_e
 
 __all__ = [
@@ -46,8 +47,6 @@ __all__ = [
     "concavity_check",
 ]
 
-_CYC0 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-
 
 def random_physical_gram(rng: np.random.Generator) -> np.ndarray:
     """Gram matrix of a Haar-random copying machine."""
@@ -61,9 +60,7 @@ def sample_good_region(rng: np.random.Generator) -> np.ndarray:
     simplex and rejected until the induced first-copy axes satisfy the
     region inequalities.
     """
-    lam = np.array(
-        [[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0], [1.0, -1.0, -1.0, 1.0]]
-    )
+    lam = lambda_matrix()[1:]
     while True:
         beta_sq = rng.dirichlet(np.ones(4))
         b = lam @ beta_sq
@@ -145,12 +142,12 @@ class ScanReport:
 def _region_mask(cand: np.ndarray, region: str) -> np.ndarray:
     if region == "good":
         ok = np.ones(len(cand), dtype=bool)
-        for q, qp, qpp in _CYC0:
+        for q, qp, qpp in CYCLIC_AXES:
             ok &= cand[:, q] >= cand[:, qp] * cand[:, qpp]
         return ok
     # outside region: candidates only need to stay attainable
     ok = np.ones(len(cand), dtype=bool)
-    for q, qp, qpp in _CYC0:
+    for q, qp, qpp in CYCLIC_AXES:
         ok &= cand[:, q] + cand[:, qp] <= 1.0 + cand[:, qpp]
     return ok
 

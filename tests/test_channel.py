@@ -24,6 +24,7 @@ from blochcopy.channel import (
     isometry_from_e_vectors,
     isometry_residuals,
     map_bloch,
+    output_map,
     realize_e_vectors,
     tetrahedron_check,
     tetrahedron_violations,
@@ -35,7 +36,7 @@ from blochcopy.errors import (
     NotNormalizedError,
     NotPhysicalError,
 )
-from blochcopy.linalg import dagger, random_isometry
+from blochcopy.linalg import dagger, partial_trace, random_isometry
 
 
 def _random_machine_gram(rng):
@@ -211,6 +212,12 @@ def test_tetrahedron_membership():
     assert tetrahedron_violations((-0.5, -0.4, -0.3)) == ["b1+b2+b3 < -1"]
 
 
+def test_tetrahedron_rejects_nan():
+    assert not tetrahedron_check([np.nan] * 3)
+    assert not tetrahedron_check([0.1, np.nan, 0.2])
+    assert tetrahedron_violations([np.nan] * 3) == ["b1+b2+b3 < -1"]
+
+
 # ---------------------------------------------------------------------------
 # explicit isometries
 
@@ -227,6 +234,12 @@ def test_isometry_from_beta_is_isometric():
 def test_isometry_from_beta_requires_normalization():
     with pytest.raises(NotNormalizedError):
         isometry_from_beta([1.0, 1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_isometry_from_beta_rejects_non_finite(bad):
+    with pytest.raises(NotNormalizedError):
+        isometry_from_beta([bad, 1.0, 0.0, 0.0])
 
 
 def test_e_hat_rows_orthonormal():
@@ -251,13 +264,51 @@ def test_assemble_extract_round_trip():
 
 
 def test_affine_map_from_isometry_matches_gram_route():
+    assert affine_map_from_isometry is output_map
     rng = np.random.default_rng(30)
+    for rows in (8, 8, 16):
+        for _ in range(10):
+            v = random_isometry(rows, 2, rng)
+            via_heisenberg = output_map(v, "B")
+            via_gram = b_from_e(gram_matrix(extract_e_vectors(v)))
+            assert np.allclose(via_heisenberg.delta, via_gram.delta, atol=1e-12)
+            assert np.allclose(via_heisenberg.linear, via_gram.linear, atol=1e-12)
+
+
+def _state_push_map(v, keep: int) -> AffineBlochMap:
+    """Oracle: push the six Bloch-axis states through v and read the outputs."""
+    dims = (2, v.shape[0] // 2) if keep == 0 else (2, 2, 2)
+    plus, minus = np.zeros((3, 3)), np.zeros((3, 3))
+    for q in range(3):
+        for sign, store in ((1.0, plus), (-1.0, minus)):
+            r = np.zeros(3)
+            r[q] = sign
+            rho_out = v @ density_from_bloch(r) @ dagger(v)
+            store[q] = bloch_vector(partial_trace(rho_out, dims, keep))
+    return AffineBlochMap(0.5 * (plus + minus).mean(axis=0), 0.5 * (plus - minus))
+
+
+def test_output_map_matches_state_pushes_on_every_output():
+    rng = np.random.default_rng(33)
     for _ in range(20):
         v = random_isometry(8, 2, rng)
-        via_states = affine_map_from_isometry(v, "B")
-        via_gram = b_from_e(gram_matrix(extract_e_vectors(v)))
-        assert np.allclose(via_states.delta, via_gram.delta, atol=1e-12)
-        assert np.allclose(via_states.linear, via_gram.linear, atol=1e-12)
+        for keep, qubit in enumerate("BCD"):
+            got = output_map(v, qubit)
+            want = _state_push_map(v, keep)
+            assert np.allclose(got.delta, want.delta, atol=1e-12)
+            assert np.allclose(got.linear, want.linear, atol=1e-12)
+
+
+def test_output_map_validation():
+    rng = np.random.default_rng(34)
+    with pytest.raises(ValueError):
+        output_map(random_isometry(8, 2, rng), "E")
+    with pytest.raises(ValueError):
+        output_map(random_isometry(16, 2, rng), "C")
+    with pytest.raises(ValueError):
+        output_map(np.zeros((7, 2)), "B")
+    v = random_isometry(16, 2, rng)
+    assert np.array_equal(output_map(v, "b").linear, output_map(v, "B").linear)
 
 
 def test_realize_e_vectors_round_trip():

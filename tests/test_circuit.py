@@ -3,28 +3,66 @@
 import numpy as np
 import pytest
 
-from blochcopy.channel import bloch_vector, density_from_bloch, isometry_from_beta
+from blochcopy import circuit
+from blochcopy.channel import AffineBlochMap, bloch_vector, density_from_bloch, isometry_from_beta
 from blochcopy.circuit import (
     CIRCUIT_A,
     CIRCUIT_B,
-    CIRCUIT_B_FIRST,
     apply_circuit,
     apply_gate,
     beta_from_error_rates,
     channel_tomography,
     circuit_a,
     circuit_b,
-    circuit_to_json,
     circuit_unitary,
-    pauli_mixture_check,
     prepare_ancilla,
     reduced_state,
 )
 from blochcopy.errors import NotNormalizedError
+from blochcopy.linalg import partial_trace
 from blochcopy.optimizer import b_from_beta, gamma_from_beta
 from blochcopy.pauli import SIGMA
 
 _RT2 = 1.0 / np.sqrt(2.0)
+
+# Opening section of circuit "b": the middle qubit flips the phase of the
+# top qubit, then the bottom qubit flips its amplitude.  Order matters.
+CIRCUIT_B_FIRST = CIRCUIT_B[:2]
+
+_AXIS_KETS = {
+    1: (np.array([1, 1]) * _RT2, np.array([1, -1]) * _RT2),
+    2: (np.array([1, 1j]) * _RT2, np.array([1, -1j]) * _RT2),
+    3: (np.array([1, 0]), np.array([0, 1])),
+}
+
+
+def circuit_to_json(gates) -> list:
+    """Gate list in a JSON-friendly form."""
+    return [[gate[0], *map(int, gate[1:])] for gate in gates]
+
+
+def pauli_mixture_check(beta, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: the circuit's B output and the Pauli mixture sum_l beta_l^2 sigma_l rho sigma_l."""
+    beta = np.asarray(beta, dtype=float)
+    eps = prepare_ancilla(beta)
+    u = circuit_unitary(CIRCUIT_A)
+    full = u @ np.kron(rho, np.outer(eps, eps.conj())) @ u.conj().T
+    lhs = partial_trace(full, (2, 2, 2), (0,))
+    rhs = sum(beta[l] ** 2 * SIGMA[l] @ rho @ SIGMA[l] for l in range(4))
+    return lhs, rhs
+
+
+def state_push_tomography(beta, channel: str) -> AffineBlochMap:
+    """Oracle: run the six Bloch-axis states through circuit "a" gate by gate."""
+    linear = np.zeros((3, 3))
+    offsets = np.zeros((3, 3))
+    for q in (1, 2, 3):
+        ket_plus, ket_minus = _AXIS_KETS[q]
+        s_plus = bloch_vector(reduced_state(circuit_a(ket_plus, beta), channel))
+        s_minus = bloch_vector(reduced_state(circuit_a(ket_minus, beta), channel))
+        linear[q - 1] = 0.5 * (s_plus - s_minus)
+        offsets[q - 1] = 0.5 * (s_plus + s_minus)
+    return AffineBlochMap(offsets.mean(axis=0), linear)
 
 
 def _basis(index: int) -> np.ndarray:
@@ -133,6 +171,14 @@ def test_prepare_ancilla_component_order():
         prepare_ancilla([1.0, 1.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_prepare_ancilla_rejects_non_finite(bad):
+    with pytest.raises(NotNormalizedError):
+        prepare_ancilla([bad, 1.0, 0.0, 0.0])
+    with pytest.raises(NotNormalizedError):
+        channel_tomography([bad, 1.0, 0.0, 0.0], "B")
+
+
 def test_circuit_json():
     assert circuit_to_json(CIRCUIT_A) == [["h", 1], ["xor", 0, 1], ["xor", 2, 0], ["xor", 1, 2]]
 
@@ -174,6 +220,34 @@ def test_swapping_beta_and_gamma_swaps_the_outputs():
 def test_channel_validation():
     with pytest.raises(ValueError):
         channel_tomography([1.0, 0.0, 0.0, 0.0], "E")
+
+
+def test_tomography_matches_the_state_push_oracle():
+    rng = np.random.default_rng(49)
+    for _ in range(30):
+        beta = rng.standard_normal(4)
+        beta /= np.linalg.norm(beta)
+        for channel in "BCD":
+            got = channel_tomography(beta, channel)
+            want = state_push_tomography(beta, channel)
+            assert np.max(np.abs(got.delta - want.delta)) < 1e-12
+            assert np.max(np.abs(got.linear - want.linear)) < 1e-12
+
+
+def test_tomography_runs_no_gates(monkeypatch):
+    calls = []
+
+    def counting_apply_gate(state, gate):
+        calls.append(gate)
+        return apply_gate(state, gate)
+
+    monkeypatch.setattr(circuit, "apply_gate", counting_apply_gate)
+    circuit_a(np.array([1.0, 0.0]), [1.0, 0.0, 0.0, 0.0])
+    assert len(calls) == len(CIRCUIT_A)  # the counter sees gate runs
+    calls.clear()
+    for channel in "BCD":
+        channel_tomography([0.8, 0.1, 0.1, np.sqrt(0.34)], channel)
+    assert calls == []
 
 
 def test_b_output_is_a_pauli_mixture():

@@ -176,6 +176,21 @@ def test_tomography_csv(capsys):
     assert values[3:] == pytest.approx(list(expected), abs=1e-12)
 
 
+def test_tomography_rejects_nan_beta(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["tomography", "--beta", "nan,1,0,0"])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert "--beta" in err and "Traceback" not in err
+
+    config = tmp_path / "tomography.cfg"
+    config.write_text("beta=nan,1,0,0\n")
+    code, out, err = _run(capsys, ["tomography", "--config", str(config)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: beta must have unit squared norm")
+
+
 def test_tomography_json_channel_c(capsys):
     code, out, _ = _run(capsys, ["tomography", "--beta", "1,0,0,0", "--channel", "C"])
     assert code == 0
@@ -242,6 +257,15 @@ def test_scan_full_preset_sets_the_inner_count(capsys):
     doc = json.loads(out)
     assert doc["n_outer"] == 1
     assert doc["n_inner"] == 100000
+
+
+@pytest.mark.parametrize("flag", ["--n-outer", "--n-inner"])
+def test_scan_sizes_must_be_positive(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", flag, "0"])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert f"argument {flag}: expected a positive integer" in err
 
 
 def test_scan_exit_code_on_good_region_violation(capsys, monkeypatch):
@@ -314,6 +338,19 @@ def test_check_e_flags_an_unphysical_matrix(capsys, tmp_path):
     code, out, _ = _run(capsys, ["check-e", str(path)])
     assert code == 1
     assert json.loads(out)["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "payload", ['{"e_gram": 5}', "[[1, 2]]", '[[["a", "b"]]]', "not json", "[[[1, 0], [0, 0]]]"]
+)
+def test_check_e_malformed_payload_is_a_usage_error(capsys, tmp_path, payload):
+    path = tmp_path / "malformed.json"
+    path.write_text(payload)
+    code, out, err = _run(capsys, ["check-e", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: ")
+    assert err.count("\n") == 1
 
 
 def test_check_e_missing_file(capsys, tmp_path):
