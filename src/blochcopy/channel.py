@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NotHermitianError, NotIsometricError, NotNormalizedError, NotPhysicalError
 from .linalg import hermiticity_error
-from .pauli import CYCLIC, SIGMA, l_table
+from .pauli import CYCLIC, CYCLIC_AXES, SIGMA, l_table
 
 __all__ = [
     "DEFAULT_TOL",
@@ -44,6 +44,7 @@ __all__ = [
     "check_physical",
     "diagonalize",
     "tetrahedron_check",
+    "tetrahedron_mask",
     "tetrahedron_violations",
     "isometry_from_beta",
     "isometry_from_e_vectors",
@@ -312,11 +313,16 @@ def diagonalize(bmap: AffineBlochMap) -> DiagonalForm:
 # Centered machines: attainable axes and explicit isometries
 
 
-def tetrahedron_violations(b, tol: float = 1e-12) -> list[str]:
-    """Names of the attainability inequalities violated by semi-axes b."""
+def _axes(b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape != (3,):
         raise ValueError("semi-axes must have three components")
+    return b
+
+
+def tetrahedron_violations(b, tol: float = 1e-12) -> list[str]:
+    """Names of the attainability inequalities violated by semi-axes b."""
+    b = _axes(b)
     bad = []
     # written so that a NaN component fails the test
     if not (b.sum() >= -1.0 - tol):
@@ -324,15 +330,32 @@ def tetrahedron_violations(b, tol: float = 1e-12) -> list[str]:
     for q, qp, qpp in CYCLIC:
         if b[q - 1] + b[qp - 1] > 1.0 + b[qpp - 1] + tol:
             bad.append(f"b{q}+b{qp} > 1+b{qpp}")
+    if np.any(np.isinf(b)):
+        bad.append("infinite component")
     return bad
 
 
-def tetrahedron_check(b, tol: float = 1e-12) -> bool:
-    """True when b lies in the tetrahedron of attainable centered semi-axes.
+def tetrahedron_mask(b_rows, tol: float = 1e-12) -> np.ndarray:
+    """Row-wise tetrahedron test over an (..., 3) array of semi-axes.
 
     The vertices are (1,1,1) and the three permutations of (1,-1,-1).
+    Rows with a NaN or infinite component fail.
     """
-    return not tetrahedron_violations(b, tol=tol)
+    b = np.asarray(b_rows, dtype=float)
+    if b.shape[-1:] != (3,):
+        raise ValueError("semi-axes must have three components")
+    # column by column: reductions over a length-3 axis are slow in numpy
+    finite = np.isfinite(b)
+    ok = finite[..., 0] & finite[..., 1] & finite[..., 2]
+    ok &= b[..., 0] + b[..., 1] + b[..., 2] >= -1.0 - tol
+    for q, qp, qpp in CYCLIC_AXES:
+        ok &= b[..., q] + b[..., qp] <= 1.0 + b[..., qpp] + tol
+    return ok
+
+
+def tetrahedron_check(b, tol: float = 1e-12) -> bool:
+    """True when b lies in the tetrahedron of attainable centered semi-axes."""
+    return bool(tetrahedron_mask(_axes(b), tol=tol))
 
 
 def isometry_from_beta(beta, tol: float = DEFAULT_TOL) -> np.ndarray:

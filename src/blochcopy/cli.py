@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -116,6 +117,16 @@ def _positive_int(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
 
 
@@ -402,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = _add_common(subs.add_parser("gmap", help="best second-copy axes for given first-copy axes"))
-    p.add_argument("b", nargs=3, type=float, metavar="B")
+    p.add_argument("b", nargs=3, type=_finite_float, metavar="B")
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=_cmd_gmap)
 
@@ -412,8 +423,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_quality)
 
     p = _add_common(subs.add_parser("classify", help="classify a candidate pair of copy axes"))
-    p.add_argument("b", nargs=3, type=float, metavar="B")
-    p.add_argument("c", nargs=3, type=float, metavar="C")
+    p.add_argument("b", nargs=3, type=_finite_float, metavar="B")
+    p.add_argument("c", nargs=3, type=_finite_float, metavar="C")
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=_cmd_classify)
 
@@ -450,7 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_concavity)
 
     p = _add_common(subs.add_parser("jacobian-check", help="finite-difference check of the trade-off Jacobian"), fmt=False)
-    p.add_argument("b", nargs=3, type=float, metavar="B")
+    p.add_argument("b", nargs=3, type=_finite_float, metavar="B")
     p.add_argument("--step", type=float, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=_cmd_jacobian_check)

@@ -21,9 +21,9 @@ from itertools import product
 
 import numpy as np
 
-from .channel import tetrahedron_check, tetrahedron_violations
+from .channel import _axes, tetrahedron_check, tetrahedron_violations
 from .errors import NotPossibleError, NotPositiveOptimalError
-from .pauli import CYCLIC_AXES, lambda_matrix
+from .pauli import CYCLIC, CYCLIC_AXES, lambda_matrix
 
 __all__ = [
     "beta_from_b",
@@ -34,6 +34,7 @@ __all__ = [
     "isotropic_tradeoff",
     "h_vector",
     "positive_optimal_condition",
+    "positive_optimal_mask",
     "class_p_check",
     "same_order",
     "OptimalPair",
@@ -44,21 +45,14 @@ __all__ = [
 ]
 
 
-def _lift(b) -> np.ndarray:
-    b = np.asarray(b, dtype=float)
-    if b.shape != (3,):
-        raise ValueError("axis vector must have three components")
-    return np.concatenate(([1.0], b))
-
-
 def beta_from_b(b, tol: float = 1e-9) -> np.ndarray:
     """Positive machine coefficients realizing centered semi-axes b.
 
     beta^2 = (1/4) Lambda (1, b); squared components in [-tol, 0) are
     clamped to zero, anything lower means b is unattainable.
     """
-    beta_sq = 0.25 * (lambda_matrix() @ _lift(b))
-    if np.any(beta_sq < -tol):
+    beta_sq = 0.25 * (lambda_matrix() @ np.concatenate(([1.0], _axes(b))))
+    if not np.all(beta_sq >= -tol):  # NaN fails too
         names = tetrahedron_violations(np.asarray(b, dtype=float), tol=4.0 * tol)
         detail = "; ".join(names) if names else "axes outside the attainable tetrahedron"
         raise NotPossibleError(f"tetrahedron violated: {detail}")
@@ -98,7 +92,7 @@ def g_map_many(b_rows: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     lam = lambda_matrix()
     lifted = np.concatenate([np.ones((len(b_rows), 1)), b_rows], axis=1)
     beta_sq = 0.25 * lifted @ lam  # Lambda is symmetric
-    if np.any(beta_sq < -tol):
+    if not np.all(beta_sq >= -tol):  # NaN fails too
         raise NotPossibleError("some rows lie outside the attainable tetrahedron")
     beta = np.sqrt(np.maximum(beta_sq, 0.0))
     gamma = 0.5 * beta @ lam
@@ -153,12 +147,30 @@ def class_p_check(xi, tol: float = 0.0) -> bool:
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (4,):
         raise ValueError("expected a four-vector")
-    if np.any(xi[1:] < -tol) or np.any(xi[1:] > xi[0] + tol):
+    # every test is written so that a NaN component fails it; a finite xi_0
+    # bounds the other components, so one comparison rules out infinities
+    if not (xi[0] < np.inf and np.all(xi[1:] >= -tol) and np.all(xi[1:] <= xi[0] + tol)):
         return False
-    for q, qp, qpp in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        if xi[0] * xi[q] < xi[qp] * xi[qpp] - tol:
+    for q, qp, qpp in CYCLIC:
+        if not xi[0] * xi[q] >= xi[qp] * xi[qpp] - tol:
             return False
     return True
+
+
+def positive_optimal_mask(b_rows, tol: float = 0.0) -> np.ndarray:
+    """Row-wise positive_optimal_condition over an (..., 3) array of semi-axes.
+
+    Rows with a NaN or infinite component fail.
+    """
+    b = np.asarray(b_rows, dtype=float)
+    if b.shape[-1:] != (3,):
+        raise ValueError("axis vectors must have three components")
+    # column by column: reductions over a length-3 axis are slow in numpy
+    inside = (b >= -tol) & (b <= 1.0 + tol)
+    ok = inside[..., 0] & inside[..., 1] & inside[..., 2]
+    for q, qp, qpp in CYCLIC_AXES:
+        ok &= b[..., q] >= b[..., qp] * b[..., qpp] - tol
+    return ok
 
 
 def positive_optimal_condition(b, tol: float = 0.0) -> bool:
@@ -167,7 +179,7 @@ def positive_optimal_condition(b, tol: float = 0.0) -> bool:
     The condition is 0 <= b_q <= 1 together with b_q >= b_q' b_q'', which
     is class membership of the lifted vector (1, b).
     """
-    return class_p_check(_lift(b), tol=tol)
+    return bool(positive_optimal_mask(_axes(b), tol=tol))
 
 
 def same_order(xi, eta, tol: float = 1e-12) -> bool:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -26,12 +27,12 @@ from .channel import (
     check_physical,
     extract_e_vectors,
     gram_matrix,
-    tetrahedron_check,
+    tetrahedron_mask,
 )
 from .errors import NotPhysicalError
 from .linalg import random_isometry
-from .optimizer import g_map, g_map_many, positive_optimal_condition
-from .pauli import CYCLIC_AXES, lambda_matrix
+from .optimizer import g_map, g_map_many, positive_optimal_mask
+from .pauli import lambda_matrix
 from .quality import quality_e
 
 __all__ = [
@@ -53,6 +54,48 @@ def random_physical_gram(rng: np.random.Generator) -> np.ndarray:
     return gram_matrix(extract_e_vectors(random_isometry(8, 2, rng)))
 
 
+# Candidates drawn per block by the rejection samplers.
+_LOOKAHEAD = 64
+# Candidate rows a scan tests per pass of the row kernels (one outer point's
+# rows always go in one pass, however many they are).
+_CHUNK_ROWS = 2**17
+
+_LAM_AXES = lambda_matrix()[1:]
+_ONES4 = np.ones(4)
+
+
+def _first_accepted(rng: np.random.Generator, draw, accept) -> np.ndarray:
+    """First row of draw(rng, k) that passes accept, found by block look-ahead.
+
+    A block of k draws consumes the stream exactly like k single draws, so
+    after a hit at row j the generator is rewound and moved on by j + 1
+    draws: it ends where a one-draw-at-a-time rejection loop leaves it.
+    """
+    while True:
+        state = rng.bit_generator.state
+        rows = draw(rng, _LOOKAHEAD)
+        hits = accept(rows)
+        j = hits.argmax()  # the first hit, if there is one
+        if hits[j]:
+            rng.bit_generator.state = state
+            draw(rng, j + 1)
+            return rows[j]
+
+
+def _draw_good(rng: np.random.Generator, k: int) -> np.ndarray:
+    # einsum gives each row the bits of the single-draw lam @ beta_sq;
+    # beta_sq @ lam.T does not
+    return np.einsum("qk,nk->nq", _LAM_AXES, rng.dirichlet(_ONES4, size=k))
+
+
+def _draw_outside(rng: np.random.Generator, k: int) -> np.ndarray:
+    return rng.random((k, 3))
+
+
+def _outside_region(rows: np.ndarray) -> np.ndarray:
+    return tetrahedron_mask(rows) & ~positive_optimal_mask(rows)
+
+
 def sample_good_region(rng: np.random.Generator) -> np.ndarray:
     """Semi-axes b with b_q >= b_q' b_q'' and components in [0, 1].
 
@@ -60,20 +103,12 @@ def sample_good_region(rng: np.random.Generator) -> np.ndarray:
     simplex and rejected until the induced first-copy axes satisfy the
     region inequalities.
     """
-    lam = lambda_matrix()[1:]
-    while True:
-        beta_sq = rng.dirichlet(np.ones(4))
-        b = lam @ beta_sq
-        if positive_optimal_condition(b):
-            return b
+    return _first_accepted(rng, _draw_good, positive_optimal_mask)
 
 
 def sample_outside_region(rng: np.random.Generator) -> np.ndarray:
     """Attainable semi-axes in [0, 1]^3 failing some b_q >= b_q' b_q''."""
-    while True:
-        b = rng.random(3)
-        if tetrahedron_check(b) and not positive_optimal_condition(b):
-            return b
+    return _first_accepted(rng, _draw_outside, _outside_region)
 
 
 @dataclass(frozen=True)
@@ -139,58 +174,69 @@ class ScanReport:
         return "\n".join(lines) + "\n"
 
 
-def _region_mask(cand: np.ndarray, region: str) -> np.ndarray:
-    if region == "good":
-        ok = np.ones(len(cand), dtype=bool)
-        for q, qp, qpp in CYCLIC_AXES:
-            ok &= cand[:, q] >= cand[:, qp] * cand[:, qpp]
-        return ok
-    # outside region: candidates only need to stay attainable
-    ok = np.ones(len(cand), dtype=bool)
-    for q, qp, qpp in CYCLIC_AXES:
-        ok &= cand[:, q] + cand[:, qp] <= 1.0 + cand[:, qpp]
-    return ok
-
-
 def monotonicity_scan(config: ScanConfig) -> ScanReport:
     """Search for componentwise improvements of both copies at once.
 
     A violation is a pair b < b' (strictly, in every component) with
     g(b') >= g(b) in every component.  Inside the good region none should
-    ever be found; outside they are common.  Each outer point gets its own
-    child seed, so reports with equal config are identical.
+    ever be found; outside they are common.  Each outer point draws its base
+    point and its candidates from its own child seed, so reports with equal
+    config are identical however the points are batched.  Outer points are
+    processed in chunks of about _CHUNK_ROWS candidate rows, with one pass
+    of the region masks and of g_map_many per chunk.
     """
     start = time.perf_counter()
-    sampler = sample_good_region if config.region == "good" else sample_outside_region
+    if config.region == "good":
+        sampler, in_region = sample_good_region, positive_optimal_mask
+    else:
+        # outside the good region candidates only need to stay attainable
+        sampler, in_region = sample_outside_region, partial(tetrahedron_mask, tol=0.0)
     children = np.random.SeedSequence(config.seed).spawn(config.n_outer)
+    per_chunk = max(1, _CHUNK_ROWS // config.n_inner)
 
     checked = 0
     n_violations = 0
     kept: list[dict] = []
-    for child in children:
-        rng = np.random.default_rng(child)
-        b = sampler(rng)
-        g_b = g_map(b)
-        t = rng.random((config.n_inner, 3))
-        cand = b + t * (1.0 - b)
-        # cand >= b holds by construction; dominance needs one strict component
-        mask = np.any(cand > b, axis=1) & _region_mask(cand, config.region)
+    for lo in range(0, config.n_outer, per_chunk):
+        points = children[lo : lo + per_chunk]
+        b = np.empty((len(points), 3))
+        g_b = np.empty((len(points), 3))
+        cand = np.empty((len(points), config.n_inner, 3))
+        for k, child in enumerate(points):
+            rng = np.random.default_rng(child)
+            b[k] = sampler(rng)
+            g_b[k] = g_map(b[k])
+            rng.random(out=cand[k])
+        # one column at a time: numpy is slow along a length-3 axis
+        strict = np.zeros(cand.shape[:2], dtype=bool)
+        for q in range(3):
+            col = cand[..., q]
+            col *= 1.0 - b[:, q : q + 1]
+            col += b[:, q : q + 1]
+            # col >= b holds by construction; dominance needs one strict component
+            strict |= col > b[:, q : q + 1]
+        mask = strict & in_region(cand)
+        del col  # the last view would keep the whole chunk alive
         cand = cand[mask]
         if not len(cand):
             continue
         checked += len(cand)
+        counts = mask.sum(axis=1)
         g_cand = g_map_many(cand)
-        bad = np.all(g_cand >= g_b, axis=1)
-        n_violations += int(bad.sum())
-        for i in np.flatnonzero(bad):
-            if len(kept) >= config.max_keep:
-                break
+        g_ref = np.repeat(g_b, counts, axis=0)
+        dominated = g_cand[:, 0] >= g_ref[:, 0]
+        for q in (1, 2):
+            dominated &= g_cand[:, q] >= g_ref[:, q]
+        bad = np.flatnonzero(dominated)
+        n_violations += len(bad)
+        owners = np.searchsorted(np.cumsum(counts), bad, side="right")
+        for i, k in zip(bad[: config.max_keep - len(kept)], owners):
             kept.append(
                 {
-                    "b": [float(x) for x in b],
-                    "candidate": [float(x) for x in cand[i]],
-                    "g_b": [float(x) for x in g_b],
-                    "g_candidate": [float(x) for x in g_cand[i]],
+                    "b": b[k].tolist(),
+                    "candidate": cand[i].tolist(),
+                    "g_b": g_b[k].tolist(),
+                    "g_candidate": g_cand[i].tolist(),
                 }
             )
     return ScanReport(

@@ -27,6 +27,7 @@ from blochcopy.channel import (
     output_map,
     realize_e_vectors,
     tetrahedron_check,
+    tetrahedron_mask,
     tetrahedron_violations,
     transfer_from_gram,
 )
@@ -216,6 +217,28 @@ def test_tetrahedron_rejects_nan():
     assert not tetrahedron_check([np.nan] * 3)
     assert not tetrahedron_check([0.1, np.nan, 0.2])
     assert tetrahedron_violations([np.nan] * 3) == ["b1+b2+b3 < -1"]
+
+
+def test_tetrahedron_rejects_inf():
+    # inf + inf <= 1 + inf holds, so the pair tests alone let this through
+    assert not tetrahedron_check([np.inf] * 3)
+    assert not tetrahedron_check([0.1, -np.inf, 0.2])
+    assert tetrahedron_violations([np.inf] * 3) == ["infinite component"]
+
+
+def test_tetrahedron_mask_matches_the_scalar_check():
+    rng = np.random.default_rng(93)
+    rows = 2.4 * rng.random((4000, 3)) - 1.2
+    rows[:3] = [[1, 1, 1], [1, -1, -1], [0.9, 0.9, 0.5]]
+    rows[3:6] = [[np.nan, 0, 0], [np.inf] * 3, [0, -np.inf, 0]]
+    for tol in (0.0, 1e-12, 0.1):
+        mask = tetrahedron_mask(rows, tol=tol)
+        assert mask.shape == (len(rows),)
+        assert list(mask) == [not tetrahedron_violations(b, tol=tol) for b in rows]
+    assert list(mask[:6]) == [True, True, False, False, False, False]
+    assert tetrahedron_mask(rows.reshape(2, -1, 3)).shape == (2, len(rows) // 2)
+    with pytest.raises(ValueError):
+        tetrahedron_mask(np.zeros((5, 4)))
 
 
 # ---------------------------------------------------------------------------

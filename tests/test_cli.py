@@ -42,6 +42,29 @@ def test_gmap_rejects_unattainable_axes(capsys):
     assert err == "error: tetrahedron violated: b1+b2 > 1+b3\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gmap", "nan", "nan", "nan"],
+        ["gmap", "0.5", "inf", "0.5"],
+        ["classify", "nan", "nan", "nan", "0", "0", "0"],
+        ["classify", "1", "1", "1", "0", "nan", "0"],
+        ["jacobian-check", "0.5", "nan", "0.5"],
+        ["jacobian-check", "inf", "0.6", "0.55"],
+    ],
+    ids=["gmap-nan", "gmap-inf", "classify-b", "classify-c", "jacobian-nan", "jacobian-inf"],
+)
+def test_non_finite_axes_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "expected a finite number" in errors[0]
+
+
 # ---------------------------------------------------------------------------
 # fig1
 

@@ -19,6 +19,7 @@ from blochcopy.optimizer import (
     isotropic_tradeoff,
     jacobians,
     positive_optimal_condition,
+    positive_optimal_mask,
     same_order,
     sign_flip_variants,
 )
@@ -244,6 +245,36 @@ def test_order_comparison():
     # a tie on one side is compatible with either strict order
     assert same_order([1, 2, 2, 1], [9, 6, 4, 1])
     assert same_order([1, 2, 2, 1], [9, 4, 6, 1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_axes_are_rejected(bad):
+    b = [0.5, bad, 0.5]
+    with np.errstate(invalid="ignore"), pytest.raises(NotPossibleError):
+        g_map(b)
+    with np.errstate(invalid="ignore"), pytest.raises(NotPossibleError):
+        g_map_many([[0.5, 0.5, 0.5], b])
+    with np.errstate(invalid="ignore"), pytest.raises(NotPossibleError):
+        beta_from_b([bad] * 3)
+    assert not positive_optimal_condition(b)
+    assert not positive_optimal_condition([bad] * 3)
+    assert not class_p_check([1.0, *b])
+    assert not class_p_check([bad] * 4)
+    assert not class_p_check([bad, 0.5, 0.5, 0.25])
+
+
+def test_positive_optimal_mask_matches_the_scalar_condition():
+    rng = np.random.default_rng(69)
+    rows = 1.2 * rng.random((4000, 3)) - 0.1
+    rows[:4] = [[np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5], [1.0, 1.0, 1.0], [0.9, 0.9, 0.5]]
+    for tol in (0.0, 1e-9, 0.05):
+        mask = positive_optimal_mask(rows, tol=tol)
+        lifted = np.column_stack([np.ones(len(rows)), rows])
+        assert list(mask) == [class_p_check(xi, tol=tol) for xi in lifted]
+    assert list(positive_optimal_mask(rows[:4])) == [False, False, True, False]
+    assert positive_optimal_mask(rows.reshape(4, -1, 3)).shape == (4, len(rows) // 4)
+    with pytest.raises(ValueError):
+        positive_optimal_mask(np.zeros((5, 2)))
 
 
 def test_positive_optimal_condition_is_lifted_class_p():

@@ -14,7 +14,8 @@ from blochcopy.channel import (
 )
 from blochcopy.errors import NotPhysicalError
 from blochcopy.linalg import random_isometry
-from blochcopy.optimizer import positive_optimal_condition
+from blochcopy.optimizer import g_map, g_map_many, positive_optimal_condition
+from blochcopy.pauli import CYCLIC_AXES, lambda_matrix
 from blochcopy.validation import (
     ScanConfig,
     ScanReport,
@@ -32,6 +33,84 @@ from blochcopy.validation import (
 def _random_mode(rng):
     m = rng.standard_normal(3)
     return m / np.linalg.norm(m)
+
+
+# ---------------------------------------------------------------------------
+# oracles: one draw and one outer point at a time, scalar region tests
+
+
+def _oracle_in_good_region(b):
+    if not all(0.0 <= x <= 1.0 for x in b):
+        return False
+    return all(b[q] >= b[qp] * b[qpp] for q, qp, qpp in CYCLIC_AXES)
+
+
+def _oracle_attainable(b):
+    if not b.sum() >= -1.0 - 1e-12:
+        return False
+    return all(b[q] + b[qp] <= 1.0 + b[qpp] + 1e-12 for q, qp, qpp in CYCLIC_AXES)
+
+
+def _oracle_sample_good(rng):
+    lam = lambda_matrix()[1:]
+    while True:
+        b = lam @ rng.dirichlet(np.ones(4))
+        if _oracle_in_good_region(b):
+            return b
+
+
+def _oracle_sample_outside(rng):
+    while True:
+        b = rng.random(3)
+        if _oracle_attainable(b) and not _oracle_in_good_region(b):
+            return b
+
+
+def _oracle_region_mask(cand, region):
+    ok = np.ones(len(cand), dtype=bool)
+    for q, qp, qpp in CYCLIC_AXES:
+        if region == "good":
+            ok &= cand[:, q] >= cand[:, qp] * cand[:, qpp]
+        else:
+            ok &= cand[:, q] + cand[:, qp] <= 1.0 + cand[:, qpp]
+    return ok
+
+
+def _oracle_scan(config):
+    sampler = _oracle_sample_good if config.region == "good" else _oracle_sample_outside
+    checked = 0
+    n_violations = 0
+    kept = []
+    for child in np.random.SeedSequence(config.seed).spawn(config.n_outer):
+        rng = np.random.default_rng(child)
+        b = sampler(rng)
+        g_b = g_map(b)
+        cand = b + rng.random((config.n_inner, 3)) * (1.0 - b)
+        cand = cand[np.any(cand > b, axis=1) & _oracle_region_mask(cand, config.region)]
+        if not len(cand):
+            continue
+        checked += len(cand)
+        g_cand = g_map_many(cand)
+        bad = np.flatnonzero(np.all(g_cand >= g_b, axis=1))
+        n_violations += len(bad)
+        for i in bad[: max(0, config.max_keep - len(kept))]:
+            kept.append(
+                {
+                    "b": [float(x) for x in b],
+                    "candidate": [float(x) for x in cand[i]],
+                    "g_b": [float(x) for x in g_b],
+                    "g_candidate": [float(x) for x in g_cand[i]],
+                }
+            )
+    return ScanReport(
+        region=config.region,
+        seed=config.seed,
+        n_outer=config.n_outer,
+        n_inner=config.n_inner,
+        checked=checked,
+        n_violations=n_violations,
+        violations=kept,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +132,19 @@ def test_outside_region_sampler():
         b = sample_outside_region(rng)
         assert tetrahedron_check(b)
         assert not positive_optimal_condition(b)
+
+
+@pytest.mark.parametrize(
+    "sampler, oracle",
+    [(sample_good_region, _oracle_sample_good), (sample_outside_region, _oracle_sample_outside)],
+)
+def test_samplers_match_the_one_draw_oracle(sampler, oracle):
+    # equal points, and the generator is left where one-at-a-time draws leave it
+    for seed in range(300):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert np.array_equal(sampler(rng), oracle(ref))
+        assert rng.random() == ref.random()
 
 
 def test_random_gram_is_physical():
@@ -86,6 +178,28 @@ def test_scan_is_deterministic():
     # elapsed differs between runs and stays out of the payload by default
     assert "elapsed" not in first.to_json()
     assert "elapsed" in first.to_json(include_elapsed=True)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ScanConfig(n_outer=40, n_inner=1, seed=4, region="good"),
+        ScanConfig(n_outer=40, n_inner=1, seed=4, region="outside"),
+        # more rows than one batch holds, split across points
+        ScanConfig(n_outer=5, n_inner=50_000, seed=2, region="good"),
+        ScanConfig(n_outer=5, n_inner=50_000, seed=2, region="outside", max_keep=10**6),
+        ScanConfig(n_outer=30, n_inner=200, seed=5, region="outside", max_keep=0),
+        ScanConfig(n_outer=30, n_inner=200, seed=5, region="outside", max_keep=7),
+        # thousands of violations, every record kept
+        ScanConfig(n_outer=2000, n_inner=1000, seed=0, region="outside", max_keep=10**6),
+    ],
+    ids=["inner1-good", "inner1-outside", "chunks-good", "chunks-outside",
+         "keep0", "keep7", "outside-2000x1000"],
+)
+def test_scan_report_is_byte_equal_to_the_per_point_oracle(config):
+    got = json.dumps(monotonicity_scan(config).to_json())
+    want = json.dumps(_oracle_scan(config).to_json())
+    assert got == want
 
 
 def test_scan_finds_nothing_in_the_good_region():
