@@ -324,14 +324,16 @@ def tetrahedron_violations(b, tol: float = 1e-12) -> list[str]:
     """Names of the attainability inequalities violated by semi-axes b."""
     b = _axes(b)
     bad = []
-    # written so that a NaN component fails the test
-    if not (b.sum() >= -1.0 - tol):
+    # every comparison with a NaN is False, so a NaN only gets its own label
+    if b.sum() < -1.0 - tol:
         bad.append("b1+b2+b3 < -1")
     for q, qp, qpp in CYCLIC:
         if b[q - 1] + b[qp - 1] > 1.0 + b[qpp - 1] + tol:
             bad.append(f"b{q}+b{qp} > 1+b{qpp}")
     if np.any(np.isinf(b)):
         bad.append("infinite component")
+    if np.any(np.isnan(b)):
+        bad.append("NaN component")
     return bad
 
 

@@ -110,14 +110,21 @@ def _parse_beta(text: str) -> np.ndarray:
     return beta
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_from(lowest: int, name: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = lowest - 1
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"expected a {name} integer, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_from(1, "positive")
+_nonnegative_int = _int_from(0, "nonnegative")
 
 
 def _finite_float(text: str) -> float:
@@ -127,6 +134,16 @@ def _finite_float(text: str) -> float:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = _finite_float(text)
+    except argparse.ArgumentTypeError:
+        value = 0.0
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
     return value
 
 
@@ -350,6 +367,8 @@ def _cmd_concavity(args, config) -> int:
 def _cmd_jacobian_check(args, config) -> int:
     step = _resolve(args, config, "step", float, 1e-6)
     tol = _resolve(args, config, "tol", float, 1e-4)
+    if not 0.0 < step < math.inf:
+        raise ValueError("step must be a positive finite number")
     b = np.asarray(args.b, dtype=float)
     pair = jacobians(beta_from_b(b))
     if not pair.invertible:
@@ -448,13 +467,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-outer", dest="n_outer", type=_positive_int, default=None)
     p.add_argument("--n-inner", dest="n_inner", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-keep", dest="max_keep", type=int, default=None)
+    p.add_argument("--max-keep", dest="max_keep", type=_nonnegative_int, default=None)
     p.add_argument("--full", action="store_true", default=None, help="4000 x 100000 preset")
     p.set_defaults(func=_cmd_scan)
 
     p = _add_common(subs.add_parser("concavity", help="random mixing checks of the eavesdropper quality"), fmt=False)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=_positive_int, default=None)
     p.add_argument("--p1", type=float, default=None)
     p.add_argument("--mode", type=_parse_mode, default=None)
     p.add_argument("--tol", type=float, default=None)
@@ -462,7 +481,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = _add_common(subs.add_parser("jacobian-check", help="finite-difference check of the trade-off Jacobian"), fmt=False)
     p.add_argument("b", nargs=3, type=_finite_float, metavar="B")
-    p.add_argument("--step", type=float, default=None)
+    p.add_argument("--step", type=_positive_float, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=_cmd_jacobian_check)
 

@@ -86,17 +86,51 @@ def g_map(b, tol: float = 1e-9) -> np.ndarray:
     return (lambda_matrix() @ (gamma**2))[1:]
 
 
+def _lambda_rows(terms, out, first: int = 0) -> None:
+    """out[j - first] = sum_k Lambda[k, j] terms[k] for j = first..3.
+
+    Lambda's entries are +-1 and its row 0 is all ones, so each sum is three
+    adds or subtracts in the order k = 0..3: the only rounding, as in a BLAS
+    product with the same operands.
+    """
+    lam = lambda_matrix()
+    for row, j in zip(out, range(first, 4)):
+        ops = [np.add if lam[k, j] > 0 else np.subtract for k in (1, 2, 3)]
+        ops[0](terms[0], terms[1], out=row)
+        ops[1](row, terms[2], out=row)
+        ops[2](row, terms[3], out=row)
+
+
+def _g_columns(cols: np.ndarray, tol: float = 1e-9, work: np.ndarray | None = None) -> np.ndarray:
+    """g over the columns of a (3, n) array of semi-axes, as a (3, n) view into work.
+
+    work is a (2, 4, m) float buffer with m >= n (allocated when None) that
+    holds beta and then gamma; the result is valid until work is reused.
+    Each step scales, sums and rounds exactly as the matmul chain
+    beta^2 = (1/4 (1, b)) Lambda, gamma = (1/2 beta) Lambda, c = gamma^2 Lambda
+    does, so the bits equal those of that chain.
+    """
+    n = cols.shape[1]
+    if work is None:
+        work = np.empty((2, 4, n))
+    beta, gamma = work[0, :, :n], work[1, :, :n]
+    quarter_b = np.multiply(cols, 0.25, out=gamma[1:])
+    _lambda_rows((0.25, *quarter_b), beta)
+    if n and not beta.min() >= -tol:  # NaN fails too
+        raise NotPossibleError("some rows lie outside the attainable tetrahedron")
+    np.maximum(beta, 0.0, out=beta)
+    np.sqrt(beta, out=beta)
+    beta *= 0.5
+    _lambda_rows(beta, gamma)
+    np.square(gamma, out=gamma)
+    _lambda_rows(gamma, beta[1:], first=1)
+    return beta[1:]
+
+
 def g_map_many(b_rows: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Vectorized g_map over the rows of an (n, 3) array."""
     b_rows = np.asarray(b_rows, dtype=float).reshape(-1, 3)
-    lam = lambda_matrix()
-    lifted = np.concatenate([np.ones((len(b_rows), 1)), b_rows], axis=1)
-    beta_sq = 0.25 * lifted @ lam  # Lambda is symmetric
-    if not np.all(beta_sq >= -tol):  # NaN fails too
-        raise NotPossibleError("some rows lie outside the attainable tetrahedron")
-    beta = np.sqrt(np.maximum(beta_sq, 0.0))
-    gamma = 0.5 * beta @ lam
-    return (gamma**2 @ lam)[:, 1:]
+    return _g_columns(b_rows.T, tol=tol).T
 
 
 def isotropic_tradeoff(r: float) -> float:
@@ -114,27 +148,12 @@ def isotropic_tradeoff(r: float) -> float:
 def h_vector(beta) -> np.ndarray:
     """Difference weights h_q = 2 (beta_0 beta_q - beta_q' beta_q'').
 
-    The same expression evaluated on gamma gives the identical vector; both
-    forms are computed and compared as a consistency guard.
+    The same expression evaluated on the partner gamma gives the same vector.
     """
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (4,):
         raise ValueError("beta must have four components")
-    gamma = gamma_from_beta(beta)
-
-    def _h(v):
-        return 2.0 * np.array(
-            [
-                v[0] * v[1] - v[2] * v[3],
-                v[0] * v[2] - v[3] * v[1],
-                v[0] * v[3] - v[1] * v[2],
-            ]
-        )
-
-    h_b, h_g = _h(beta), _h(gamma)
-    if np.max(np.abs(h_b - h_g)) > 1e-12 * max(1.0, float(np.max(np.abs(h_b)))):
-        raise ValueError("h evaluated on beta and gamma disagree; input is corrupt")
-    return h_b
+    return 2.0 * np.array([beta[0] * beta[q] - beta[qp] * beta[qpp] for q, qp, qpp in CYCLIC])
 
 
 def class_p_check(xi, tol: float = 0.0) -> bool:

@@ -31,7 +31,7 @@ from .channel import (
 )
 from .errors import NotPhysicalError
 from .linalg import random_isometry
-from .optimizer import g_map, g_map_many, positive_optimal_mask
+from .optimizer import _g_columns, g_map, positive_optimal_mask
 from .pauli import lambda_matrix
 from .quality import quality_e
 
@@ -56,9 +56,10 @@ def random_physical_gram(rng: np.random.Generator) -> np.ndarray:
 
 # Candidates drawn per block by the rejection samplers.
 _LOOKAHEAD = 64
-# Candidate rows a scan tests per pass of the row kernels (one outer point's
-# rows always go in one pass, however many they are).
-_CHUNK_ROWS = 2**17
+# Candidate rows a scan tests per pass of the row kernels: small enough that
+# a tile's buffers stay in a core's L2 cache.  A tile holds several whole
+# outer points, or one segment of a point with more rows than this.
+_TILE_ROWS = 2**14
 
 _LAM_AXES = lambda_matrix()[1:]
 _ONES4 = np.ones(4)
@@ -181,9 +182,9 @@ def monotonicity_scan(config: ScanConfig) -> ScanReport:
     g(b') >= g(b) in every component.  Inside the good region none should
     ever be found; outside they are common.  Each outer point draws its base
     point and its candidates from its own child seed, so reports with equal
-    config are identical however the points are batched.  Outer points are
-    processed in chunks of about _CHUNK_ROWS candidate rows, with one pass
-    of the region masks and of g_map_many per chunk.
+    config are identical however the points are batched.  Candidates are
+    tested in tiles of up to _TILE_ROWS rows, stored column by column in
+    buffers reused from tile to tile.
     """
     start = time.perf_counter()
     if config.region == "good":
@@ -191,54 +192,63 @@ def monotonicity_scan(config: ScanConfig) -> ScanReport:
     else:
         # outside the good region candidates only need to stay attainable
         sampler, in_region = sample_outside_region, partial(tetrahedron_mask, tol=0.0)
+    n_inner = config.n_inner
     children = np.random.SeedSequence(config.seed).spawn(config.n_outer)
-    per_chunk = max(1, _CHUNK_ROWS // config.n_inner)
+    per_tile = max(1, _TILE_ROWS // n_inner)
+    seg = min(n_inner, _TILE_ROWS)
+    size = min(per_tile, config.n_outer) * seg
+    draws, cols, picked = np.empty(3 * size), np.empty(3 * size), np.empty(3 * size)
+    work = np.empty((2, 4, size))
 
     checked = 0
     n_violations = 0
     kept: list[dict] = []
-    for lo in range(0, config.n_outer, per_chunk):
-        points = children[lo : lo + per_chunk]
-        b = np.empty((len(points), 3))
-        g_b = np.empty((len(points), 3))
-        cand = np.empty((len(points), config.n_inner, 3))
+    for lo in range(0, config.n_outer, per_tile):
+        points = children[lo : lo + per_tile]
+        m = len(points)
+        b = np.empty((m, 3))
+        g_b = np.empty((m, 3))
+        rngs = []
         for k, child in enumerate(points):
             rng = np.random.default_rng(child)
             b[k] = sampler(rng)
             g_b[k] = g_map(b[k])
-            rng.random(out=cand[k])
-        # one column at a time: numpy is slow along a length-3 axis
-        strict = np.zeros(cand.shape[:2], dtype=bool)
-        for q in range(3):
-            col = cand[..., q]
-            col *= 1.0 - b[:, q : q + 1]
-            col += b[:, q : q + 1]
-            # col >= b holds by construction; dominance needs one strict component
-            strict |= col > b[:, q : q + 1]
-        mask = strict & in_region(cand)
-        del col  # the last view would keep the whole chunk alive
-        cand = cand[mask]
-        if not len(cand):
-            continue
-        checked += len(cand)
-        counts = mask.sum(axis=1)
-        g_cand = g_map_many(cand)
-        g_ref = np.repeat(g_b, counts, axis=0)
-        dominated = g_cand[:, 0] >= g_ref[:, 0]
-        for q in (1, 2):
-            dominated &= g_cand[:, q] >= g_ref[:, q]
-        bad = np.flatnonzero(dominated)
-        n_violations += len(bad)
-        owners = np.searchsorted(np.cumsum(counts), bad, side="right")
-        for i, k in zip(bad[: config.max_keep - len(kept)], owners):
-            kept.append(
-                {
-                    "b": b[k].tolist(),
-                    "candidate": cand[i].tolist(),
-                    "g_b": g_b[k].tolist(),
-                    "g_candidate": g_cand[i].tolist(),
-                }
-            )
+            rngs.append(rng)
+        lower, scale = b.T[:, :, None], (1.0 - b).T[:, :, None]
+        # a point with more than seg rows draws them segment by segment,
+        # which consumes its stream exactly like one draw of all of them
+        for r0 in range(0, n_inner, seg):
+            rows = min(seg, n_inner - r0)
+            n = m * rows
+            tile = draws[: 3 * n].reshape(m, rows, 3)
+            for k, rng in enumerate(rngs):
+                rng.random(out=tile[k])
+            cand = cols[: 3 * n].reshape(3, m, rows)
+            np.multiply(tile.transpose(2, 0, 1), scale, out=cand)
+            cand += lower
+            # cand >= b holds by construction; dominance needs one strict component
+            mask = (cand > lower).any(axis=0)
+            mask &= in_region(np.moveaxis(cand, 0, -1))
+            idx = np.flatnonzero(mask)
+            checked += len(idx)
+            sel = np.take(cand.reshape(3, n), idx, axis=1, out=picked[: 3 * len(idx)].reshape(3, -1))
+            g_cand = _g_columns(sel, work=work)
+            owner = idx // rows
+            dominated = g_cand[0] >= g_b[owner, 0]
+            for q in (1, 2):
+                dominated &= g_cand[q] >= g_b[owner, q]
+            bad = np.flatnonzero(dominated)
+            n_violations += len(bad)
+            for i in bad[: config.max_keep - len(kept)]:
+                k = owner[i]
+                kept.append(
+                    {
+                        "b": b[k].tolist(),
+                        "candidate": sel[:, i].tolist(),
+                        "g_b": g_b[k].tolist(),
+                        "g_candidate": g_cand[:, i].tolist(),
+                    }
+                )
     return ScanReport(
         region=config.region,
         seed=config.seed,

@@ -216,7 +216,9 @@ def test_tetrahedron_membership():
 def test_tetrahedron_rejects_nan():
     assert not tetrahedron_check([np.nan] * 3)
     assert not tetrahedron_check([0.1, np.nan, 0.2])
-    assert tetrahedron_violations([np.nan] * 3) == ["b1+b2+b3 < -1"]
+    # a NaN is named as such, not as a violated sum
+    assert tetrahedron_violations([np.nan] * 3) == ["NaN component"]
+    assert tetrahedron_violations([0.1, np.nan, 0.2]) == ["NaN component"]
 
 
 def test_tetrahedron_rejects_inf():

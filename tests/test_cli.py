@@ -291,6 +291,37 @@ def test_scan_sizes_must_be_positive(capsys, flag):
     assert f"argument {flag}: expected a positive integer" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["concavity", "--trials", "0"], "argument --trials: expected a positive integer"),
+        (["concavity", "--trials", "-1"], "argument --trials: expected a positive integer"),
+        (["scan", "--max-keep", "-1"], "argument --max-keep: expected a nonnegative integer"),
+        (["jacobian-check", "0.5", "0.5", "0.5", "--step", "0"], "expected a positive finite number"),
+        (["jacobian-check", "0.5", "0.5", "0.5", "--step=nan"], "expected a positive finite number"),
+    ],
+    ids=["trials0", "trials-1", "max-keep-1", "step0", "step-nan"],
+)
+def test_bad_counts_and_steps_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err and "Warning" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and message in errors[0]
+
+
+def test_zero_step_from_a_config_file_is_a_runtime_error(capsys, tmp_path):
+    config = tmp_path / "step.cfg"
+    config.write_text("step=0\n")
+    code, out, err = _run(capsys, ["jacobian-check", "0.5", "0.5", "0.5", "--config", str(config)])
+    assert code == 1
+    assert out == ""
+    assert err == "error: step must be a positive finite number\n"
+
+
 def test_scan_exit_code_on_good_region_violation(capsys, monkeypatch):
     from blochcopy import cli
     from blochcopy.validation import ScanReport

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from blochcopy.channel import tetrahedron_check
 from blochcopy.errors import NotPossibleError, NotPositiveOptimalError
 from blochcopy.optimizer import (
+    _g_columns,
     b_from_beta,
     beta_from_b,
     class_p_check,
@@ -83,6 +84,51 @@ def test_g_map_many_matches_scalar_map():
         assert out == pytest.approx(g_map(row), abs=1e-14)
 
 
+def _matmul_g(b_rows):
+    """g as three BLAS products: beta^2 = 1/4 (1, b) L, gamma = 1/2 beta L, c = gamma^2 L."""
+    lam = lambda_matrix()
+    lifted = np.concatenate([np.ones((len(b_rows), 1)), b_rows], axis=1)
+    beta = np.sqrt(np.maximum(0.25 * lifted @ lam, 0.0))
+    gamma = 0.5 * beta @ lam
+    return (gamma**2 @ lam)[:, 1:]
+
+
+def _sequential_g(b_rows):
+    """g with every Lambda product written out as a left-to-right sum."""
+    x0, x1, x2, x3 = 0.25, *(0.25 * b_rows.T)
+    beta_sq = [
+        ((x0 + x1) + x2) + x3,
+        ((x0 + x1) - x2) - x3,
+        ((x0 - x1) + x2) - x3,
+        ((x0 - x1) - x2) + x3,
+    ]
+    y0, y1, y2, y3 = (0.5 * np.sqrt(np.maximum(v, 0.0)) for v in beta_sq)
+    s0, s1, s2, s3 = (
+        v**2
+        for v in (((y0 + y1) + y2) + y3, ((y0 + y1) - y2) - y3, ((y0 - y1) + y2) - y3, ((y0 - y1) - y2) + y3)
+    )
+    return np.stack([((s0 + s1) - s2) - s3, ((s0 - s1) + s2) - s3, ((s0 - s1) - s2) + s3], axis=1)
+
+
+def test_g_columns_equals_the_sequential_sum_oracle():
+    # 1.1e6 rows: attainable axes Lambda p for points p of the simplex, and
+    # draws in the unit cube kept when they lie in the good region (a quarter)
+    rng = np.random.default_rng(71)
+    lam_axes = lambda_matrix()[1:]
+    for _ in range(4):
+        tetra = np.einsum("qk,nk->nq", lam_axes, rng.dirichlet(np.ones(4), size=175_000))
+        cube = rng.random((400_000, 3))
+        good = cube[positive_optimal_mask(cube)]
+        for rows in (tetra, good):
+            got = g_map_many(rows)
+            assert np.array_equal(got, _sequential_g(rows))
+            assert np.array_equal(_g_columns(rows.T, work=np.empty((2, 4, len(rows) + 5))).T, got)
+            # bit-equal where the BLAS sums over k in order; that order is the
+            # BLAS's choice, so only a tolerance is gated
+            assert np.max(np.abs(got - _matmul_g(rows))) <= 1e-15
+    assert g_map_many(np.empty((0, 3))).shape == (0, 3)
+
+
 # ---------------------------------------------------------------------------
 # trade-off map
 
@@ -151,6 +197,44 @@ def test_isotropic_tradeoff_flattens_at_zero():
     # below float resolution of the flat endpoint the image rounds to 1
     assert isotropic_tradeoff(1e-9) == 1.0
     assert isotropic_tradeoff(isotropic_tradeoff(1e-9)) == 0.0
+
+
+_GOOD_AXES = st.tuples(*[st.floats(min_value=0.0, max_value=1.0)] * 3).filter(
+    lambda b: positive_optimal_condition(b)
+)
+_UNIT_BETA = (
+    st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 4)
+    .map(np.array)
+    .filter(lambda v: np.linalg.norm(v) > 1e-3)
+    .map(lambda v: v / np.linalg.norm(v))
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_GOOD_AXES)
+def test_g_is_an_involution_on_the_good_region(b):
+    err = np.max(np.abs(g_map(g_map(b)) - b))
+    # on a face of the tetrahedron a coefficient vanishes and the square root
+    # turns a rounding error of 1e-16 into one of 1e-8
+    assert err <= 1e-7
+    beta = beta_from_b(b)
+    if min(np.min(beta), np.min(gamma_from_beta(beta))) >= 1e-3:
+        assert err <= 1e-12
+
+
+@settings(deadline=None, max_examples=300)
+@given(_UNIT_BETA)
+def test_h_is_the_same_on_partner_coefficients(beta):
+    assert np.max(np.abs(h_vector(gamma_from_beta(beta)) - h_vector(beta))) <= 1e-12
+
+
+@settings(deadline=None, max_examples=300)
+@given(_UNIT_BETA)
+def test_jacobian_factors_multiply_to_a_multiple_of_the_identity(beta):
+    # dc = J db / (16 beta4) and db = K dc / (16 gamma4), so J K = 256 beta4 gamma4 I
+    pair = jacobians(beta)
+    want = 256.0 * pair.beta4 * pair.gamma4 * np.eye(3)
+    assert np.max(np.abs(pair.j @ pair.k - want)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +345,11 @@ def test_non_finite_axes_are_rejected(bad):
     assert not class_p_check([1.0, *b])
     assert not class_p_check([bad] * 4)
     assert not class_p_check([bad, 0.5, 0.5, 0.25])
+
+
+def test_nan_axes_are_named_in_the_error():
+    with np.errstate(invalid="ignore"), pytest.raises(NotPossibleError, match="NaN component"):
+        g_map([np.nan, 0.0, 0.0])
 
 
 def test_positive_optimal_mask_matches_the_scalar_condition():

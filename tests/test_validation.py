@@ -14,11 +14,12 @@ from blochcopy.channel import (
 )
 from blochcopy.errors import NotPhysicalError
 from blochcopy.linalg import random_isometry
-from blochcopy.optimizer import g_map, g_map_many, positive_optimal_condition
+from blochcopy.optimizer import g_map, positive_optimal_condition
 from blochcopy.pauli import CYCLIC_AXES, lambda_matrix
 from blochcopy.validation import (
     ScanConfig,
     ScanReport,
+    _TILE_ROWS,
     concavity_check,
     mixed_isometry,
     monotonicity_scan,
@@ -76,6 +77,15 @@ def _oracle_region_mask(cand, region):
     return ok
 
 
+def _oracle_g_map_many(b_rows):
+    # g as three BLAS products, independent of the library's column kernel
+    lam = lambda_matrix()
+    lifted = np.concatenate([np.ones((len(b_rows), 1)), b_rows], axis=1)
+    beta = np.sqrt(np.maximum(0.25 * lifted @ lam, 0.0))
+    gamma = 0.5 * beta @ lam
+    return (gamma**2 @ lam)[:, 1:]
+
+
 def _oracle_scan(config):
     sampler = _oracle_sample_good if config.region == "good" else _oracle_sample_outside
     checked = 0
@@ -90,7 +100,7 @@ def _oracle_scan(config):
         if not len(cand):
             continue
         checked += len(cand)
-        g_cand = g_map_many(cand)
+        g_cand = _oracle_g_map_many(cand)
         bad = np.flatnonzero(np.all(g_cand >= g_b, axis=1))
         n_violations += len(bad)
         for i in bad[: max(0, config.max_keep - len(kept))]:
@@ -185,21 +195,50 @@ def test_scan_is_deterministic():
     [
         ScanConfig(n_outer=40, n_inner=1, seed=4, region="good"),
         ScanConfig(n_outer=40, n_inner=1, seed=4, region="outside"),
-        # more rows than one batch holds, split across points
+        # each point's rows split into several tiles
         ScanConfig(n_outer=5, n_inner=50_000, seed=2, region="good"),
         ScanConfig(n_outer=5, n_inner=50_000, seed=2, region="outside", max_keep=10**6),
         ScanConfig(n_outer=30, n_inner=200, seed=5, region="outside", max_keep=0),
         ScanConfig(n_outer=30, n_inner=200, seed=5, region="outside", max_keep=7),
         # thousands of violations, every record kept
         ScanConfig(n_outer=2000, n_inner=1000, seed=0, region="outside", max_keep=10**6),
+        # ragged last segment of a point: one row, and T - 5 rows
+        ScanConfig(n_outer=2, n_inner=_TILE_ROWS + 1, seed=6, region="good"),
+        ScanConfig(n_outer=2, n_inner=3 * _TILE_ROWS - 5, seed=6, region="outside", max_keep=10**6),
+        # several points per tile and a ragged last tile
+        ScanConfig(n_outer=1000, n_inner=50, seed=7, region="good"),
+        # violations in every one of several tiles, each tile holding many points
+        ScanConfig(n_outer=1000, n_inner=50, seed=7, region="outside", max_keep=10**6),
+        # max_keep reached inside a later tile (63 violations in all)
+        ScanConfig(n_outer=1000, n_inner=50, seed=7, region="outside", max_keep=40),
     ],
     ids=["inner1-good", "inner1-outside", "chunks-good", "chunks-outside",
-         "keep0", "keep7", "outside-2000x1000"],
+         "keep0", "keep7", "outside-2000x1000", "segments-T+1", "segments-3T-5",
+         "tiles-1000x50-good", "tiles-1000x50-outside", "tiles-1000x50-keep40"],
 )
 def test_scan_report_is_byte_equal_to_the_per_point_oracle(config):
-    got = json.dumps(monotonicity_scan(config).to_json())
-    want = json.dumps(_oracle_scan(config).to_json())
-    assert got == want
+    got = monotonicity_scan(config).to_json()
+    want = _oracle_scan(config).to_json()
+    # counts, then record by record: pytest's diff of two long documents is slow
+    assert {k: v for k, v in got.items() if k != "violations"} == {
+        k: v for k, v in want.items() if k != "violations"
+    }
+    for i, (rec, ref) in enumerate(zip(got["violations"], want["violations"])):
+        assert json.dumps(rec) == json.dumps(ref), f"record {i}"
+    assert json.dumps(got) == json.dumps(want)
+
+
+def test_outside_violations_span_several_tiles():
+    # the tiles-1000x50-outside case above keeps records from every tile
+    config = ScanConfig(n_outer=1000, n_inner=50, seed=7, region="outside", max_keep=10**6)
+    children = np.random.SeedSequence(config.seed).spawn(config.n_outer)
+    point = {
+        tuple(_oracle_sample_outside(np.random.default_rng(child))): k
+        for k, child in enumerate(children)
+    }
+    per_tile = _TILE_ROWS // config.n_inner
+    tiles = {point[tuple(rec["b"])] // per_tile for rec in monotonicity_scan(config).violations}
+    assert tiles == set(range(-(-config.n_outer // per_tile)))
 
 
 def test_scan_finds_nothing_in_the_good_region():
