@@ -24,12 +24,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotHermitianError, NotIsometricError, NotNormalizedError, NotPhysicalError
-from .linalg import hermiticity_error
+from .errors import NotHermitianError, NotIsometricError, NotPhysicalError
+from .linalg import DEFAULT_TOL, _checked, hermiticity_error
 from .pauli import CYCLIC, CYCLIC_AXES, SIGMA, l_table
 
 __all__ = [
-    "DEFAULT_TOL",
     "E_HAT",
     "AffineBlochMap",
     "ConstraintReport",
@@ -58,8 +57,6 @@ __all__ = [
     "complex_matrix_from_json",
 ]
 
-DEFAULT_TOL = 1e-9
-
 _RT2 = 1.0 / np.sqrt(2.0)
 
 # Orthonormal magic basis of the 4-dimensional E space, rows indexed like the
@@ -82,17 +79,13 @@ E_HAT.setflags(write=False)
 
 def density_from_bloch(r) -> np.ndarray:
     """2 x 2 density matrix (1/2)(I + r . sigma) for a Bloch vector r."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3,):
-        raise ValueError("Bloch vector must have three components")
+    r = _checked(r, "r", (3,))
     return 0.5 * (SIGMA[0] + r[0] * SIGMA[1] + r[1] * SIGMA[2] + r[2] * SIGMA[3])
 
 
 def bloch_vector(rho: np.ndarray) -> np.ndarray:
     """Bloch vector of a 2 x 2 density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError("density matrix must be 2 x 2")
+    rho = _checked(rho, "rho", (2, 2), complex)
     return np.array([np.trace(rho @ SIGMA[q]).real for q in (1, 2, 3)])
 
 
@@ -104,8 +97,8 @@ class AffineBlochMap:
     linear: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "delta", np.asarray(self.delta, dtype=float).reshape(3))
-        object.__setattr__(self, "linear", np.asarray(self.linear, dtype=float).reshape(3, 3))
+        object.__setattr__(self, "delta", _checked(self.delta, "delta", (3,)))
+        object.__setattr__(self, "linear", _checked(self.linear, "linear", (3, 3)))
 
     @classmethod
     def identity(cls) -> "AffineBlochMap":
@@ -127,9 +120,7 @@ class AffineBlochMap:
 
     @classmethod
     def from_matrix(cls, m) -> "AffineBlochMap":
-        m = np.asarray(m, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError("expected a 4 x 4 matrix")
+        m = _checked(m, "m", (4, 4))
         if abs(m[0, 0] - 1.0) > 1e-12 or np.max(np.abs(m[1:, 0])) > 1e-12:
             raise ValueError("first column must be (1, 0, 0, 0)")
         return cls(m[0, 1:], m[1:, 1:])
@@ -147,7 +138,7 @@ class AffineBlochMap:
 
 def map_bloch(bmap: AffineBlochMap, r) -> np.ndarray:
     """Apply the affine map to an input Bloch vector."""
-    r = np.asarray(r, dtype=float)
+    r = _checked(r, "r", (3,))
     return bmap.delta + bmap.linear.T @ r
 
 
@@ -159,11 +150,9 @@ def transfer_from_gram(e_gram: np.ndarray) -> np.ndarray:
     """Contract a Hermitian Gram matrix to the full 4 x 4 real transfer matrix.
 
     T_lm = sum_jk L(lm;jk) E_jk.  For a Hermitian input the result is real;
-    the imaginary residue is checked against a fixed 1e-9 bound.
+    the imaginary residue is checked against a fixed DEFAULT_TOL bound.
     """
-    e_gram = np.asarray(e_gram, dtype=complex)
-    if e_gram.shape != (4, 4):
-        raise ValueError("Gram matrix must be 4 x 4")
+    e_gram = _checked(e_gram, "e_gram", (4, 4), complex)
     herm = hermiticity_error(e_gram)
     if herm > DEFAULT_TOL:
         raise NotHermitianError(f"Gram matrix deviates from Hermitian by {herm:.3e}")
@@ -173,9 +162,7 @@ def transfer_from_gram(e_gram: np.ndarray) -> np.ndarray:
 
 def gram_from_transfer(transfer: np.ndarray) -> np.ndarray:
     """Inverse contraction: E_jk = (1/4) sum_lm L(jk;lm) T_lm."""
-    transfer = np.asarray(transfer, dtype=float)
-    if transfer.shape != (4, 4):
-        raise ValueError("transfer matrix must be 4 x 4")
+    transfer = _checked(transfer, "transfer", (4, 4))
     return 0.25 * np.einsum("jklm,lm->jk", l_table(), transfer)
 
 
@@ -185,7 +172,7 @@ def isometry_residuals(e_gram: np.ndarray) -> tuple[float, float]:
     Returns (trace residual |sum_l E_ll - 1|, largest residual of
     Re E_0q = Im E_q'q'' over the cyclic triples).
     """
-    e_gram = np.asarray(e_gram, dtype=complex)
+    e_gram = _checked(e_gram, "e_gram", (4, 4), complex)
     trace_err = abs(np.trace(e_gram) - 1.0)
     reim = max(abs(e_gram[0, q].real - e_gram[qp, qpp].imag) for q, qp, qpp in CYCLIC)
     return float(trace_err), float(reim)
@@ -240,9 +227,7 @@ class ConstraintReport:
 
 def check_physical(e_gram: np.ndarray, tol: float = DEFAULT_TOL) -> ConstraintReport:
     """Check Hermiticity, positivity and the isometry conditions of a Gram matrix."""
-    e_gram = np.asarray(e_gram, dtype=complex)
-    if e_gram.shape != (4, 4):
-        raise ValueError("Gram matrix must be 4 x 4")
+    e_gram = _checked(e_gram, "e_gram", (4, 4), complex)
     herm = hermiticity_error(e_gram)
     trace_err, reim = isometry_residuals(e_gram)
     sym = 0.5 * (e_gram + np.conj(e_gram).T)
@@ -313,16 +298,9 @@ def diagonalize(bmap: AffineBlochMap) -> DiagonalForm:
 # Centered machines: attainable axes and explicit isometries
 
 
-def _axes(b) -> np.ndarray:
-    b = np.asarray(b, dtype=float)
-    if b.shape != (3,):
-        raise ValueError("semi-axes must have three components")
-    return b
-
-
 def tetrahedron_violations(b, tol: float = 1e-12) -> list[str]:
     """Names of the attainability inequalities violated by semi-axes b."""
-    b = _axes(b)
+    b = _checked(b, "b", (3,), finite=False)
     bad = []
     # every comparison with a NaN is False, so a NaN only gets its own label
     if b.sum() < -1.0 - tol:
@@ -343,9 +321,7 @@ def tetrahedron_mask(b_rows, tol: float = 1e-12) -> np.ndarray:
     The vertices are (1,1,1) and the three permutations of (1,-1,-1).
     Rows with a NaN or infinite component fail.
     """
-    b = np.asarray(b_rows, dtype=float)
-    if b.shape[-1:] != (3,):
-        raise ValueError("semi-axes must have three components")
+    b = _checked(b_rows, "b_rows", (..., 3), finite=False)
     # column by column: reductions over a length-3 axis are slow in numpy
     finite = np.isfinite(b)
     ok = finite[..., 0] & finite[..., 1] & finite[..., 2]
@@ -357,7 +333,7 @@ def tetrahedron_mask(b_rows, tol: float = 1e-12) -> np.ndarray:
 
 def tetrahedron_check(b, tol: float = 1e-12) -> bool:
     """True when b lies in the tetrahedron of attainable centered semi-axes."""
-    return bool(tetrahedron_mask(_axes(b), tol=tol))
+    return bool(tetrahedron_mask(_checked(b, "b", (3,), finite=False), tol=tol))
 
 
 def isometry_from_beta(beta, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -366,12 +342,7 @@ def isometry_from_beta(beta, tol: float = DEFAULT_TOL) -> np.ndarray:
     beta weights the four Pauli error channels; sum of squares must be 1.
     Rows are ordered |bcd> with the B bit most significant.
     """
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (4,):
-        raise ValueError("beta must have four components")
-    if not abs(beta @ beta - 1.0) <= tol:  # NaN and inf fail too
-        raise NotNormalizedError(f"coefficients have squared norm {beta @ beta:.12f}")
-    b0, b1, b2, b3 = beta
+    b0, b1, b2, b3 = _checked(beta, "beta", (4,), unit_tol=tol)
     v = np.zeros((8, 2), dtype=complex)
     v[0, 0] = (b0 + b3) * _RT2  # |000>
     v[3, 0] = (b0 - b3) * _RT2  # |011>
@@ -390,11 +361,8 @@ def isometry_from_e_vectors(e_vectors: np.ndarray) -> np.ndarray:
     e_vectors has shape (4, d); the result has shape (2 d, 2) with row index
     d * b + e.
     """
-    e_vectors = np.asarray(e_vectors, dtype=complex)
-    if e_vectors.ndim != 2 or e_vectors.shape[0] != 4:
-        raise ValueError("expected four expansion vectors as rows")
-    v3 = np.einsum("lba,ld->bda", SIGMA, e_vectors)
-    return v3.reshape(2 * e_vectors.shape[1], 2)
+    e_vectors = _checked(e_vectors, "e_vectors", (4, "d"), complex)
+    return np.einsum("lba,ld->bda", SIGMA, e_vectors).reshape(-1, 2)
 
 
 def extract_e_vectors(v: np.ndarray) -> np.ndarray:
@@ -403,17 +371,13 @@ def extract_e_vectors(v: np.ndarray) -> np.ndarray:
     Inverts isometry_from_e_vectors via e_l[d] = (1/2) sum_ba conj(sigma_l[b,a]) V[(b,d),a].
     Accepts any even number of rows; the E dimension is rows / 2.
     """
-    v = np.asarray(v, dtype=complex)
-    if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] % 2:
-        raise ValueError("expected a (2 d) x 2 isometry matrix")
-    d = v.shape[0] // 2
-    v3 = v.reshape(2, d, 2)
-    return 0.5 * np.einsum("lba,bda->ld", SIGMA.conj(), v3)
+    v = _checked(v, "v", ("2d", 2), complex)
+    return 0.5 * np.einsum("lba,bda->ld", SIGMA.conj(), v.reshape(2, len(v) // 2, 2))
 
 
 def gram_matrix(e_vectors: np.ndarray) -> np.ndarray:
     """Gram matrix E_lm = <e_l|e_m> of the expansion vectors."""
-    e_vectors = np.asarray(e_vectors, dtype=complex)
+    e_vectors = _checked(e_vectors, "e_vectors", (4, "d"), complex)
     return e_vectors.conj() @ e_vectors.T
 
 
@@ -424,9 +388,7 @@ def realize_e_vectors(e_gram: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarra
     and is unique up to a unitary on E.  Eigenvalues in [-tol, 0) are
     clipped to zero; anything lower raises NotPhysicalError.
     """
-    e_gram = np.asarray(e_gram, dtype=complex)
-    if e_gram.shape != (4, 4):
-        raise ValueError("Gram matrix must be 4 x 4")
+    e_gram = _checked(e_gram, "e_gram", (4, 4), complex)
     w, u = np.linalg.eigh(0.5 * (e_gram + np.conj(e_gram).T))
     if w[0] < -tol:
         raise NotPhysicalError(f"Gram matrix has negative eigenvalue {w[0]:.3e}")
@@ -446,10 +408,8 @@ def output_map(v: np.ndarray, qubit: str = "B") -> AffineBlochMap:
     qubit "B" works for any E dimension d; "C" and "D" need d = 4, the
     E = C (x) D split.
     """
-    v = np.asarray(v, dtype=complex)
-    if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] % 2:
-        raise ValueError("expected a (2 d) x 2 isometry matrix")
-    d = v.shape[0] // 2
+    v = _checked(v, "v", ("2d", 2), complex)
+    d = len(v) // 2
     key = qubit.upper()
     # row index = (left, kept qubit, right) with the kept qubit in the middle
     if key == "B":

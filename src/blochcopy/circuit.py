@@ -17,8 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import _RT2, AffineBlochMap, output_map
-from .errors import NotNormalizedError
-from .linalg import partial_trace
+from .linalg import DEFAULT_TOL, _checked, partial_trace
 
 __all__ = [
     "CIRCUIT_A",
@@ -54,9 +53,7 @@ def apply_gate(state: np.ndarray, gate: tuple) -> np.ndarray:
     Gates act by index arithmetic on the amplitudes rather than by matrix
     multiplication.
     """
-    state = np.asarray(state, dtype=complex)
-    if state.shape != (8,):
-        raise ValueError("state must have 8 amplitudes")
+    state = _checked(state, "state", (8,), complex)
     kind = gate[0]
     out = state.copy()
     if kind == "h":
@@ -106,17 +103,13 @@ _UNITARY_A = circuit_unitary(CIRCUIT_A)
 _UNITARY_A.setflags(write=False)
 
 
-def prepare_ancilla(beta, tol: float = 1e-9) -> np.ndarray:
+def prepare_ancilla(beta, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Two-qubit ancilla amplitudes in the |cd> basis for coefficients beta.
 
     The coefficient-to-basis assignment is the single bug-prone spot of the
     whole construction: beta[2] weights |11> and beta[3] weights |10>.
     """
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (4,):
-        raise ValueError("beta must have four components")
-    if not abs(beta @ beta - 1.0) <= tol:  # NaN and inf fail too
-        raise NotNormalizedError(f"ancilla coefficients have squared norm {beta @ beta:.12f}")
+    beta = _checked(beta, "beta", (4,), unit_tol=tol)
     return np.array([beta[0], beta[1], beta[3], beta[2]], dtype=complex)
 
 
@@ -140,12 +133,7 @@ def beta_from_error_rates(d_xy: float, d_uv: float) -> np.ndarray:
 
 
 def _combine(psi, beta) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (2,):
-        raise ValueError("input qubit state must have two amplitudes")
-    norm = np.vdot(psi, psi).real
-    if abs(norm - 1.0) > 1e-9:
-        raise NotNormalizedError(f"input state has squared norm {norm:.12f}")
+    psi = _checked(psi, "psi", (2,), complex, unit_tol=DEFAULT_TOL)
     return np.kron(psi, prepare_ancilla(beta))
 
 
@@ -161,9 +149,7 @@ def circuit_b(psi, beta) -> np.ndarray:
 
 def reduced_state(state: np.ndarray, keep: str) -> np.ndarray:
     """Reduced density matrix of the named output qubits, e.g. "B", "C" or "BC"."""
-    state = np.asarray(state, dtype=complex)
-    if state.shape != (8,):
-        raise ValueError("state must have 8 amplitudes")
+    state = _checked(state, "state", (8,), complex)
     try:
         axes = tuple(sorted(_SUBSYSTEM[ch] for ch in keep.upper()))
     except KeyError as exc:

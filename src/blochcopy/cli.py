@@ -15,13 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
 
 from .channel import _RT2, AffineBlochMap, check_physical, complex_matrix_from_json
 from .circuit import channel_tomography, circuit_a, circuit_b
-from .linalg import random_isometry
+from .linalg import DEFAULT_TOL, _checked, random_isometry
 from .optimizer import (
     b_from_beta,
     beta_from_b,
@@ -92,7 +93,7 @@ def _parse_mode(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError("mode must be x, y, z or three comma-separated numbers")
-    m = np.array([float(p) for p in parts])
+    m = _checked([float(p) for p in parts], "mode", (3,))
     norm = float(np.linalg.norm(m))
     if norm == 0.0:
         raise ValueError("mode direction must be nonzero")
@@ -103,48 +104,44 @@ def _parse_beta(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError("beta must be four comma-separated numbers")
-    beta = np.array([float(p) for p in parts])
-    norm_sq = float(beta @ beta)
-    if not abs(norm_sq - 1.0) <= 1e-9:  # NaN and inf fail too
-        raise ValueError(f"beta must have unit squared norm, got {norm_sq!r}")
-    return beta
+    return _checked([float(p) for p in parts], "beta", (4,), unit_tol=DEFAULT_TOL)
 
 
-def _int_from(lowest: int, name: str):
+def _int_from(lowest: int, expected: str):
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = lowest - 1
         if value < lowest:
-            raise argparse.ArgumentTypeError(f"expected a {name} integer, got {text!r}")
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
         return value
 
     return parse
 
 
-_positive_int = _int_from(1, "positive")
-_nonnegative_int = _int_from(0, "nonnegative")
+_positive_int = _int_from(1, "a positive integer")
+_nonnegative_int = _int_from(0, "a nonnegative integer")
+_count = _int_from(2, "an integer of at least 2")
 
 
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+def _float_where(test, expected: str):
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and test(value)):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = _finite_float(text)
-    except argparse.ArgumentTypeError:
-        value = 0.0
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
-    return value
+_finite_float = _float_where(lambda x: True, "a finite number")
+_positive_float = _float_where(lambda x: x > 0.0, "a positive finite number")
+_tolerance = _float_where(lambda x: x >= 0.0, "a nonnegative finite number")
+_probability = _float_where(lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]")
 
 
 # (+axis, -axis) eigenstates of each Pauli operator
@@ -163,7 +160,7 @@ def _parse_state(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError("state must be +x..-z or four comma-separated numbers")
-    vals = [float(p) for p in parts]
+    vals = _checked([float(p) for p in parts], "state", (4,))
     psi = np.array([vals[0] + 1j * vals[1], vals[2] + 1j * vals[3]])
     norm = float(np.sqrt(np.vdot(psi, psi).real))
     if norm == 0.0:
@@ -190,7 +187,7 @@ def _emit_csv(header: list, rows) -> None:
 
 
 def _cmd_gmap(args, config) -> int:
-    tol = _resolve(args, config, "tol", float, 1e-9)
+    tol = _resolve(args, config, "tol", float, DEFAULT_TOL)
     fmt = _resolve(args, config, "format", _parse_format, "json")
     b = np.asarray(args.b, dtype=float)
     c = g_map(b, tol=tol)
@@ -226,7 +223,7 @@ def _cmd_quality(args, config) -> int:
 
 
 def _cmd_classify(args, config) -> int:
-    tol = _resolve(args, config, "tol", float, 1e-9)
+    tol = _resolve(args, config, "tol", float, DEFAULT_TOL)
     fmt = _resolve(args, config, "format", _parse_format, "json")
     pair = classify_pair(args.b, args.c, tol=tol)
     if fmt == "csv":
@@ -335,7 +332,7 @@ def _cmd_concavity(args, config) -> int:
     trials = _resolve(args, config, "trials", int, 100)
     p1 = _resolve(args, config, "p1", float, 0.5)
     mode = _resolve(args, config, "mode", _parse_mode, np.array([0.0, 0.0, 1.0]))
-    tol = _resolve(args, config, "tol", float, 1e-9)
+    tol = _resolve(args, config, "tol", float, DEFAULT_TOL)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not 0.0 <= p1 <= 1.0:
@@ -396,18 +393,16 @@ def _cmd_jacobian_check(args, config) -> int:
 
 
 def _cmd_check_e(args, config) -> int:
-    tol = _resolve(args, config, "tol", float, 1e-9)
+    tol = _resolve(args, config, "tol", float, DEFAULT_TOL)
     with open(args.file, encoding="utf-8") as fh:
         text = fh.read()
     try:
         payload = json.loads(text)
         if isinstance(payload, dict):
             payload = payload.get("e_gram", payload)
-        e_gram = complex_matrix_from_json(payload)
+        e_gram = _checked(complex_matrix_from_json(payload), "Gram matrix", (4, 4), complex)
     except (TypeError, ValueError) as exc:
         raise _UsageError(f"{args.file}: malformed Gram matrix payload ({exc})") from None
-    if e_gram.shape != (4, 4):
-        raise _UsageError(f"{args.file}: Gram matrix must be 4 x 4, got shape {e_gram.shape}")
     report = check_physical(e_gram, tol=tol)
     _emit_json(report.to_json())
     return 0 if report.passed else 1
@@ -424,8 +419,23 @@ def _add_common(sub, fmt: bool = True):
     return sub
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes any number with a leading minus sign, -1e-3 included, for a positional.
+
+    argparse's own negative-number pattern has no exponent, so it reads
+    -1e-3 as an unknown option.  Subparsers are built with the same class.
+    """
+
+    _NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+    def _parse_optional(self, arg_string):
+        if self._NUMBER.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="blochcopy",
         description="Optimal qubit copying machines: trade-off maps, circuits and scans.",
     )
@@ -433,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = _add_common(subs.add_parser("gmap", help="best second-copy axes for given first-copy axes"))
     p.add_argument("b", nargs=3, type=_finite_float, metavar="B")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_tolerance, default=None)
     p.set_defaults(func=_cmd_gmap)
 
     p = _add_common(subs.add_parser("quality", help="copy and eavesdropper qualities of a machine"))
@@ -444,11 +454,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = _add_common(subs.add_parser("classify", help="classify a candidate pair of copy axes"))
     p.add_argument("b", nargs=3, type=_finite_float, metavar="B")
     p.add_argument("c", nargs=3, type=_finite_float, metavar="C")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_tolerance, default=None)
     p.set_defaults(func=_cmd_classify)
 
     p = _add_common(subs.add_parser("fig1", help="isotropic trade-off curve samples"))
-    p.add_argument("--count", type=int, default=None, help="number of sample points (default 101)")
+    p.add_argument("--count", type=_count, default=None, help="number of sample points (default 101)")
     p.set_defaults(func=_cmd_fig1)
 
     p = _add_common(subs.add_parser("circuit", help="run a copying circuit on one input state"))
@@ -466,28 +476,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region", choices=("good", "outside"), default=None)
     p.add_argument("--n-outer", dest="n_outer", type=_positive_int, default=None)
     p.add_argument("--n-inner", dest="n_inner", type=_positive_int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_nonnegative_int, default=None)
     p.add_argument("--max-keep", dest="max_keep", type=_nonnegative_int, default=None)
     p.add_argument("--full", action="store_true", default=None, help="4000 x 100000 preset")
     p.set_defaults(func=_cmd_scan)
 
     p = _add_common(subs.add_parser("concavity", help="random mixing checks of the eavesdropper quality"), fmt=False)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_nonnegative_int, default=None)
     p.add_argument("--trials", type=_positive_int, default=None)
-    p.add_argument("--p1", type=float, default=None)
+    p.add_argument("--p1", type=_probability, default=None)
     p.add_argument("--mode", type=_parse_mode, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_tolerance, default=None)
     p.set_defaults(func=_cmd_concavity)
 
     p = _add_common(subs.add_parser("jacobian-check", help="finite-difference check of the trade-off Jacobian"), fmt=False)
     p.add_argument("b", nargs=3, type=_finite_float, metavar="B")
     p.add_argument("--step", type=_positive_float, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_tolerance, default=None)
     p.set_defaults(func=_cmd_jacobian_check)
 
     p = _add_common(subs.add_parser("check-e", help="physicality report for a Gram matrix file"), fmt=False)
     p.add_argument("file", help="JSON file with a 4x4 matrix of [re, im] pairs")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_tolerance, default=None)
     p.set_defaults(func=_cmd_check_e)
 
     return parser

@@ -21,8 +21,9 @@ from itertools import product
 
 import numpy as np
 
-from .channel import _axes, tetrahedron_check, tetrahedron_violations
+from .channel import tetrahedron_check, tetrahedron_violations
 from .errors import NotPossibleError, NotPositiveOptimalError
+from .linalg import DEFAULT_TOL, _checked
 from .pauli import CYCLIC, CYCLIC_AXES, lambda_matrix
 
 __all__ = [
@@ -45,15 +46,16 @@ __all__ = [
 ]
 
 
-def beta_from_b(b, tol: float = 1e-9) -> np.ndarray:
+def beta_from_b(b, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Positive machine coefficients realizing centered semi-axes b.
 
     beta^2 = (1/4) Lambda (1, b); squared components in [-tol, 0) are
     clamped to zero, anything lower means b is unattainable.
     """
-    beta_sq = 0.25 * (lambda_matrix() @ np.concatenate(([1.0], _axes(b))))
-    if not np.all(beta_sq >= -tol):  # NaN fails too
-        names = tetrahedron_violations(np.asarray(b, dtype=float), tol=4.0 * tol)
+    b = _checked(b, "b", (3,), finite=False)
+    beta_sq = 0.25 * (lambda_matrix() @ np.concatenate(([1.0], b)))
+    if not np.all(beta_sq >= -tol):  # NaN and inf fail too
+        names = tetrahedron_violations(b, tol=4.0 * tol)
         detail = "; ".join(names) if names else "axes outside the attainable tetrahedron"
         raise NotPossibleError(f"tetrahedron violated: {detail}")
     return np.sqrt(np.maximum(beta_sq, 0.0))
@@ -61,28 +63,23 @@ def beta_from_b(b, tol: float = 1e-9) -> np.ndarray:
 
 def b_from_beta(beta) -> np.ndarray:
     """Semi-axes of the first copy, b = (Lambda beta^2) without the leading 1."""
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (4,):
-        raise ValueError("beta must have four components")
+    beta = _checked(beta, "beta", (4,))
     return (lambda_matrix() @ (beta**2))[1:]
 
 
 def gamma_from_beta(beta) -> np.ndarray:
     """Partner coefficients gamma = (1/2) Lambda beta; involutive."""
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (4,):
-        raise ValueError("beta must have four components")
-    return 0.5 * (lambda_matrix() @ beta)
+    return 0.5 * (lambda_matrix() @ _checked(beta, "beta", (4,)))
 
 
-def g_map(b, tol: float = 1e-9) -> np.ndarray:
+def g_map(b, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Best semi-axes of the second copy given semi-axes b of the first.
 
     Runs the coefficient chain with the positive square root, so the result
     is always componentwise nonnegative.
     """
     beta = beta_from_b(b, tol=tol)
-    gamma = gamma_from_beta(beta)
+    gamma = 0.5 * (lambda_matrix() @ beta)  # gamma_from_beta, without checking beta again
     return (lambda_matrix() @ (gamma**2))[1:]
 
 
@@ -101,7 +98,7 @@ def _lambda_rows(terms, out, first: int = 0) -> None:
         ops[2](row, terms[3], out=row)
 
 
-def _g_columns(cols: np.ndarray, tol: float = 1e-9, work: np.ndarray | None = None) -> np.ndarray:
+def _g_columns(cols: np.ndarray, tol: float = DEFAULT_TOL, work: np.ndarray | None = None) -> np.ndarray:
     """g over the columns of a (3, n) array of semi-axes, as a (3, n) view into work.
 
     work is a (2, 4, m) float buffer with m >= n (allocated when None) that
@@ -127,9 +124,9 @@ def _g_columns(cols: np.ndarray, tol: float = 1e-9, work: np.ndarray | None = No
     return beta[1:]
 
 
-def g_map_many(b_rows: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def g_map_many(b_rows: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Vectorized g_map over the rows of an (n, 3) array."""
-    b_rows = np.asarray(b_rows, dtype=float).reshape(-1, 3)
+    b_rows = _checked(b_rows, "b_rows", (..., 3), finite=False).reshape(-1, 3)
     return _g_columns(b_rows.T, tol=tol).T
 
 
@@ -150,9 +147,7 @@ def h_vector(beta) -> np.ndarray:
 
     The same expression evaluated on the partner gamma gives the same vector.
     """
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (4,):
-        raise ValueError("beta must have four components")
+    beta = _checked(beta, "beta", (4,))
     return 2.0 * np.array([beta[0] * beta[q] - beta[qp] * beta[qpp] for q, qp, qpp in CYCLIC])
 
 
@@ -163,9 +158,7 @@ def class_p_check(xi, tol: float = 0.0) -> bool:
     The class is closed under positive scaling, componentwise powers and
     the Lambda sign matrix.
     """
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (4,):
-        raise ValueError("expected a four-vector")
+    xi = _checked(xi, "xi", (4,), finite=False)
     # every test is written so that a NaN component fails it; a finite xi_0
     # bounds the other components, so one comparison rules out infinities
     if not (xi[0] < np.inf and np.all(xi[1:] >= -tol) and np.all(xi[1:] <= xi[0] + tol)):
@@ -181,9 +174,7 @@ def positive_optimal_mask(b_rows, tol: float = 0.0) -> np.ndarray:
 
     Rows with a NaN or infinite component fail.
     """
-    b = np.asarray(b_rows, dtype=float)
-    if b.shape[-1:] != (3,):
-        raise ValueError("axis vectors must have three components")
+    b = _checked(b_rows, "b_rows", (..., 3), finite=False)
     # column by column: reductions over a length-3 axis are slow in numpy
     inside = (b >= -tol) & (b <= 1.0 + tol)
     ok = inside[..., 0] & inside[..., 1] & inside[..., 2]
@@ -198,20 +189,19 @@ def positive_optimal_condition(b, tol: float = 0.0) -> bool:
     The condition is 0 <= b_q <= 1 together with b_q >= b_q' b_q'', which
     is class membership of the lifted vector (1, b).
     """
-    return bool(positive_optimal_mask(_axes(b), tol=tol))
+    return bool(positive_optimal_mask(_checked(b, "b", (3,), finite=False), tol=tol))
 
 
 def same_order(xi, eta, tol: float = 1e-12) -> bool:
     """True when components 1..3 of two four-vectors share their ordering.
 
-    Differences smaller than tol count as ties and are compatible with any
-    strict ordering on the other side... ties must match ties exactly is
-    deliberately NOT required.
+    The orderings clash only when some pair p, q is strictly ordered one way
+    in xi and strictly the other way in eta, each by more than tol.  A
+    difference within tol is a tie, and a tie on one side agrees with any
+    order on the other: ties need not match ties.
     """
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    if xi.shape != (4,) or eta.shape != (4,):
-        raise ValueError("expected four-vectors")
+    xi = _checked(xi, "xi", (4,))
+    eta = _checked(eta, "eta", (4,))
     for p in (1, 2, 3):
         for q in (1, 2, 3):
             dx = xi[p] - xi[q]
@@ -262,17 +252,15 @@ class OptimalPair:
         }
 
 
-def classify_pair(b, c, tol: float = 1e-9) -> OptimalPair:
+def classify_pair(b, c, tol: float = DEFAULT_TOL) -> OptimalPair:
     """Classify a candidate pair (b, c) of copy semi-axes.
 
     Never raises: impossible or sign-mixed pairs simply come back with the
     corresponding flags unset.  The optimality flag is conjectural in the
     same sense as the mutuality criterion it implements.
     """
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if b.shape != (3,) or c.shape != (3,):
-        raise ValueError("axis vectors must have three components")
+    b = _checked(b, "b", (3,), finite=False)
+    c = _checked(c, "c", (3,), finite=False)
 
     possible_b = tetrahedron_check(b, tol=tol)
     possible_c = tetrahedron_check(c, tol=tol)
@@ -377,7 +365,7 @@ class JacobianPair:
 
 def jacobians(beta) -> JacobianPair:
     """Forward and inverse Jacobian factors of the trade-off map at beta."""
-    beta = np.asarray(beta, dtype=float)
+    beta = _checked(beta, "beta", (4,))
     gamma = gamma_from_beta(beta)
     h = h_vector(beta)
     b = b_from_beta(beta)

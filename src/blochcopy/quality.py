@@ -11,15 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import (
-    DEFAULT_TOL,
-    AffineBlochMap,
-    check_physical,
-    realize_e_vectors,
-)
+from .channel import AffineBlochMap, isometry_residuals, realize_e_vectors
 from .circuit import channel_tomography
 from .errors import NotHermitianError, NotPhysicalError
-from .linalg import hermiticity_error
+from .linalg import DEFAULT_TOL, _checked, hermiticity_error
 from .pauli import CYCLIC, l_table
 
 __all__ = [
@@ -37,9 +32,7 @@ __all__ = [
 
 def trace_norm(h: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("expected a square matrix")
+    h = _checked(h, "h", ("n", "n"), complex)
     err = hermiticity_error(h)
     if err > tol * max(1.0, float(np.max(np.abs(h)))):
         raise NotHermitianError(f"matrix deviates from Hermitian by {err:.3e}")
@@ -48,20 +41,15 @@ def trace_norm(h: np.ndarray, tol: float = DEFAULT_TOL) -> float:
 
 def min_error_rate(rho1: np.ndarray, rho2: np.ndarray, p1: float = 0.5, p2: float = 0.5) -> float:
     """Minimum error probability for distinguishing two states with priors p1, p2."""
-    if p1 < 0.0 or p2 < 0.0 or abs(p1 + p2 - 1.0) > 1e-12:
+    if not (p1 >= 0.0 and p2 >= 0.0 and abs(p1 + p2 - 1.0) <= 1e-12):  # NaN fails too
         raise ValueError("priors must be nonnegative and sum to 1")
-    rho1 = np.asarray(rho1, dtype=complex)
-    rho2 = np.asarray(rho2, dtype=complex)
+    rho1 = _checked(rho1, "rho1", ("n", "n"), complex)
+    rho2 = _checked(rho2, "rho2", rho1.shape, complex)
     return 0.5 * (1.0 - trace_norm(p1 * rho1 - p2 * rho2))
 
 
 def _unit_mode(m) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3,):
-        raise ValueError("mode direction must have three components")
-    if abs(m @ m - 1.0) > 1e-9:
-        raise ValueError("mode direction must be a unit vector")
-    return m
+    return _checked(m, "mode direction m", (3,), unit_tol=DEFAULT_TOL)
 
 
 def quality_bloch(bmap: AffineBlochMap, m) -> float:
@@ -79,7 +67,7 @@ def omega_e(e_vectors: np.ndarray, m) -> np.ndarray:
     included).  Equals the partial trace over B of V (m . sigma / 2) V^dag.
     """
     m = _unit_mode(m)
-    e_vectors = np.asarray(e_vectors, dtype=complex)
+    e_vectors = _checked(e_vectors, "e_vectors", (4, "d"), complex)
     return np.einsum("q,jkq,jd,ke->de", m, l_table()[:, :, 1:, 0], e_vectors, e_vectors.conj())
 
 
@@ -89,15 +77,21 @@ def quality_e_from_vectors(e_vectors: np.ndarray, m) -> float:
 
 
 def quality_e(e_gram: np.ndarray, m, tol: float = DEFAULT_TOL) -> float:
-    """Environment quality Tr|Omega_E(m)| of a physical machine Gram matrix."""
-    report = check_physical(e_gram, tol=tol)
-    if not report.passed:
+    """Environment quality Tr|Omega_E(m)| of a physical machine Gram matrix.
+
+    Raises NotPhysicalError on every Gram matrix that check_physical fails:
+    realize_e_vectors runs the one eigendecomposition and rejects negative
+    eigenvalues, the Hermiticity and isometry residuals are tested here.
+    """
+    e_vectors = realize_e_vectors(e_gram, tol=tol)
+    herm = hermiticity_error(e_gram)
+    residual = max(isometry_residuals(e_gram))
+    if not max(herm, residual) <= tol:
         raise NotPhysicalError(
             "Gram matrix fails physicality: "
-            f"min eigenvalue {report.min_eigenvalue:.3e}, "
-            f"isometry residual {report.isometry_error:.3e}"
+            f"Hermiticity error {herm:.3e}, isometry residual {residual:.3e}"
         )
-    return quality_e_from_vectors(realize_e_vectors(e_gram, tol=tol), m)
+    return quality_e_from_vectors(e_vectors, m)
 
 
 def quality_e_diagonal(beta, m) -> float:
@@ -108,7 +102,7 @@ def quality_e_diagonal(beta, m) -> float:
     for the eigensolve path, and the analogue of quality_bloch with the
     cloning partner's axes.
     """
-    beta = np.asarray(beta, dtype=float)
+    beta = _checked(beta, "beta", (4,))
     m = _unit_mode(m)
     c_tilde = np.array(
         [
@@ -138,12 +132,10 @@ def distinguishability(rep, x1, x2, channel: str = "B") -> float:
 
     Returns (|x1 - x2| / 2) * Q(unit direction); 0 for identical inputs.
     """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
+    x1 = _checked(x1, "x1", (3,))
+    x2 = _checked(x2, "x2", (3,))
     for x in (x1, x2):
-        if x.shape != (3,):
-            raise ValueError("Bloch vectors must have three components")
-        if x @ x > 1.0 + 1e-9:
+        if x @ x > 1.0 + DEFAULT_TOL:
             raise ValueError("Bloch vectors must lie inside the unit ball")
     diff = x1 - x2
     dist = float(np.linalg.norm(diff))

@@ -21,16 +21,8 @@ from functools import partial
 
 import numpy as np
 
-from .channel import (
-    DEFAULT_TOL,
-    b_from_e,
-    check_physical,
-    extract_e_vectors,
-    gram_matrix,
-    tetrahedron_mask,
-)
-from .errors import NotPhysicalError
-from .linalg import random_isometry
+from .channel import b_from_e, extract_e_vectors, gram_matrix, tetrahedron_mask
+from .linalg import _checked, random_isometry
 from .optimizer import _g_columns, g_map, positive_optimal_mask
 from .pauli import lambda_matrix
 from .quality import quality_e
@@ -267,9 +259,7 @@ def time_reversed_gram(e_gram: np.ndarray) -> np.ndarray:
     Implemented elementwise so the surviving entries keep their exact
     floating point values.
     """
-    e_gram = np.asarray(e_gram, dtype=complex)
-    if e_gram.shape != (4, 4):
-        raise ValueError("Gram matrix must be 4 x 4")
+    e_gram = _checked(e_gram, "e_gram", (4, 4), complex)
     signs = np.array([1.0, -1.0, -1.0, -1.0])
     return e_gram.conj() * np.outer(signs, signs)
 
@@ -279,13 +269,14 @@ def symmetry_check(e_gram: np.ndarray, mode, tol: float = 1e-10) -> tuple[float,
 
     Checks that the reversed machine has the exact same linear part, the
     exact negated displacement, and equal eavesdropper quality along the
-    given mode direction.  Returns the two quality values.
+    given mode direction.  Returns the two quality values.  The quality of
+    the machine is computed first, so a Gram matrix that fails the
+    physicality checks raises NotPhysicalError; its reversal is physical
+    exactly when it is.
     """
-    e_gram = np.asarray(e_gram, dtype=complex)
-    report = check_physical(e_gram, tol=max(tol, DEFAULT_TOL))
-    if not report.passed:
-        raise NotPhysicalError("Gram matrix fails the physicality checks")
     e_rev = time_reversed_gram(e_gram)
+    q = quality_e(e_gram, mode)
+    q_rev = quality_e(e_rev, mode)
 
     bmap = b_from_e(e_gram, check=False)
     bmap_rev = b_from_e(e_rev, check=False)
@@ -293,9 +284,6 @@ def symmetry_check(e_gram: np.ndarray, mode, tol: float = 1e-10) -> tuple[float,
         raise ValueError("reversed machine changed the linear part")
     if not np.array_equal(bmap_rev.delta, -bmap.delta):
         raise ValueError("reversed machine did not negate the displacement")
-
-    q = quality_e(e_gram, mode)
-    q_rev = quality_e(e_rev, mode)
     if abs(q - q_rev) > tol:
         raise ValueError(
             f"eavesdropper quality changed under reversal: {q!r} vs {q_rev!r}"
@@ -310,15 +298,12 @@ def mixed_isometry(v1: np.ndarray, v2: np.ndarray, p1: float) -> np.ndarray:
     matrix is exactly p1 E1 + (1 - p1) E2.  Row order keeps the B bit most
     significant.
     """
-    v1 = np.asarray(v1, dtype=complex)
-    v2 = np.asarray(v2, dtype=complex)
+    v1 = _checked(v1, "v1", ("2d", 2), complex)
+    v2 = _checked(v2, "v2", ("2d", 2), complex)
     if not 0.0 <= p1 <= 1.0:
         raise ValueError("mixing probability must lie in [0, 1]")
-    for v in (v1, v2):
-        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] % 2:
-            raise ValueError("machines must be (2 d) x 2 matrices")
-    d1 = v1.shape[0] // 2
-    d2 = v2.shape[0] // 2
+    d1 = len(v1) // 2
+    d2 = len(v2) // 2
     d = d1 + d2
     w = np.zeros((2 * d, 2), dtype=complex)
     for b in (0, 1):

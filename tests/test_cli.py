@@ -65,6 +65,21 @@ def test_non_finite_axes_are_usage_errors(capsys, argv):
     assert len(errors) == 1 and "expected a finite number" in errors[0]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gmap", "{x}", "0", "0"],
+        ["classify", "0.5", "0.5", "0.5", "{x}", "0", "0"],
+        ["jacobian-check", "{x}", "0.2", "0.3"],
+    ],
+    ids=["gmap", "classify", "jacobian-check"],
+)
+def test_negative_axes_in_scientific_notation(capsys, argv):
+    runs = [_run(capsys, [a.format(x=x) for a in argv]) for x in ("-1e-1", "-1.0E-1", "-0.1")]
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][0] == 0 and runs[0][1]
+
+
 # ---------------------------------------------------------------------------
 # fig1
 
@@ -90,8 +105,11 @@ def test_fig1_count_and_json(capsys):
     assert doc["points"][2] == [1.0, 0.0]
 
 
-def test_fig1_needs_two_points(capsys):
-    code, _, err = _run(capsys, ["fig1", "--count", "1"])
+def test_fig1_needs_two_points(capsys, tmp_path):
+    # on the command line this is a usage error (test_bad_counts_and_steps_are_usage_errors)
+    config = tmp_path / "fig1.cfg"
+    config.write_text("count=1\n")
+    code, _, err = _run(capsys, ["fig1", "--config", str(config)])
     assert code == 1
     assert err.startswith("error: count must be at least 2")
 
@@ -299,8 +317,16 @@ def test_scan_sizes_must_be_positive(capsys, flag):
         (["scan", "--max-keep", "-1"], "argument --max-keep: expected a nonnegative integer"),
         (["jacobian-check", "0.5", "0.5", "0.5", "--step", "0"], "expected a positive finite number"),
         (["jacobian-check", "0.5", "0.5", "0.5", "--step=nan"], "expected a positive finite number"),
+        (["jacobian-check", "0.5", "0.5", "0.5", "--step", "-1e-3"], "argument --step: expected a positive finite number"),
+        (["fig1", "--count", "1"], "argument --count: expected an integer of at least 2"),
+        (["concavity", "--p1", "1.5"], "argument --p1: expected a number in [0, 1]"),
+        (["gmap", "0.5", "0.5", "0.5", "--tol", "-1"], "argument --tol: expected a nonnegative finite number"),
+        (["check-e", "x.json", "--tol", "inf"], "argument --tol: expected a nonnegative finite number"),
+        (["scan", "--seed", "-1"], "argument --seed: expected a nonnegative integer"),
+        (["concavity", "--seed", "-1"], "argument --seed: expected a nonnegative integer"),
     ],
-    ids=["trials0", "trials-1", "max-keep-1", "step0", "step-nan"],
+    ids=["trials0", "trials-1", "max-keep-1", "step0", "step-nan", "step-sci", "count1", "p1", "tol-1",
+         "tol-inf", "scan-seed-1", "concavity-seed-1"],
 )
 def test_bad_counts_and_steps_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -320,6 +346,24 @@ def test_zero_step_from_a_config_file_is_a_runtime_error(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err == "error: step must be a positive finite number\n"
+
+
+@pytest.mark.parametrize(
+    "argv, line, message",
+    [
+        (["concavity", "--trials", "1"], "p1=1.5", "p1 must lie in [0, 1]"),
+        (["scan", "--n-outer", "1", "--n-inner", "1"], "seed=-1", "error:"),
+        (["gmap", "0.5", "0.5", "0.5"], "tol=-1", "error:"),
+    ],
+    ids=["p1", "seed", "tol"],
+)
+def test_out_of_range_values_from_a_config_file_exit_one(capsys, tmp_path, argv, line, message):
+    config = tmp_path / "options.cfg"
+    config.write_text(line + "\n")
+    code, out, err = _run(capsys, [*argv, "--config", str(config)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and message in err
 
 
 def test_scan_exit_code_on_good_region_violation(capsys, monkeypatch):
@@ -394,8 +438,20 @@ def test_check_e_flags_an_unphysical_matrix(capsys, tmp_path):
     assert json.loads(out)["passed"] is False
 
 
+_NAN_GRAM = "[" + ", ".join(["[[NaN, 0], [0, 0], [0, 0], [0, 0]]"] * 4) + "]"
+
+
 @pytest.mark.parametrize(
-    "payload", ['{"e_gram": 5}', "[[1, 2]]", '[[["a", "b"]]]', "not json", "[[[1, 0], [0, 0]]]"]
+    "payload",
+    [
+        '{"e_gram": 5}',
+        "[[1, 2]]",
+        '[[["a", "b"]]]',
+        "not json",
+        "[[[1, 0], [0, 0]]]",
+        _NAN_GRAM,
+        _NAN_GRAM.replace("NaN", "-Infinity"),
+    ],
 )
 def test_check_e_malformed_payload_is_a_usage_error(capsys, tmp_path, payload):
     path = tmp_path / "malformed.json"
@@ -477,5 +533,15 @@ def test_usage_errors_exit_two(capsys):
 
     with pytest.raises(SystemExit) as exc:
         main(["quality", "--beta", "1,0,0,0", "--mode", "0,0,0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+    with pytest.raises(SystemExit) as exc:
+        main(["quality", "--beta", "1,0,0,0", "--mode", "nan,0,1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+    with pytest.raises(SystemExit) as exc:
+        main(["circuit", "--beta", "1,0,0,0", "--input", "1,0,inf,0"])
     assert exc.value.code == 2
     capsys.readouterr()

@@ -345,6 +345,8 @@ def test_non_finite_axes_are_rejected(bad):
     assert not class_p_check([1.0, *b])
     assert not class_p_check([bad] * 4)
     assert not class_p_check([bad, 0.5, 0.5, 0.25])
+    pair = classify_pair(b, [0.5, 0.5, 0.5])
+    assert not pair.possible and not pair.conjecturally_optimal
 
 
 def test_nan_axes_are_named_in_the_error():

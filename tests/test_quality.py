@@ -168,6 +168,24 @@ def test_quality_e_rejects_unphysical_gram():
         quality_e(np.diag([0.6, 0.5, -0.05, -0.05]).astype(complex), [0, 0, 1])
 
 
+def test_quality_e_decomposes_its_gram_once(monkeypatch):
+    solved = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(a, *args, _solver=solver, **kwargs):
+            solved.append(np.array(a))
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    rng = np.random.default_rng(58)
+    e = gram_matrix(extract_e_vectors(random_isometry(8, 2, rng)))
+    quality_e(e, _random_mode(rng))
+    # one eigendecomposition of the Gram matrix, one eigenvalue solve of the mode operator
+    assert len(solved) == 2
+    assert sum(a.shape == e.shape and np.allclose(a, e) for a in solved) == 1
+
+
 def test_perfect_transmission_to_environment():
     # beta = (1,0,0,1)/sqrt(2) sends mode 3 perfectly to the environment
     beta = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)

@@ -16,6 +16,7 @@ from blochcopy.errors import NotPhysicalError
 from blochcopy.linalg import random_isometry
 from blochcopy.optimizer import g_map, positive_optimal_condition
 from blochcopy.pauli import CYCLIC_AXES, lambda_matrix
+from blochcopy.quality import quality_e
 from blochcopy.validation import (
     ScanConfig,
     ScanReport,
@@ -337,6 +338,34 @@ def test_symmetry_check_negates_the_displacement():
 def test_symmetry_check_rejects_unphysical_input():
     with pytest.raises(NotPhysicalError):
         symmetry_check(np.diag([0.5, 0.5, 0.2, -0.2]).astype(complex), [0, 0, 1])
+
+
+def test_grams_that_fail_check_physical_raise_not_physical_error():
+    rng = np.random.default_rng(87)
+    failed = 0
+    for trial in range(400):
+        e = random_physical_gram(rng)
+        eps = 10.0 ** rng.uniform(-11.0, -2.0)
+        kind = trial % 4
+        if kind == 0:  # breaks Hermiticity
+            e[0, 1 + trial % 3] += eps
+        elif kind == 1:  # breaks the trace condition
+            e = e * (1.0 + eps)
+        elif kind == 2:  # breaks Re E_0q = Im E_q'q''
+            e[0, 1] += eps
+            e[1, 0] += eps
+        else:  # a negative eigenvalue; both isometry conditions still hold
+            e = np.diag(np.append(rng.dirichlet(np.ones(3)) * (1.0 + eps), -eps)).astype(complex)
+        mode = _random_mode(rng)
+        if check_physical(e).passed:
+            quality_e(e, mode)
+            continue
+        failed += 1
+        with pytest.raises(NotPhysicalError):
+            quality_e(e, mode)
+        with pytest.raises(NotPhysicalError):
+            symmetry_check(e, mode)
+    assert failed > 200
 
 
 # ---------------------------------------------------------------------------
