@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotHermitianError, NotIsometricError, NotPhysicalError
-from .linalg import DEFAULT_TOL, _checked, hermiticity_error
+from .linalg import DEFAULT_TOL, _checked, _hermiticity_error
 from .pauli import CYCLIC, CYCLIC_AXES, SIGMA, l_table
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "gram_matrix",
     "realize_e_vectors",
     "output_map",
-    "affine_map_from_isometry",
     "map_bloch",
     "complex_matrix_to_json",
     "complex_matrix_from_json",
@@ -153,7 +152,7 @@ def transfer_from_gram(e_gram: np.ndarray) -> np.ndarray:
     the imaginary residue is checked against a fixed DEFAULT_TOL bound.
     """
     e_gram = _checked(e_gram, "e_gram", (4, 4), complex)
-    herm = hermiticity_error(e_gram)
+    herm = _hermiticity_error(e_gram)
     if herm > DEFAULT_TOL:
         raise NotHermitianError(f"Gram matrix deviates from Hermitian by {herm:.3e}")
     full = np.einsum("lmjk,jk->lm", l_table(), e_gram)
@@ -228,7 +227,7 @@ class ConstraintReport:
 def check_physical(e_gram: np.ndarray, tol: float = DEFAULT_TOL) -> ConstraintReport:
     """Check Hermiticity, positivity and the isometry conditions of a Gram matrix."""
     e_gram = _checked(e_gram, "e_gram", (4, 4), complex)
-    herm = hermiticity_error(e_gram)
+    herm = _hermiticity_error(e_gram)
     trace_err, reim = isometry_residuals(e_gram)
     sym = 0.5 * (e_gram + np.conj(e_gram).T)
     min_eig = float(np.linalg.eigvalsh(sym)[0])
@@ -425,9 +424,6 @@ def output_map(v: np.ndarray, qubit: str = "B") -> AffineBlochMap:
     # row 0 is (1/2) Tr M_q, rows 1..3 the linear part
     full = 0.5 * np.einsum("qad,pda->pq", m, SIGMA).real
     return AffineBlochMap(full[0], full[1:])
-
-
-affine_map_from_isometry = output_map
 
 
 # ---------------------------------------------------------------------------

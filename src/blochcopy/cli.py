@@ -187,7 +187,7 @@ def _emit_csv(header: list, rows) -> None:
 
 
 def _cmd_gmap(args, config) -> int:
-    tol = _resolve(args, config, "tol", float, DEFAULT_TOL)
+    tol = _resolve(args, config, "tol", _tolerance, DEFAULT_TOL)
     fmt = _resolve(args, config, "format", _parse_format, "json")
     b = np.asarray(args.b, dtype=float)
     c = g_map(b, tol=tol)
@@ -223,7 +223,7 @@ def _cmd_quality(args, config) -> int:
 
 
 def _cmd_classify(args, config) -> int:
-    tol = _resolve(args, config, "tol", float, DEFAULT_TOL)
+    tol = _resolve(args, config, "tol", _tolerance, DEFAULT_TOL)
     fmt = _resolve(args, config, "format", _parse_format, "json")
     pair = classify_pair(args.b, args.c, tol=tol)
     if fmt == "csv":
@@ -300,7 +300,7 @@ def _cmd_tomography(args, config) -> int:
 def _cmd_scan(args, config) -> int:
     full = _resolve(args, config, "full", _parse_bool, False)
     region = _resolve(args, config, "region", str, "good")
-    seed = _resolve(args, config, "seed", int, 0)
+    seed = _resolve(args, config, "seed", _nonnegative_int, 0)
     max_keep = _resolve(args, config, "max_keep", int, 256)
     fmt = _resolve(args, config, "format", _parse_format, "json")
     # the --full preset overrides config sizes; explicit flags still win
@@ -328,11 +328,11 @@ def _cmd_scan(args, config) -> int:
 
 
 def _cmd_concavity(args, config) -> int:
-    seed = _resolve(args, config, "seed", int, 0)
+    seed = _resolve(args, config, "seed", _nonnegative_int, 0)
     trials = _resolve(args, config, "trials", int, 100)
     p1 = _resolve(args, config, "p1", float, 0.5)
     mode = _resolve(args, config, "mode", _parse_mode, np.array([0.0, 0.0, 1.0]))
-    tol = _resolve(args, config, "tol", float, DEFAULT_TOL)
+    tol = _resolve(args, config, "tol", _tolerance, DEFAULT_TOL)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not 0.0 <= p1 <= 1.0:
@@ -363,7 +363,7 @@ def _cmd_concavity(args, config) -> int:
 
 def _cmd_jacobian_check(args, config) -> int:
     step = _resolve(args, config, "step", float, 1e-6)
-    tol = _resolve(args, config, "tol", float, 1e-4)
+    tol = _resolve(args, config, "tol", _tolerance, 1e-4)
     if not 0.0 < step < math.inf:
         raise ValueError("step must be a positive finite number")
     b = np.asarray(args.b, dtype=float)
@@ -393,7 +393,7 @@ def _cmd_jacobian_check(args, config) -> int:
 
 
 def _cmd_check_e(args, config) -> int:
-    tol = _resolve(args, config, "tol", float, DEFAULT_TOL)
+    tol = _resolve(args, config, "tol", _tolerance, DEFAULT_TOL)
     with open(args.file, encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -512,7 +512,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:  # the last from config values
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

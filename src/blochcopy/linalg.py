@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -12,16 +11,11 @@ from .errors import NotNormalizedError
 __all__ = [
     "DEFAULT_TOL",
     "dagger",
-    "hermiticity_error",
-    "partial_trace",
-    "random_unitary",
     "random_isometry",
 ]
 
 # Default tolerance of the physicality, normalization and attainability tests.
 DEFAULT_TOL = 1e-9
-
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 @functools.lru_cache(maxsize=256)  # few distinct (shape, spec) pairs occur
@@ -72,52 +66,13 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(m).T
 
 
-def hermiticity_error(m: np.ndarray) -> float:
-    """Largest entrywise deviation of m from its conjugate transpose."""
+def _hermiticity_error(m: np.ndarray) -> float:
+    """Largest entrywise deviation of m from its conjugate transpose.
+
+    Unchecked: every caller has passed m through _checked as a square matrix.
+    """
     m = np.asarray(m)
     return float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
-
-
-def partial_trace(mat: np.ndarray, dims, keep) -> np.ndarray:
-    """Trace out every tensor factor of a square matrix except those in keep.
-
-    Args:
-        mat: square matrix on the tensor product of the given factors.
-        dims: dimension of each factor, in order.
-        keep: index or iterable of indices of the factors to retain.
-
-    Returns:
-        The reduced matrix on the retained factors, in their original order.
-    """
-    dims = tuple(int(d) for d in dims)
-    if isinstance(keep, (int, np.integer)):
-        keep = (int(keep),)
-    keep = tuple(sorted(int(k) for k in keep))
-    n = len(dims)
-    total = math.prod(dims)
-    mat = _checked(mat, "mat", (total, total), dtype=None)
-    if not keep:
-        raise ValueError("keep must name at least one factor")
-    if any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"keep indices {keep} out of range for {n} factors")
-
-    row = list(_LETTERS[:n])
-    col = list(_LETTERS[n : 2 * n])
-    for i in range(n):
-        if i not in keep:
-            col[i] = row[i]
-    out = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
-    subscripts = "".join(row) + "".join(col) + "->" + out
-    kept = math.prod(dims[i] for i in keep)
-    return np.einsum(subscripts, mat.reshape(dims + dims)).reshape(kept, kept)
-
-
-def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed n x n unitary from a QR-factored complex Gaussian."""
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
 
 
 def random_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 from .channel import AffineBlochMap, isometry_residuals, realize_e_vectors
 from .circuit import channel_tomography
 from .errors import NotHermitianError, NotPhysicalError
-from .linalg import DEFAULT_TOL, _checked, hermiticity_error
+from .linalg import DEFAULT_TOL, _checked, _hermiticity_error
 from .pauli import CYCLIC, l_table
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
 def trace_norm(h: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
     h = _checked(h, "h", ("n", "n"), complex)
-    err = hermiticity_error(h)
+    err = _hermiticity_error(h)
     if err > tol * max(1.0, float(np.max(np.abs(h)))):
         raise NotHermitianError(f"matrix deviates from Hermitian by {err:.3e}")
     return float(np.sum(np.abs(np.linalg.eigvalsh(h))))
@@ -84,7 +84,7 @@ def quality_e(e_gram: np.ndarray, m, tol: float = DEFAULT_TOL) -> float:
     eigenvalues, the Hermiticity and isometry residuals are tested here.
     """
     e_vectors = realize_e_vectors(e_gram, tol=tol)
-    herm = hermiticity_error(e_gram)
+    herm = _hermiticity_error(e_gram)
     residual = max(isometry_residuals(e_gram))
     if not max(herm, residual) <= tol:
         raise NotPhysicalError(

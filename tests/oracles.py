@@ -1,0 +1,108 @@
+"""Test oracles: independent routes to quantities the package computes another way.
+
+apply_gate runs one gate by index arithmetic on the amplitudes, the way
+the circuits were first simulated; the package builds each gate's matrix
+instead.  partial_trace and reduced_state read output qubits off full
+density matrices, where the package uses the Heisenberg picture.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+_RT2 = 1.0 / np.sqrt(2.0)
+_IDX = np.arange(8)
+_SUBSYSTEM = {"B": 0, "C": 1, "D": 2}
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+
+def _bit(q: int) -> int:
+    if q not in (0, 1, 2):
+        raise ValueError(f"qubit index must be 0, 1 or 2, got {q}")
+    return 4 >> q
+
+
+def apply_gate(state: np.ndarray, gate: tuple) -> np.ndarray:
+    """Apply one gate to an 8-amplitude state vector, returning a new vector."""
+    state = np.asarray(state, dtype=complex)
+    kind = gate[0]
+    out = state.copy()
+    if kind == "h":
+        (t,) = gate[1:]
+        bt = _bit(t)
+        lo = _IDX[(_IDX & bt) == 0]
+        hi = lo | bt
+        out[lo] = (state[lo] + state[hi]) * _RT2
+        out[hi] = (state[lo] - state[hi]) * _RT2
+    elif kind == "xor":
+        c, t = gate[1:]
+        bc, bt = _bit(c), _bit(t)
+        sel = _IDX[(_IDX & bc) != 0]
+        out[sel] = state[sel ^ bt]
+    elif kind == "phase":
+        a, b = gate[1:]
+        sel = _IDX[((_IDX & _bit(a)) != 0) & ((_IDX & _bit(b)) != 0)]
+        out[sel] = -state[sel]
+    else:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    return out
+
+
+def apply_circuit(state: np.ndarray, gates) -> np.ndarray:
+    for gate in gates:
+        state = apply_gate(state, gate)
+    return state
+
+
+def column_unitary(gates) -> np.ndarray:
+    """8 x 8 unitary of a gate sequence, built column by column with apply_circuit."""
+    return np.column_stack([apply_circuit(np.eye(8, dtype=complex)[col], gates) for col in range(8)])
+
+
+def partial_trace(mat: np.ndarray, dims, keep) -> np.ndarray:
+    """Trace out every tensor factor of a square matrix except those in keep.
+
+    dims lists the dimension of each factor in order, keep one index or
+    several; the reduced matrix keeps the retained factors in order.
+    """
+    dims = tuple(int(d) for d in dims)
+    if isinstance(keep, (int, np.integer)):
+        keep = (int(keep),)
+    keep = tuple(sorted(int(k) for k in keep))
+    n = len(dims)
+    total = math.prod(dims)
+    mat = np.asarray(mat)
+    if mat.shape != (total, total):
+        raise ValueError(f"mat must have shape ({total}, {total}), got {mat.shape}")
+    if not keep:
+        raise ValueError("keep must name at least one factor")
+    if any(k < 0 or k >= n for k in keep):
+        raise ValueError(f"keep indices {keep} out of range for {n} factors")
+
+    row = list(_LETTERS[:n])
+    col = list(_LETTERS[n : 2 * n])
+    for i in range(n):
+        if i not in keep:
+            col[i] = row[i]
+    out = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
+    subscripts = "".join(row) + "".join(col) + "->" + out
+    kept = math.prod(dims[i] for i in keep)
+    return np.einsum(subscripts, mat.reshape(dims + dims)).reshape(kept, kept)
+
+
+def reduced_state(state: np.ndarray, keep: str) -> np.ndarray:
+    """Reduced density matrix of the named output qubits, e.g. "B", "C" or "BC"."""
+    state = np.asarray(state, dtype=complex)
+    axes = tuple(sorted(_SUBSYSTEM[ch] for ch in keep.upper()))
+    rho = np.outer(state, state.conj())
+    return partial_trace(rho, (2, 2, 2), axes)
+
+
+def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed n x n unitary from a QR-factored complex Gaussian."""
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))

@@ -8,20 +8,17 @@ from blochcopy.channel import AffineBlochMap, bloch_vector, density_from_bloch, 
 from blochcopy.circuit import (
     CIRCUIT_A,
     CIRCUIT_B,
-    apply_circuit,
-    apply_gate,
     beta_from_error_rates,
     channel_tomography,
     circuit_a,
     circuit_b,
     circuit_unitary,
     prepare_ancilla,
-    reduced_state,
 )
 from blochcopy.errors import NotNormalizedError
-from blochcopy.linalg import partial_trace
 from blochcopy.optimizer import b_from_beta, gamma_from_beta
 from blochcopy.pauli import SIGMA
+from oracles import column_unitary, partial_trace, reduced_state
 
 _RT2 = 1.0 / np.sqrt(2.0)
 
@@ -75,12 +72,38 @@ def _random_beta(rng) -> np.ndarray:
     return np.sqrt(rng.dirichlet(np.ones(4)))
 
 
+def _run_gate(state: np.ndarray, gate: tuple) -> np.ndarray:
+    """One gate applied through its compiled matrix."""
+    return circuit_unitary([gate]) @ state
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+_PLACEMENTS = (
+    [("h", q) for q in range(3)]
+    + [("xor", c, t) for c in range(3) for t in range(3) if c != t]
+    + [("phase", a, b) for a in range(3) for b in range(a + 1, 3)]
+)
+
+
 # ---------------------------------------------------------------------------
 # single gates; amplitudes ordered |bcd> with the B bit most significant
 
 
+@pytest.mark.parametrize("gate", _PLACEMENTS, ids=lambda gate: "-".join(map(str, gate)))
+def test_gate_matrix_matches_the_oracle_column_build(gate):
+    # equal entry by entry; a phase gate's oracle columns carry -0.0 where
+    # the matrix has 0.0, so signed zeros are compared by value
+    assert np.array_equal(circuit_unitary([gate]), column_unitary([gate]))
+    if gate[0] != "phase":
+        assert _same_bits(circuit_unitary([gate]), column_unitary([gate]))
+
+
 def test_hadamard_on_middle_qubit():
-    out = apply_gate(_basis(0), ("h", 1))
+    out = _run_gate(_basis(0), ("h", 1))
     expected = np.zeros(8, dtype=complex)
     expected[0] = _RT2  # |000>
     expected[2] = _RT2  # |010>
@@ -91,40 +114,45 @@ def test_hadamard_involutive():
     rng = np.random.default_rng(41)
     state = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     for q in (0, 1, 2):
-        twice = apply_gate(apply_gate(state, ("h", q)), ("h", q))
+        twice = _run_gate(_run_gate(state, ("h", q)), ("h", q))
         assert np.allclose(twice, state, atol=1e-14)
 
 
 def test_xor_flips_target_when_control_set():
     # control B, target C: |100> -> |110>
-    assert np.allclose(apply_gate(_basis(4), ("xor", 0, 1)), _basis(6))
+    assert np.allclose(_run_gate(_basis(4), ("xor", 0, 1)), _basis(6))
     # control clear: |010> stays
-    assert np.allclose(apply_gate(_basis(2), ("xor", 0, 1)), _basis(2))
+    assert np.allclose(_run_gate(_basis(2), ("xor", 0, 1)), _basis(2))
     # control D, target B: |001> -> |101>
-    assert np.allclose(apply_gate(_basis(1), ("xor", 2, 0)), _basis(5))
+    assert np.allclose(_run_gate(_basis(1), ("xor", 2, 0)), _basis(5))
 
 
 def test_phase_gate_negates_both_set():
-    assert np.allclose(apply_gate(_basis(6), ("phase", 0, 1)), -_basis(6))
-    assert np.allclose(apply_gate(_basis(4), ("phase", 0, 1)), _basis(4))
+    assert np.allclose(_run_gate(_basis(6), ("phase", 0, 1)), -_basis(6))
+    assert np.allclose(_run_gate(_basis(4), ("phase", 0, 1)), _basis(4))
     # symmetric in its two qubits
     state = np.arange(8, dtype=complex)
-    assert np.allclose(apply_gate(state, ("phase", 0, 1)), apply_gate(state, ("phase", 1, 0)))
+    assert np.allclose(_run_gate(state, ("phase", 0, 1)), _run_gate(state, ("phase", 1, 0)))
 
 
 def test_gate_validation():
-    with pytest.raises(ValueError):
-        apply_gate(np.zeros(4, dtype=complex), ("h", 0))
-    with pytest.raises(ValueError):
-        apply_gate(_basis(0), ("xor", 1, 1))
-    with pytest.raises(ValueError):
-        apply_gate(_basis(0), ("swap", 0, 1))
-    with pytest.raises(ValueError):
-        apply_gate(_basis(0), ("h", 3))
+    with pytest.raises(ValueError, match="distinct qubits"):
+        circuit_unitary([("xor", 1, 1)])
+    with pytest.raises(ValueError, match="unknown gate"):
+        circuit_unitary([("swap", 0, 1)])
+    with pytest.raises(ValueError, match="must be 0, 1 or 2"):
+        circuit_unitary([("h", 3)])
 
 
 # ---------------------------------------------------------------------------
 # full circuits
+
+
+def test_circuit_unitaries_match_the_oracle_column_build():
+    assert _same_bits(circuit._UNITARY_A, column_unitary(CIRCUIT_A))
+    assert _same_bits(circuit._UNITARY_B, column_unitary(CIRCUIT_B))
+    assert not circuit._UNITARY_A.flags.writeable
+    assert not circuit._UNITARY_B.flags.writeable
 
 
 def test_both_circuits_give_the_same_unitary():
@@ -156,7 +184,7 @@ def test_first_two_gates_apply_conditional_paulis():
     for idx, op in expected_ops.items():
         anc = np.zeros(4, dtype=complex)
         anc[idx] = 1.0
-        out = apply_circuit(np.kron(psi, anc), CIRCUIT_B_FIRST)
+        out = circuit_unitary(CIRCUIT_B_FIRST) @ np.kron(psi, anc)
         assert np.allclose(out, np.kron(op @ psi, anc), atol=1e-12)
 
 
@@ -235,18 +263,22 @@ def test_tomography_matches_the_state_push_oracle():
 
 
 def test_tomography_runs_no_gates(monkeypatch):
+    # circuit runs and tomography apply the unitaries built at import
     calls = []
 
-    def counting_apply_gate(state, gate):
-        calls.append(gate)
-        return apply_gate(state, gate)
+    def counting_circuit_unitary(gates):
+        calls.append(gates)
+        return circuit_unitary(gates)
 
-    monkeypatch.setattr(circuit, "apply_gate", counting_apply_gate)
-    circuit_a(np.array([1.0, 0.0]), [1.0, 0.0, 0.0, 0.0])
-    assert len(calls) == len(CIRCUIT_A)  # the counter sees gate runs
+    monkeypatch.setattr(circuit, "circuit_unitary", counting_circuit_unitary)
+    circuit.circuit_unitary(CIRCUIT_A)
+    assert calls == [CIRCUIT_A]  # the counter sees builds
     calls.clear()
+    beta = [0.8, 0.1, 0.1, np.sqrt(0.34)]
+    circuit_a(np.array([1.0, 0.0]), beta)
+    circuit_b(np.array([0.0, 1.0]), beta)
     for channel in "BCD":
-        channel_tomography([0.8, 0.1, 0.1, np.sqrt(0.34)], channel)
+        channel_tomography(beta, channel)
     assert calls == []
 
 

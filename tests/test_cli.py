@@ -352,10 +352,13 @@ def test_zero_step_from_a_config_file_is_a_runtime_error(capsys, tmp_path):
     "argv, line, message",
     [
         (["concavity", "--trials", "1"], "p1=1.5", "p1 must lie in [0, 1]"),
-        (["scan", "--n-outer", "1", "--n-inner", "1"], "seed=-1", "error:"),
-        (["gmap", "0.5", "0.5", "0.5"], "tol=-1", "error:"),
+        (["scan", "--n-outer", "1", "--n-inner", "1"], "seed=-1", "expected a nonnegative integer, got '-1'"),
+        (["gmap", "0.5", "0.5", "0.5"], "tol=-1", "expected a nonnegative finite number, got '-1'"),
+        (["classify", "0.5", "0.5", "0.5", "0.5", "0.5", "0.5"], "tol=-1",
+         "expected a nonnegative finite number, got '-1'"),
+        (["gmap", "0.5", "0.5", "0.5"], "tol=nan", "expected a nonnegative finite number, got 'nan'"),
     ],
-    ids=["p1", "seed", "tol"],
+    ids=["p1", "seed", "tol", "classify-tol", "tol-nan"],
 )
 def test_out_of_range_values_from_a_config_file_exit_one(capsys, tmp_path, argv, line, message):
     config = tmp_path / "options.cfg"
@@ -363,7 +366,7 @@ def test_out_of_range_values_from_a_config_file_exit_one(capsys, tmp_path, argv,
     code, out, err = _run(capsys, [*argv, "--config", str(config)])
     assert code == 1
     assert out == ""
-    assert err.startswith("error:") and message in err
+    assert err == f"error: {message}\n"
 
 
 def test_scan_exit_code_on_good_region_violation(capsys, monkeypatch):

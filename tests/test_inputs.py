@@ -21,8 +21,7 @@ from blochcopy.channel import (
     tetrahedron_mask,
     transfer_from_gram,
 )
-from blochcopy.circuit import apply_gate, circuit_a, prepare_ancilla, reduced_state
-from blochcopy.linalg import partial_trace
+from blochcopy.circuit import circuit_a, circuit_b, prepare_ancilla
 from blochcopy.optimizer import (
     b_from_beta,
     gamma_from_beta,
@@ -68,6 +67,7 @@ _CASES = {
     "output_map": lambda bad: output_map(_spoil(_V, bad), "C"),
     "quality_bloch": lambda bad: quality_bloch(AffineBlochMap.identity(), _spoil(_Z, bad)),
     "circuit_a": lambda bad: circuit_a(_spoil([1.0, 0.0], bad), _BETA),
+    "circuit_b": lambda bad: circuit_b([1.0, 0.0], _spoil(_BETA, bad)),
     "check_physical": lambda bad: check_physical(_spoil(_GRAM, bad)),
     "bloch_vector": lambda bad: bloch_vector(_spoil(np.eye(2) / 2, bad)),
     "affine_map": lambda bad: AffineBlochMap(_spoil(np.zeros(3), bad), np.eye(3)),
@@ -80,15 +80,12 @@ _CASES = {
     "isometry_from_e_vectors": lambda bad: isometry_from_e_vectors(_spoil(np.eye(4), bad)),
     "extract_e_vectors": lambda bad: extract_e_vectors(_spoil(_V, bad)),
     "gram_matrix": lambda bad: gram_matrix(_spoil(np.eye(4), bad)),
-    "partial_trace": lambda bad: partial_trace(_spoil(np.eye(4), bad), (2, 2), 0),
     "omega_e": lambda bad: omega_e(_spoil(np.eye(4), bad), _Z),
     "quality_e": lambda bad: quality_e(_spoil(_GRAM, bad), _Z),
     "quality_e_mode": lambda bad: quality_e(_GRAM, _spoil(_Z, bad)),
     "quality_e_diagonal": lambda bad: quality_e_diagonal(_spoil(_BETA, bad), _Z),
     "distinguishability": lambda bad: distinguishability(AffineBlochMap.identity(), _spoil(_Z, bad), -_Z),
     "prepare_ancilla": lambda bad: prepare_ancilla(_spoil(_BETA, bad)),
-    "apply_gate": lambda bad: apply_gate(_spoil(np.eye(8)[0], bad), ("h", 0)),
-    "reduced_state": lambda bad: reduced_state(_spoil(np.eye(8)[0], bad), "B"),
     "time_reversed_gram": lambda bad: time_reversed_gram(_spoil(_GRAM, bad)),
     "symmetry_check": lambda bad: symmetry_check(_spoil(_GRAM, bad), _Z),
     "mixed_isometry": lambda bad: mixed_isometry(_V, _spoil(_V, bad), 0.5),
