@@ -409,7 +409,7 @@ def output_map(v: np.ndarray, qubit: str = "B") -> AffineBlochMap:
     """
     v = _checked(v, "v", ("2d", 2), complex)
     d = len(v) // 2
-    key = qubit.upper()
+    key = qubit.upper() if isinstance(qubit, str) else qubit
     # row index = (left, kept qubit, right) with the kept qubit in the middle
     if key == "B":
         left, right = 1, d

@@ -6,8 +6,11 @@ stderr so identical inputs give byte-identical stdout.  Exit codes: 0 on
 success, 1 when a constraint is violated or a check fails, 2 on usage
 errors.
 
-Options may also come from a config file of key=value lines (see
---config); values given on the command line always win.
+Each option's type, choices and default are declared once, in
+_build_parser.  A config file of key=value lines (--config) supplies
+values through the same declarations; one its flag would reject exits 1
+with the flag's message.  Precedence: flag, scan --full preset, config
+file, default.  `circuit --input -x` takes -x as a value.
 """
 
 from __future__ import annotations
@@ -61,16 +64,6 @@ def _load_config(path: str) -> dict:
     return out
 
 
-def _resolve(args, config: dict, name: str, cast, default):
-    """Command line value if given, else config file value, else default."""
-    value = getattr(args, name)
-    if value is not None:
-        return value
-    if name in config:
-        return cast(config[name])
-    return default
-
-
 def _parse_bool(text: str) -> bool:
     lowered = text.lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -80,12 +73,19 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_format(text: str) -> str:
-    if text not in ("json", "csv"):
-        raise ValueError("format must be 'json' or 'csv'")
-    return text
+def _reasoned(parse):
+    """Let argparse print the ValueError message of parse, not its name."""
+
+    def checked(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return checked
 
 
+@_reasoned
 def _parse_mode(text: str) -> np.ndarray:
     named = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
     if text in named:
@@ -100,6 +100,7 @@ def _parse_mode(text: str) -> np.ndarray:
     return m / norm
 
 
+@_reasoned
 def _parse_beta(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 4:
@@ -107,41 +108,28 @@ def _parse_beta(text: str) -> np.ndarray:
     return _checked([float(p) for p in parts], "beta", (4,), unit_tol=DEFAULT_TOL)
 
 
-def _int_from(lowest: int, expected: str):
-    def parse(text: str) -> int:
+def _number(cast, test, expected: str):
+    """An argparse type: cast the text, then require test(value)."""
+
+    def parse(text: str):
         try:
-            value = int(text)
+            value = cast(text)
         except ValueError:
-            value = lowest - 1
-        if value < lowest:
+            value = math.nan  # fails every test below
+        if not test(value):
             raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
         return value
 
     return parse
 
 
-_positive_int = _int_from(1, "a positive integer")
-_nonnegative_int = _int_from(0, "a nonnegative integer")
-_count = _int_from(2, "an integer of at least 2")
-
-
-def _float_where(test, expected: str):
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            value = math.nan
-        if not (math.isfinite(value) and test(value)):
-            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
-        return value
-
-    return parse
-
-
-_finite_float = _float_where(lambda x: True, "a finite number")
-_positive_float = _float_where(lambda x: x > 0.0, "a positive finite number")
-_tolerance = _float_where(lambda x: x >= 0.0, "a nonnegative finite number")
-_probability = _float_where(lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]")
+_positive_int = _number(int, lambda n: n >= 1, "a positive integer")
+_nonnegative_int = _number(int, lambda n: n >= 0, "a nonnegative integer")
+_count = _number(int, lambda n: n >= 2, "an integer of at least 2")
+_finite_float = _number(float, math.isfinite, "a finite number")
+_positive_float = _number(float, lambda x: 0.0 < x < math.inf, "a positive finite number")
+_tolerance = _number(float, lambda x: 0.0 <= x < math.inf, "a nonnegative finite number")
+_probability = _number(float, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]")
 
 
 # (+axis, -axis) eigenstates of each Pauli operator
@@ -152,6 +140,7 @@ _AXIS_KETS = {
 }
 
 
+@_reasoned
 def _parse_state(text: str) -> np.ndarray:
     """One qubit state: '+x'..'-z' or four numbers re0,im0,re1,im1."""
     if len(text) == 2 and text[0] in "+-" and text[1] in _AXIS_KETS:
@@ -186,28 +175,22 @@ def _emit_csv(header: list, rows) -> None:
 # subcommands
 
 
-def _cmd_gmap(args, config) -> int:
-    tol = _resolve(args, config, "tol", _tolerance, DEFAULT_TOL)
-    fmt = _resolve(args, config, "format", _parse_format, "json")
+def _cmd_gmap(args) -> int:
     b = np.asarray(args.b, dtype=float)
-    c = g_map(b, tol=tol)
-    if fmt == "csv":
+    c = g_map(b, tol=args.tol)
+    if args.format == "csv":
         _emit_csv(["c1", "c2", "c3"], [c])
     else:
         _emit_json({"b": [float(x) for x in b], "c": [float(x) for x in c]})
     return 0
 
 
-def _cmd_quality(args, config) -> int:
-    beta = _resolve(args, config, "beta", _parse_beta, None)
-    if beta is None:
-        raise ValueError("beta is required (flag --beta or config key beta)")
-    mode = _resolve(args, config, "mode", _parse_mode, np.array([0.0, 0.0, 1.0]))
-    fmt = _resolve(args, config, "format", _parse_format, "json")
+def _cmd_quality(args) -> int:
+    beta, mode = args.beta, args.mode
     q_b = quality_bloch(AffineBlochMap.diagonal(b_from_beta(beta)), mode)
     q_c = quality_bloch(AffineBlochMap.diagonal(b_from_beta(gamma_from_beta(beta))), mode)
     q_e = quality_e_diagonal(beta, mode)
-    if fmt == "csv":
+    if args.format == "csv":
         _emit_csv(["q_b", "q_c", "q_e"], [[q_b, q_c, q_e]])
     else:
         _emit_json(
@@ -222,11 +205,9 @@ def _cmd_quality(args, config) -> int:
     return 0
 
 
-def _cmd_classify(args, config) -> int:
-    tol = _resolve(args, config, "tol", _tolerance, DEFAULT_TOL)
-    fmt = _resolve(args, config, "format", _parse_format, "json")
-    pair = classify_pair(args.b, args.c, tol=tol)
-    if fmt == "csv":
+def _cmd_classify(args) -> int:
+    pair = classify_pair(args.b, args.c, tol=args.tol)
+    if args.format == "csv":
         flags = pair.to_json()["flags"]
         print(",".join(flags))
         print(",".join("true" if flags[k] else "false" for k in flags))
@@ -235,44 +216,29 @@ def _cmd_classify(args, config) -> int:
     return 0
 
 
-def _cmd_fig1(args, config) -> int:
-    count = _resolve(args, config, "count", int, 101)
-    fmt = _resolve(args, config, "format", _parse_format, "csv")
-    if count < 2:
-        raise ValueError("count must be at least 2")
+def _cmd_fig1(args) -> int:
+    count = args.count
     rs = [i / (count - 1) for i in range(count)]
     points = [(r, isotropic_tradeoff(r)) for r in rs]
-    if fmt == "csv":
+    if args.format == "csv":
         _emit_csv(["r", "s"], points)
     else:
         _emit_json({"count": count, "points": [[r, s] for r, s in points]})
     return 0
 
 
-def _cmd_circuit(args, config) -> int:
-    beta = _resolve(args, config, "beta", _parse_beta, None)
-    if beta is None:
-        raise ValueError("beta is required (flag --beta or config key beta)")
-    variant = _resolve(args, config, "variant", str, "a")
-    state = _resolve(args, config, "input", _parse_state, None)
-    if state is None:
-        state = _parse_state("+z")
-    fmt = _resolve(args, config, "format", _parse_format, "json")
-    if variant == "a":
-        out = circuit_a(state, beta)
-    elif variant == "b":
-        out = circuit_b(state, beta)
-    else:
-        raise ValueError("variant must be 'a' or 'b'")
-    if fmt == "csv":
+def _cmd_circuit(args) -> int:
+    state = args.input
+    out = (circuit_a if args.variant == "a" else circuit_b)(state, args.beta)
+    if args.format == "csv":
         print("index,re,im")
         for i, z in enumerate(out):
             print(f"{i},{float(z.real)!r},{float(z.imag)!r}")
     else:
         _emit_json(
             {
-                "variant": variant,
-                "beta": [float(x) for x in beta],
+                "variant": args.variant,
+                "beta": [float(x) for x in args.beta],
                 "input_state": _complex_pairs(state),
                 "output_state": _complex_pairs(out),
             }
@@ -280,80 +246,50 @@ def _cmd_circuit(args, config) -> int:
     return 0
 
 
-def _cmd_tomography(args, config) -> int:
-    beta = _resolve(args, config, "beta", _parse_beta, None)
-    if beta is None:
-        raise ValueError("beta is required (flag --beta or config key beta)")
-    channel = _resolve(args, config, "channel", str, "B")
-    fmt = _resolve(args, config, "format", _parse_format, "json")
-    bmap = channel_tomography(beta, channel)
-    if fmt == "csv":
+def _cmd_tomography(args) -> int:
+    bmap = channel_tomography(args.beta, args.channel)
+    if args.format == "csv":
         header = ["d1", "d2", "d3"]
         header += [f"l{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
         row = list(bmap.delta) + [x for r in bmap.linear for x in r]
         _emit_csv(header, [row])
     else:
-        _emit_json({"channel": channel.upper(), "beta": [float(x) for x in beta], **bmap.to_json()})
+        _emit_json({"channel": args.channel, "beta": [float(x) for x in args.beta], **bmap.to_json()})
     return 0
 
 
-def _cmd_scan(args, config) -> int:
-    full = _resolve(args, config, "full", _parse_bool, False)
-    region = _resolve(args, config, "region", str, "good")
-    seed = _resolve(args, config, "seed", _nonnegative_int, 0)
-    max_keep = _resolve(args, config, "max_keep", int, 256)
-    fmt = _resolve(args, config, "format", _parse_format, "json")
-    # the --full preset overrides config sizes; explicit flags still win
-    if args.n_outer is not None:
-        n_outer = args.n_outer
-    else:
-        n_outer = 4000 if full else int(config.get("n_outer", 100))
-    if args.n_inner is not None:
-        n_inner = args.n_inner
-    else:
-        n_inner = 100000 if full else int(config.get("n_inner", 1000))
-
-    report = monotonicity_scan(
-        ScanConfig(n_outer=n_outer, n_inner=n_inner, seed=seed, region=region, max_keep=max_keep)
-    )
-    if fmt == "csv":
+def _cmd_scan(args) -> int:
+    fields = ("n_outer", "n_inner", "seed", "region", "max_keep")
+    report = monotonicity_scan(ScanConfig(**{name: getattr(args, name) for name in fields}))
+    if args.format == "csv":
         sys.stdout.write(report.to_csv())
     else:
         _emit_json(report.to_json())
     print(f"elapsed: {report.elapsed:.3f}s", file=sys.stderr)
-    if region == "good" and report.n_violations:
+    if args.region == "good" and report.n_violations:
         print(f"error: {report.n_violations} trade-off violations in the good region", file=sys.stderr)
         return 1
     return 0
 
 
-def _cmd_concavity(args, config) -> int:
-    seed = _resolve(args, config, "seed", _nonnegative_int, 0)
-    trials = _resolve(args, config, "trials", int, 100)
-    p1 = _resolve(args, config, "p1", float, 0.5)
-    mode = _resolve(args, config, "mode", _parse_mode, np.array([0.0, 0.0, 1.0]))
-    tol = _resolve(args, config, "tol", _tolerance, DEFAULT_TOL)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if not 0.0 <= p1 <= 1.0:
-        raise ValueError("p1 must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
+def _cmd_concavity(args) -> int:
+    rng = np.random.default_rng(args.seed)
     min_margin = np.inf
     bad = 0
-    for _ in range(trials):
+    for _ in range(args.trials):
         v1 = random_isometry(8, 2, rng)
         v2 = random_isometry(8, 2, rng)
-        mixed, averaged = concavity_check(v1, v2, p1, mode)
+        mixed, averaged = concavity_check(v1, v2, args.p1, args.mode)
         margin = mixed - averaged
         min_margin = min(min_margin, margin)
-        if margin < -tol:
+        if margin < -args.tol:
             bad += 1
     _emit_json(
         {
-            "trials": trials,
-            "seed": seed,
-            "p1": p1,
-            "mode": [float(x) for x in mode],
+            "trials": args.trials,
+            "seed": args.seed,
+            "p1": args.p1,
+            "mode": [float(x) for x in args.mode],
             "min_margin": float(min_margin),
             "violations": bad,
         }
@@ -361,11 +297,8 @@ def _cmd_concavity(args, config) -> int:
     return 1 if bad else 0
 
 
-def _cmd_jacobian_check(args, config) -> int:
-    step = _resolve(args, config, "step", float, 1e-6)
-    tol = _resolve(args, config, "tol", _tolerance, 1e-4)
-    if not 0.0 < step < math.inf:
-        raise ValueError("step must be a positive finite number")
+def _cmd_jacobian_check(args) -> int:
+    step = args.step
     b = np.asarray(args.b, dtype=float)
     pair = jacobians(beta_from_b(b))
     if not pair.invertible:
@@ -379,7 +312,7 @@ def _cmd_jacobian_check(args, config) -> int:
     fd_error = float(np.max(np.abs(fd - analytic)) / max(1.0, np.max(np.abs(analytic))))
     inverse = pair.k / (16.0 * pair.gamma4)
     residual = float(np.max(np.abs(analytic @ inverse - np.eye(3))))
-    passed = fd_error <= tol and residual <= 1e-8
+    passed = fd_error <= args.tol and residual <= 1e-8
     _emit_json(
         {
             "b": [float(x) for x in b],
@@ -392,8 +325,7 @@ def _cmd_jacobian_check(args, config) -> int:
     return 0 if passed else 1
 
 
-def _cmd_check_e(args, config) -> int:
-    tol = _resolve(args, config, "tol", _tolerance, DEFAULT_TOL)
+def _cmd_check_e(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -403,7 +335,7 @@ def _cmd_check_e(args, config) -> int:
         e_gram = _checked(complex_matrix_from_json(payload), "Gram matrix", (4, 4), complex)
     except (TypeError, ValueError) as exc:
         raise _UsageError(f"{args.file}: malformed Gram matrix payload ({exc})") from None
-    report = check_physical(e_gram, tol=tol)
+    report = check_physical(e_gram, tol=args.tol)
     _emit_json(report.to_json())
     return 0 if report.passed else 1
 
@@ -412,29 +344,29 @@ def _cmd_check_e(args, config) -> int:
 # parser assembly
 
 
-def _add_common(sub, fmt: bool = True):
+def _add_common(sub, fmt: str | None = "json"):
     sub.add_argument("--config", help="file of key=value option defaults")
     if fmt:
-        sub.add_argument("--format", choices=("json", "csv"), default=None)
+        sub.add_argument("--format", choices=("json", "csv"), default=fmt)
     return sub
 
 
 class _Parser(argparse.ArgumentParser):
-    """Takes any number with a leading minus sign, -1e-3 included, for a positional.
+    """Takes a negative number (-1e-3 included) or a state -x, -y, -z for a value.
 
-    argparse's own negative-number pattern has no exponent, so it reads
-    -1e-3 as an unknown option.  Subparsers are built with the same class.
+    argparse would read both as unknown options.  Subparsers use this class too.
     """
 
-    _NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+    _VALUE = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|-[xyz]$")
 
     def _parse_optional(self, arg_string):
-        if self._NUMBER.match(arg_string):
+        if self._VALUE.match(arg_string):
             return None
         return super()._parse_optional(arg_string)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subparsers by name; every option's type, choices and default are here."""
     parser = _Parser(
         prog="blochcopy",
         description="Optimal qubit copying machines: trade-off maps, circuits and scans.",
@@ -443,72 +375,98 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = _add_common(subs.add_parser("gmap", help="best second-copy axes for given first-copy axes"))
     p.add_argument("b", nargs=3, type=_finite_float, metavar="B")
-    p.add_argument("--tol", type=_tolerance, default=None)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_gmap)
 
     p = _add_common(subs.add_parser("quality", help="copy and eavesdropper qualities of a machine"))
     p.add_argument("--beta", type=_parse_beta, default=None, help="four comma-separated coefficients")
-    p.add_argument("--mode", type=_parse_mode, default=None, help="x, y, z or three numbers")
+    p.add_argument("--mode", type=_parse_mode, default="z", help="x, y, z or three numbers")
     p.set_defaults(func=_cmd_quality)
 
     p = _add_common(subs.add_parser("classify", help="classify a candidate pair of copy axes"))
     p.add_argument("b", nargs=3, type=_finite_float, metavar="B")
     p.add_argument("c", nargs=3, type=_finite_float, metavar="C")
-    p.add_argument("--tol", type=_tolerance, default=None)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_classify)
 
-    p = _add_common(subs.add_parser("fig1", help="isotropic trade-off curve samples"))
-    p.add_argument("--count", type=_count, default=None, help="number of sample points (default 101)")
+    p = _add_common(subs.add_parser("fig1", help="isotropic trade-off curve samples"), fmt="csv")
+    p.add_argument("--count", type=_count, default=101, help="number of sample points (default %(default)s)")
     p.set_defaults(func=_cmd_fig1)
 
     p = _add_common(subs.add_parser("circuit", help="run a copying circuit on one input state"))
     p.add_argument("--beta", type=_parse_beta, default=None)
-    p.add_argument("--variant", choices=("a", "b"), default=None)
-    p.add_argument("--input", type=_parse_state, default=None, help="+x..-z or re0,im0,re1,im1")
+    p.add_argument("--variant", choices=("a", "b"), default="a")
+    p.add_argument("--input", type=_parse_state, default="+z", help="+x..-z or re0,im0,re1,im1")
     p.set_defaults(func=_cmd_circuit)
 
     p = _add_common(subs.add_parser("tomography", help="reconstruct one output's affine map"))
     p.add_argument("--beta", type=_parse_beta, default=None)
-    p.add_argument("--channel", choices=("B", "C", "D"), default=None)
+    p.add_argument("--channel", choices=("B", "C", "D"), default="B")
     p.set_defaults(func=_cmd_tomography)
 
     p = _add_common(subs.add_parser("scan", help="randomized monotonicity scan of the trade-off"))
-    p.add_argument("--region", choices=("good", "outside"), default=None)
-    p.add_argument("--n-outer", dest="n_outer", type=_positive_int, default=None)
-    p.add_argument("--n-inner", dest="n_inner", type=_positive_int, default=None)
-    p.add_argument("--seed", type=_nonnegative_int, default=None)
-    p.add_argument("--max-keep", dest="max_keep", type=_nonnegative_int, default=None)
-    p.add_argument("--full", action="store_true", default=None, help="4000 x 100000 preset")
+    p.add_argument("--region", choices=("good", "outside"), default="good")
+    p.add_argument("--n-outer", dest="n_outer", type=_positive_int, default=100)
+    p.add_argument("--n-inner", dest="n_inner", type=_positive_int, default=1000)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--max-keep", dest="max_keep", type=_nonnegative_int, default=256)
+    p.add_argument("--full", action="store_true", help="4000 x 100000 preset")
     p.set_defaults(func=_cmd_scan)
 
-    p = _add_common(subs.add_parser("concavity", help="random mixing checks of the eavesdropper quality"), fmt=False)
-    p.add_argument("--seed", type=_nonnegative_int, default=None)
-    p.add_argument("--trials", type=_positive_int, default=None)
-    p.add_argument("--p1", type=_probability, default=None)
-    p.add_argument("--mode", type=_parse_mode, default=None)
-    p.add_argument("--tol", type=_tolerance, default=None)
+    p = _add_common(subs.add_parser("concavity", help="random mixing checks of the eavesdropper quality"), fmt=None)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--trials", type=_positive_int, default=100)
+    p.add_argument("--p1", type=_probability, default=0.5)
+    p.add_argument("--mode", type=_parse_mode, default="z")
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_concavity)
 
-    p = _add_common(subs.add_parser("jacobian-check", help="finite-difference check of the trade-off Jacobian"), fmt=False)
+    p = _add_common(subs.add_parser("jacobian-check", help="finite-difference check of the trade-off Jacobian"), fmt=None)
     p.add_argument("b", nargs=3, type=_finite_float, metavar="B")
-    p.add_argument("--step", type=_positive_float, default=None)
-    p.add_argument("--tol", type=_tolerance, default=None)
+    p.add_argument("--step", type=_positive_float, default=1e-6)
+    p.add_argument("--tol", type=_tolerance, default=1e-4)
     p.set_defaults(func=_cmd_jacobian_check)
 
-    p = _add_common(subs.add_parser("check-e", help="physicality report for a Gram matrix file"), fmt=False)
+    p = _add_common(subs.add_parser("check-e", help="physicality report for a Gram matrix file"), fmt=None)
     p.add_argument("file", help="JSON file with a 4x4 matrix of [re, im] pairs")
-    p.add_argument("--tol", type=_tolerance, default=None)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_check_e)
 
-    return parser
+    return parser, subs.choices
+
+
+def _config_defaults(sub: argparse.ArgumentParser, path: str) -> dict:
+    """Config values parsed as their flags would be, failing with the flags' messages; other keys are ignored."""
+    actions = {a.dest: a for a in sub._actions if a.option_strings and a.dest not in ("help", "config")}
+    values = {}
+    for key, text in _load_config(path).items():
+        if key in actions:
+            action = actions[key]
+            try:  # argparse's own steps for a flag: the action's type, then its choices
+                value = _parse_bool(text) if action.nargs == 0 else sub._get_value(action, text)
+                sub._check_value(action, value)
+            except argparse.ArgumentError as exc:
+                raise argparse.ArgumentTypeError(exc.message) from None
+            values[key] = value
+    return values
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config) if args.config else {}
-        return args.func(args, config)
+        full = getattr(args, "full", False)
+        if args.config or full:
+            # config values and the --full preset become defaults; flags win on reparse
+            sub = subparsers[args.command]
+            values = _config_defaults(sub, args.config) if args.config else {}
+            if full or values.get("full"):
+                values.update(n_outer=4000, n_inner=100000)
+            sub.set_defaults(**values)
+            args = parser.parse_args(argv)
+        if getattr(args, "beta", ...) is None:
+            raise ValueError("beta is required (flag --beta or config key beta)")
+        return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

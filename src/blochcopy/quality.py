@@ -142,7 +142,7 @@ def distinguishability(rep, x1, x2, channel: str = "B") -> float:
     if dist == 0.0:
         return 0.0
     direction = diff / dist
-    ch = channel.upper()
+    ch = channel.upper() if isinstance(channel, str) else channel
     if ch in ("B", "C"):
         q = quality_bloch(rep, direction)
     elif ch == "E":

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from blochcopy.cli import main
+from blochcopy.cli import _build_parser, main
 from blochcopy.channel import complex_matrix_to_json
 from blochcopy.optimizer import g_map
 from blochcopy.validation import random_physical_gram
@@ -111,7 +111,7 @@ def test_fig1_needs_two_points(capsys, tmp_path):
     config.write_text("count=1\n")
     code, _, err = _run(capsys, ["fig1", "--config", str(config)])
     assert code == 1
-    assert err.startswith("error: count must be at least 2")
+    assert err == "error: expected an integer of at least 2, got '1'\n"
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +203,15 @@ def test_circuit_variants_agree(capsys):
     diff = np.array(doc_a["output_state"]) - np.array(doc_b["output_state"])
     assert np.max(np.abs(diff)) < 1e-12
     assert doc_a["variant"] == "a" and doc_b["variant"] == "b"
+
+
+@pytest.mark.parametrize("state", ["-x", "-y", "-z"])
+def test_named_state_with_a_minus_sign_is_a_value(capsys, state):
+    beta = f"0.8,0.1,0.1,{float(np.sqrt(0.34))!r}"
+    spaced = _run(capsys, ["circuit", "--beta", beta, "--input", state])
+    joined = _run(capsys, ["circuit", "--beta", beta, f"--input={state}"])
+    assert spaced == joined
+    assert spaced[0] == 0 and spaced[1]
 
 
 def test_tomography_csv(capsys):
@@ -324,9 +333,13 @@ def test_scan_sizes_must_be_positive(capsys, flag):
         (["check-e", "x.json", "--tol", "inf"], "argument --tol: expected a nonnegative finite number"),
         (["scan", "--seed", "-1"], "argument --seed: expected a nonnegative integer"),
         (["concavity", "--seed", "-1"], "argument --seed: expected a nonnegative integer"),
+        (["quality", "--beta", "1,0,0"], "argument --beta: beta must be four comma-separated numbers"),
+        (["quality", "--beta", "1,1,0,0"], "argument --beta: beta must have unit squared norm, got 2.0"),
+        (["quality", "--beta", "1,0,0,0", "--mode", "0,0,0"], "argument --mode: mode direction must be nonzero"),
+        (["circuit", "--beta", "1,0,0,0", "--input", "0,0,0,0"], "argument --input: state must be nonzero"),
     ],
     ids=["trials0", "trials-1", "max-keep-1", "step0", "step-nan", "step-sci", "count1", "p1", "tol-1",
-         "tol-inf", "scan-seed-1", "concavity-seed-1"],
+         "tol-inf", "scan-seed-1", "concavity-seed-1", "beta-length", "beta-norm", "mode-zero", "state-zero"],
 )
 def test_bad_counts_and_steps_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -345,13 +358,13 @@ def test_zero_step_from_a_config_file_is_a_runtime_error(capsys, tmp_path):
     code, out, err = _run(capsys, ["jacobian-check", "0.5", "0.5", "0.5", "--config", str(config)])
     assert code == 1
     assert out == ""
-    assert err == "error: step must be a positive finite number\n"
+    assert err == "error: expected a positive finite number, got '0'\n"
 
 
 @pytest.mark.parametrize(
     "argv, line, message",
     [
-        (["concavity", "--trials", "1"], "p1=1.5", "p1 must lie in [0, 1]"),
+        (["concavity", "--trials", "1"], "p1=1.5", "expected a number in [0, 1], got '1.5'"),
         (["scan", "--n-outer", "1", "--n-inner", "1"], "seed=-1", "expected a nonnegative integer, got '-1'"),
         (["gmap", "0.5", "0.5", "0.5"], "tol=-1", "expected a nonnegative finite number, got '-1'"),
         (["classify", "0.5", "0.5", "0.5", "0.5", "0.5", "0.5"], "tol=-1",
@@ -548,3 +561,115 @@ def test_usage_errors_exit_two(capsys):
         main(["circuit", "--beta", "1,0,0,0", "--input", "1,0,inf,0"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# one option table: a config value goes through its flag's declaration
+
+_GRAM_FILE = "{gram}"
+_SCAN = ["scan", "--n-outer", "2", "--n-inner", "50"]
+_BETA = "0.8,0.1,0.1,0.5830951894845301"
+
+# (subcommand argv without the option, config key, value); the flag is --key with _ as -
+_OPTION_CASES = [
+    (["gmap", "0.6", "0.4", "-1e-7"], "tol", "1e-6"),
+    (["gmap", "0.3", "0.6", "0.45"], "format", "csv"),
+    (["quality"], "beta", _BETA),
+    (["quality", "--beta", _BETA], "mode", "0.3,-0.5,0.8"),
+    (["quality", "--beta", _BETA], "format", "csv"),
+    (["classify", "0.5", "0.6", "0.7", "0.6211147129557122", "0.7043553429698061", "0.7914954260780958"],
+     "tol", "0.01"),
+    (["classify", "0.5", "0.6", "0.7", "0.4", "0.35", "0.3"], "format", "csv"),
+    (["fig1"], "count", "7"),
+    (["fig1"], "format", "json"),
+    (["circuit", "--input", "+x"], "beta", _BETA),
+    (["circuit", "--beta", _BETA], "variant", "b"),
+    (["circuit", "--beta", _BETA], "input", "-y"),
+    (["circuit", "--beta", _BETA], "format", "csv"),
+    (["tomography"], "beta", _BETA),
+    (["tomography", "--beta", _BETA], "channel", "D"),
+    (["tomography", "--beta", _BETA], "format", "csv"),
+    (_SCAN, "region", "outside"),
+    (["scan", "--n-inner", "50"], "n_outer", "3"),
+    (["scan", "--n-outer", "2"], "n_inner", "60"),
+    ([*_SCAN, "--region", "outside"], "seed", "5"),
+    (["scan", "--n-outer", "50", "--n-inner", "500", "--seed", "1", "--region", "outside"], "max_keep", "2"),
+    (["scan", "--n-outer", "1"], "full", None),
+    (_SCAN, "format", "csv"),
+    (["concavity", "--trials", "2"], "seed", "9"),
+    (["concavity"], "trials", "3"),
+    (["concavity", "--trials", "2"], "p1", "0.25"),
+    (["concavity", "--trials", "2"], "mode", "x"),
+    (["concavity", "--trials", "2"], "tol", "0.5"),
+    (["jacobian-check", "0.5", "0.6", "0.55"], "step", "1e-5"),
+    (["jacobian-check", "0.5", "0.6", "0.55"], "tol", "1e-12"),
+    (["check-e", _GRAM_FILE], "tol", "0.3"),
+]
+
+
+def test_option_cases_cover_every_option():
+    _, subparsers = _build_parser()
+    declared = {
+        (name, action.dest)
+        for name, sub in subparsers.items()
+        for action in sub._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    }
+    assert declared == {(argv[0], key) for argv, key, _ in _OPTION_CASES}
+
+
+@pytest.mark.parametrize(
+    "argv, key, value", _OPTION_CASES, ids=[f"{argv[0]}-{key}" for argv, key, _ in _OPTION_CASES]
+)
+def test_config_value_gives_the_same_stdout_as_its_flag(capsys, tmp_path, argv, key, value):
+    gram = tmp_path / "gram.json"
+    gram.write_text(json.dumps(complex_matrix_to_json(np.diag([0.5, 0.5, 0.2, -0.2]).astype(complex))))
+    argv = [str(gram) if a == _GRAM_FILE else a for a in argv]
+    flag = "--" + key.replace("_", "-")
+    config = tmp_path / "options.cfg"
+    config.write_text(f"{key}={'true' if value is None else value}\n")
+
+    from_flag = _run(capsys, [*argv, flag] if value is None else [*argv, flag, value])
+    from_config = _run(capsys, [*argv, "--config", str(config)])
+    default = _run(capsys, argv)
+    assert from_flag[:2] == from_config[:2]
+    assert from_flag[1]
+    if (argv[0], key) != ("concavity", "tol"):  # tol only counts violations, and these trials have none
+        assert from_flag[:2] != default[:2]
+
+
+def test_full_preset_beats_the_config_and_flags_beat_both(capsys, tmp_path):
+    config = tmp_path / "scan.cfg"
+    config.write_text("n_inner=40\n")
+    argv = ["scan", "--full", "--n-outer", "1", "--config", str(config)]
+    _, out, _ = _run(capsys, argv)
+    assert json.loads(out)["n_inner"] == 100000
+    _, out, _ = _run(capsys, [*argv, "--n-inner", "5"])
+    assert json.loads(out)["n_inner"] == 5
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (["tomography", "--beta", "1,0,0,0"], "channel", "c"),
+        (["scan"], "region", "foo"),
+        (["scan"], "n_outer", "abc"),
+        (["gmap", "0.5", "0.5", "0.5"], "format", "xml"),
+    ],
+    ids=["channel", "region", "n_outer", "format"],
+)
+def test_config_values_the_flag_rejects_exit_one_with_its_message(capsys, tmp_path, argv, key, value):
+    flag = "--" + key.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    message = err.splitlines()[-1].split(f"error: argument {flag}: ", 1)[1]
+    assert repr(value) in message
+
+    config = tmp_path / "options.cfg"
+    config.write_text(f"{key}={value}\n")
+    code, out, err = _run(capsys, [*argv, "--config", str(config)])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"

@@ -21,7 +21,7 @@ from blochcopy.channel import (
     tetrahedron_mask,
     transfer_from_gram,
 )
-from blochcopy.circuit import circuit_a, circuit_b, prepare_ancilla
+from blochcopy.circuit import channel_tomography, circuit_a, circuit_b, prepare_ancilla
 from blochcopy.optimizer import (
     b_from_beta,
     gamma_from_beta,
@@ -113,5 +113,19 @@ def test_non_finite_entries_raise_value_error(call, bad):
     ids=["isometry", "square", "rows", "gram", "residuals", "second-machine", "beta"],
 )
 def test_wrong_shapes_name_the_argument(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: channel_tomography(_BETA, 3), "output qubit must be 'B', 'C' or 'D'"),
+        (lambda: output_map(_V, 3), "output qubit must be 'B', 'C' or 'D'"),
+        (lambda: distinguishability(AffineBlochMap.identity(), _Z, -_Z, channel=3), "channel must be 'B', 'C' or 'E'"),
+    ],
+    ids=["channel_tomography", "output_map", "distinguishability"],
+)
+def test_non_string_channel_names_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
