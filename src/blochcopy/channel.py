@@ -19,7 +19,7 @@ and the E-space computational basis is |cd> (index 2c + d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -214,14 +214,7 @@ class ConstraintReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "hermiticity_error": self.hermiticity_error,
-            "trace_error": self.trace_error,
-            "isometry_error": self.isometry_error,
-            "min_eigenvalue": self.min_eigenvalue,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def check_physical(e_gram: np.ndarray, tol: float = DEFAULT_TOL) -> ConstraintReport:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import _RT2, AffineBlochMap, output_map
-from .linalg import DEFAULT_TOL, _checked
+from .linalg import DEFAULT_TOL, _checked, _in_unit_interval
 
 __all__ = [
     "CIRCUIT_A",
@@ -92,9 +92,8 @@ def beta_from_error_rates(d_xy: float, d_uv: float) -> np.ndarray:
     The ancilla (sqrt(1-d_xy)|0> + sqrt(d_xy)|1>) (x) (sqrt(1-d_uv)|0> +
     sqrt(d_uv)|1>) expands into the standard coefficient order.
     """
-    for name, d in (("d_xy", d_xy), ("d_uv", d_uv)):
-        if not 0.0 <= d <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {d}")
+    d_xy = _in_unit_interval(d_xy, "d_xy")
+    d_uv = _in_unit_interval(d_uv, "d_uv")
     return np.array(
         [
             np.sqrt((1.0 - d_xy) * (1.0 - d_uv)),

@@ -9,8 +9,9 @@ errors.
 Each option's type, choices and default are declared once, in
 _build_parser.  A config file of key=value lines (--config) supplies
 values through the same declarations; one its flag would reject exits 1
-with the flag's message.  Precedence: flag, scan --full preset, config
-file, default.  `circuit --input -x` takes -x as a value.
+with the flag's message after its file, line and key.  Precedence: flag,
+scan --full preset, config file, default.  `circuit --input -x` takes -x
+as a value.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class _UsageError(ValueError):
 
 
 def _load_config(path: str) -> dict:
-    """Read key=value lines; blank lines and # comments are skipped."""
+    """Read key=value lines into {key: (line number, value)}; blank lines and # comments are skipped."""
     out = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -60,7 +61,7 @@ def _load_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            out[key.strip()] = (lineno, value.strip())
     return out
 
 
@@ -439,14 +440,15 @@ def _config_defaults(sub: argparse.ArgumentParser, path: str) -> dict:
     """Config values parsed as their flags would be, failing with the flags' messages; other keys are ignored."""
     actions = {a.dest: a for a in sub._actions if a.option_strings and a.dest not in ("help", "config")}
     values = {}
-    for key, text in _load_config(path).items():
+    for key, (lineno, text) in _load_config(path).items():
         if key in actions:
             action = actions[key]
             try:  # argparse's own steps for a flag: the action's type, then its choices
                 value = _parse_bool(text) if action.nargs == 0 else sub._get_value(action, text)
                 sub._check_value(action, value)
-            except argparse.ArgumentError as exc:
-                raise argparse.ArgumentTypeError(exc.message) from None
+            except (argparse.ArgumentError, ValueError) as exc:  # the latter from _parse_bool
+                message = getattr(exc, "message", exc)
+                raise argparse.ArgumentTypeError(f"{path}:{lineno}: {key}: {message}") from None
             values[key] = value
     return values
 

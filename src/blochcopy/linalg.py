@@ -62,6 +62,14 @@ def _checked(
     return a
 
 
+def _in_unit_interval(x, name: str) -> float:
+    """x as a float, which must lie in [0, 1]; NaN and infinities fail too."""
+    x = float(x)
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {x}")
+    return x
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(m).T
 

@@ -2,16 +2,17 @@
 
 A centered machine shrinks the Bloch sphere along the principal axes by
 b (first copy) and c (second copy).  The two sets of semi-axes are linked
-through the machine coefficients by the chain
+through the machine coefficients: beta^2 = (1/4) Lambda (1, b), with the
+sign matrix Lambda, and beta is always taken as the componentwise positive
+square root.  The trade-off map g is then the closed form
 
-    b  <->  beta^2  <-  beta  <->  gamma  ->  gamma^2  <->  c
+    c_q = g(b)_q = 2 (beta_0 beta_q + beta_q' beta_q'')
 
-where the squared vectors convert to axes through the sign matrix Lambda
-and beta is always taken as the componentwise positive square root.
-Composing the chain left to right gives the map g: for fixed b, g(b) is the
-componentwise largest c any machine can reach.  A pair (b, c) with
-nonnegative entries is (conjecturally) optimal exactly when c = g(b) and
-b satisfies b_q >= b_q' b_q'' with 0 <= b_q <= 1.
+over the cyclic triples (q, q', q''): for fixed b, g(b) is the
+componentwise largest c any machine can reach.  One elementwise kernel
+computes it for one b and for many, with the same bits.  A pair (b, c)
+with nonnegative entries is (conjecturally) optimal exactly when c = g(b)
+and b satisfies b_q >= b_q' b_q'' with 0 <= b_q <= 1.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .channel import tetrahedron_check, tetrahedron_violations
 from .errors import NotPossibleError, NotPositiveOptimalError
-from .linalg import DEFAULT_TOL, _checked
+from .linalg import DEFAULT_TOL, _checked, _in_unit_interval
 from .pauli import CYCLIC, CYCLIC_AXES, lambda_matrix
 
 __all__ = [
@@ -46,6 +47,67 @@ __all__ = [
 ]
 
 
+# the ufuncs that add terms k = 1, 2, 3 into component j of a Lambda product (its entries are +-1)
+_LAMBDA_OPS = [[np.add if lambda_matrix()[k, j] > 0 else np.subtract for k in (1, 2, 3)] for j in range(4)]
+
+
+def _lambda_rows(terms, out) -> None:
+    """out[j] = sum_k Lambda[k, j] terms[k] for j = 0..3, summed in the order k = 0..3."""
+    for j, (op1, op2, op3) in enumerate(_LAMBDA_OPS):
+        row = out[j, ...]  # a view, also when out is one-dimensional
+        op1(terms[0], terms[1], out=row)
+        op2(row, terms[2], out=row)
+        op3(row, terms[3], out=row)
+
+
+def _positive_beta(b: np.ndarray, tol: float = DEFAULT_TOL, out: np.ndarray | None = None) -> np.ndarray:
+    """Positive coefficients of a (3, ...) array of semi-axes, as a (4, ...) array (into out if given).
+
+    beta^2 = (1/4) Lambda (1, b); a square below -tol (or NaN) raises, the
+    others are clamped to zero before the root.
+    """
+    beta = np.empty((4, *b.shape[1:])) if out is None else out
+    _lambda_rows((1.0, *b), beta)
+    beta *= 0.25
+    if beta.size and not beta.min() >= -tol:  # NaN fails too
+        raise NotPossibleError("some rows lie outside the attainable tetrahedron")
+    np.maximum(beta, 0.0, out=beta)
+    return np.sqrt(beta, out=beta)
+
+
+def _pair_products(beta: np.ndarray, p: np.ndarray | None = None, s: np.ndarray | None = None):
+    """p_q = beta_0 beta_q and s_q = beta_q' beta_q'' for q = 1, 2, 3, over a (4, ...) beta.
+
+    p and s are (3, ...) outputs, allocated when None; p may be beta[1:]
+    itself, since s is written first.
+    """
+    if s is None:
+        s = np.empty((3, *beta.shape[1:]))
+    for i, (_, qp, qpp) in enumerate(CYCLIC):
+        np.multiply(beta[qp], beta[qpp], out=s[i, ...])
+    return np.multiply(beta[0], beta[1:], out=p), s
+
+
+def _g_from_beta(beta: np.ndarray, p: np.ndarray | None = None, s: np.ndarray | None = None) -> np.ndarray:
+    """Second-copy semi-axes c_q = 2 (beta_0 beta_q + beta_q' beta_q''); p and s as in _pair_products."""
+    c, s = _pair_products(beta, p, s)
+    c += s
+    c *= 2.0
+    return c
+
+
+def _g_columns(cols: np.ndarray, tol: float = DEFAULT_TOL, work: np.ndarray | None = None) -> np.ndarray:
+    """g over the columns of a (3, n) array of semi-axes, as a (3, n) view into work.
+
+    work is a (2, 4, m) float buffer with m >= n (allocated when None) that
+    holds beta and the pair products; the result is valid until work is reused.
+    """
+    n = cols.shape[1]
+    work = np.empty((2, 4, n)) if work is None else work[:, :, :n]
+    beta = _positive_beta(cols, tol=tol, out=work[0])
+    return _g_from_beta(beta, p=beta[1:], s=work[1, 1:])
+
+
 def beta_from_b(b, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Positive machine coefficients realizing centered semi-axes b.
 
@@ -53,12 +115,12 @@ def beta_from_b(b, tol: float = DEFAULT_TOL) -> np.ndarray:
     clamped to zero, anything lower means b is unattainable.
     """
     b = _checked(b, "b", (3,), finite=False)
-    beta_sq = 0.25 * (lambda_matrix() @ np.concatenate(([1.0], b)))
-    if not np.all(beta_sq >= -tol):  # NaN and inf fail too
+    try:
+        return _positive_beta(b, tol=tol)
+    except NotPossibleError:
         names = tetrahedron_violations(b, tol=4.0 * tol)
         detail = "; ".join(names) if names else "axes outside the attainable tetrahedron"
-        raise NotPossibleError(f"tetrahedron violated: {detail}")
-    return np.sqrt(np.maximum(beta_sq, 0.0))
+        raise NotPossibleError(f"tetrahedron violated: {detail}") from None
 
 
 def b_from_beta(beta) -> np.ndarray:
@@ -75,57 +137,14 @@ def gamma_from_beta(beta) -> np.ndarray:
 def g_map(b, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Best semi-axes of the second copy given semi-axes b of the first.
 
-    Runs the coefficient chain with the positive square root, so the result
-    is always componentwise nonnegative.
+    The closed form of the positive coefficients, so the result is always
+    componentwise nonnegative.
     """
-    beta = beta_from_b(b, tol=tol)
-    gamma = 0.5 * (lambda_matrix() @ beta)  # gamma_from_beta, without checking beta again
-    return (lambda_matrix() @ (gamma**2))[1:]
-
-
-def _lambda_rows(terms, out, first: int = 0) -> None:
-    """out[j - first] = sum_k Lambda[k, j] terms[k] for j = first..3.
-
-    Lambda's entries are +-1 and its row 0 is all ones, so each sum is three
-    adds or subtracts in the order k = 0..3: the only rounding, as in a BLAS
-    product with the same operands.
-    """
-    lam = lambda_matrix()
-    for row, j in zip(out, range(first, 4)):
-        ops = [np.add if lam[k, j] > 0 else np.subtract for k in (1, 2, 3)]
-        ops[0](terms[0], terms[1], out=row)
-        ops[1](row, terms[2], out=row)
-        ops[2](row, terms[3], out=row)
-
-
-def _g_columns(cols: np.ndarray, tol: float = DEFAULT_TOL, work: np.ndarray | None = None) -> np.ndarray:
-    """g over the columns of a (3, n) array of semi-axes, as a (3, n) view into work.
-
-    work is a (2, 4, m) float buffer with m >= n (allocated when None) that
-    holds beta and then gamma; the result is valid until work is reused.
-    Each step scales, sums and rounds exactly as the matmul chain
-    beta^2 = (1/4 (1, b)) Lambda, gamma = (1/2 beta) Lambda, c = gamma^2 Lambda
-    does, so the bits equal those of that chain.
-    """
-    n = cols.shape[1]
-    if work is None:
-        work = np.empty((2, 4, n))
-    beta, gamma = work[0, :, :n], work[1, :, :n]
-    quarter_b = np.multiply(cols, 0.25, out=gamma[1:])
-    _lambda_rows((0.25, *quarter_b), beta)
-    if n and not beta.min() >= -tol:  # NaN fails too
-        raise NotPossibleError("some rows lie outside the attainable tetrahedron")
-    np.maximum(beta, 0.0, out=beta)
-    np.sqrt(beta, out=beta)
-    beta *= 0.5
-    _lambda_rows(beta, gamma)
-    np.square(gamma, out=gamma)
-    _lambda_rows(gamma, beta[1:], first=1)
-    return beta[1:]
+    return _g_from_beta(beta_from_b(b, tol=tol))
 
 
 def g_map_many(b_rows: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Vectorized g_map over the rows of an (n, 3) array."""
+    """Vectorized g_map over the rows of an (n, 3) array, bit for bit equal to it."""
     b_rows = _checked(b_rows, "b_rows", (..., 3), finite=False).reshape(-1, 3)
     return _g_columns(b_rows.T, tol=tol).T
 
@@ -136,9 +155,7 @@ def isotropic_tradeoff(r: float) -> float:
     s(r) = (1/2) (1 - r + sqrt((1 - r)(1 + 3 r))); the curve is its own
     inverse and crosses the diagonal at 2/3.
     """
-    r = float(r)
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"shrink factor must lie in [0, 1], got {r}")
+    r = _in_unit_interval(r, "r")
     return float(0.5 * (1.0 - r + np.sqrt((1.0 - r) * (1.0 + 3.0 * r))))
 
 
@@ -147,8 +164,8 @@ def h_vector(beta) -> np.ndarray:
 
     The same expression evaluated on the partner gamma gives the same vector.
     """
-    beta = _checked(beta, "beta", (4,))
-    return 2.0 * np.array([beta[0] * beta[q] - beta[qp] * beta[qpp] for q, qp, qpp in CYCLIC])
+    p, s = _pair_products(_checked(beta, "beta", (4,)))
+    return 2.0 * (p - s)
 
 
 def class_p_check(xi, tol: float = 0.0) -> bool:
@@ -279,7 +296,7 @@ def classify_pair(b, c, tol: float = DEFAULT_TOL) -> OptimalPair:
         gamma4 = float(np.prod(gamma))
         gamma4_nonneg = gamma4 >= -tol
         residuals["gamma4"] = gamma4
-        residuals["c_minus_g_b"] = float(np.max(np.abs(g_map(b, tol=tol) - c)))
+        residuals["c_minus_g_b"] = float(np.max(np.abs(_g_from_beta(beta) - c)))
     if possible_c:
         residuals["b_minus_g_c"] = float(np.max(np.abs(g_map(c, tol=tol) - b)))
     if possible:
@@ -305,26 +322,15 @@ def classify_pair(b, c, tol: float = DEFAULT_TOL) -> OptimalPair:
 def _sign_patterns(v: np.ndarray) -> list[np.ndarray]:
     """Distinct sign variants of one side of a positive optimal pair.
 
-    With all components nonzero only an even number of flips is allowed;
-    a zero component absorbs one flip, so any pattern on the nonzero
-    components becomes reachable.
+    The variants with a nonnegative component product: with no zero
+    component an even number of flips, else any flips of the nonzero ones.
     """
-    nonzero = [i for i in range(3) if v[i] != 0.0]
-    if len(nonzero) == 3:
-        sign_sets = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
-    else:
-        sign_sets = []
-        for signs in product((1, -1), repeat=len(nonzero)):
-            full = [1, 1, 1]
-            for i, s in zip(nonzero, signs):
-                full[i] = s
-            sign_sets.append(tuple(full))
     seen = set()
     out = []
-    for signs in sign_sets:
-        variant = v * np.asarray(signs, dtype=float)
+    for signs in product((1.0, -1.0), repeat=3):
+        variant = v * np.array(signs)
         key = tuple(variant)
-        if key not in seen:
+        if np.prod(variant) >= 0 and key not in seen:
             seen.add(key)
             out.append(variant)
     return out
@@ -369,7 +375,7 @@ def jacobians(beta) -> JacobianPair:
     gamma = gamma_from_beta(beta)
     h = h_vector(beta)
     b = b_from_beta(beta)
-    c = b_from_beta(gamma)
+    c = _g_from_beta(beta)
     j = np.empty((3, 3))
     k = np.empty((3, 3))
     for q, qp, qpp in CYCLIC_AXES:

@@ -15,7 +15,8 @@ from .channel import AffineBlochMap, isometry_residuals, realize_e_vectors
 from .circuit import channel_tomography
 from .errors import NotHermitianError, NotPhysicalError
 from .linalg import DEFAULT_TOL, _checked, _hermiticity_error
-from .pauli import CYCLIC, l_table
+from .optimizer import _pair_products
+from .pauli import l_table
 
 __all__ = [
     "trace_norm",
@@ -102,14 +103,9 @@ def quality_e_diagonal(beta, m) -> float:
     for the eigensolve path, and the analogue of quality_bloch with the
     cloning partner's axes.
     """
-    beta = _checked(beta, "beta", (4,))
+    p, s = _pair_products(_checked(beta, "beta", (4,)))
     m = _unit_mode(m)
-    c_tilde = np.array(
-        [
-            2.0 * (abs(beta[0] * beta[q]) + abs(beta[qp] * beta[qpp]))
-            for q, qp, qpp in CYCLIC
-        ]
-    )
+    c_tilde = 2.0 * (np.abs(p) + np.abs(s))
     return float(np.sqrt(np.sum((c_tilde * m) ** 2)))
 
 

@@ -22,8 +22,8 @@ from functools import partial
 import numpy as np
 
 from .channel import b_from_e, extract_e_vectors, gram_matrix, tetrahedron_mask
-from .linalg import _checked, random_isometry
-from .optimizer import _g_columns, g_map, positive_optimal_mask
+from .linalg import _checked, _in_unit_interval, random_isometry
+from .optimizer import _g_columns, positive_optimal_mask
 from .pauli import lambda_matrix
 from .quality import quality_e
 
@@ -142,8 +142,9 @@ class ScanReport:
     violations: list = field(default_factory=list)
     elapsed: float = 0.0
 
-    def to_json(self, include_elapsed: bool = False) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        """Every field but elapsed, which stays out so equal configs give equal payloads."""
+        return {
             "region": self.region,
             "seed": self.seed,
             "n_outer": self.n_outer,
@@ -152,9 +153,6 @@ class ScanReport:
             "n_violations": self.n_violations,
             "violations": self.violations,
         }
-        if include_elapsed:
-            out["elapsed"] = self.elapsed
-        return out
 
     def to_csv(self) -> str:
         """Counterexample records, one row per violation."""
@@ -198,14 +196,9 @@ def monotonicity_scan(config: ScanConfig) -> ScanReport:
     for lo in range(0, config.n_outer, per_tile):
         points = children[lo : lo + per_tile]
         m = len(points)
-        b = np.empty((m, 3))
-        g_b = np.empty((m, 3))
-        rngs = []
-        for k, child in enumerate(points):
-            rng = np.random.default_rng(child)
-            b[k] = sampler(rng)
-            g_b[k] = g_map(b[k])
-            rngs.append(rng)
+        rngs = [np.random.default_rng(child) for child in points]
+        b = np.array([sampler(rng) for rng in rngs])
+        g_b = _g_columns(b.T)
         lower, scale = b.T[:, :, None], (1.0 - b).T[:, :, None]
         # a point with more than seg rows draws them segment by segment,
         # which consumes its stream exactly like one draw of all of them
@@ -226,9 +219,9 @@ def monotonicity_scan(config: ScanConfig) -> ScanReport:
             sel = np.take(cand.reshape(3, n), idx, axis=1, out=picked[: 3 * len(idx)].reshape(3, -1))
             g_cand = _g_columns(sel, work=work)
             owner = idx // rows
-            dominated = g_cand[0] >= g_b[owner, 0]
+            dominated = g_cand[0] >= g_b[0, owner]
             for q in (1, 2):
-                dominated &= g_cand[q] >= g_b[owner, q]
+                dominated &= g_cand[q] >= g_b[q, owner]
             bad = np.flatnonzero(dominated)
             n_violations += len(bad)
             for i in bad[: config.max_keep - len(kept)]:
@@ -237,7 +230,7 @@ def monotonicity_scan(config: ScanConfig) -> ScanReport:
                     {
                         "b": b[k].tolist(),
                         "candidate": sel[:, i].tolist(),
-                        "g_b": g_b[k].tolist(),
+                        "g_b": g_b[:, k].tolist(),
                         "g_candidate": g_cand[:, i].tolist(),
                     }
                 )
@@ -300,8 +293,7 @@ def mixed_isometry(v1: np.ndarray, v2: np.ndarray, p1: float) -> np.ndarray:
     """
     v1 = _checked(v1, "v1", ("2d", 2), complex)
     v2 = _checked(v2, "v2", ("2d", 2), complex)
-    if not 0.0 <= p1 <= 1.0:
-        raise ValueError("mixing probability must lie in [0, 1]")
+    p1 = _in_unit_interval(p1, "p1")
     d1 = len(v1) // 2
     d2 = len(v2) // 2
     d = d1 + d2

@@ -4,11 +4,14 @@ apply_gate runs one gate by index arithmetic on the amplitudes, the way
 the circuits were first simulated; the package builds each gate's matrix
 instead.  partial_trace and reduced_state read output qubits off full
 density matrices, where the package uses the Heisenberg picture.
+sign_patterns enumerates sign variants in two branches, on whether a
+component is zero; the package takes one pass over all eight patterns.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import numpy as np
 
@@ -106,3 +109,26 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+def sign_patterns(v: np.ndarray) -> list[np.ndarray]:
+    """Distinct sign variants of v: even flips when no component is zero, else any flips of the nonzero ones."""
+    nonzero = [i for i in range(3) if v[i] != 0.0]
+    if len(nonzero) == 3:
+        sign_sets = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
+    else:
+        sign_sets = []
+        for signs in product((1, -1), repeat=len(nonzero)):
+            full = [1, 1, 1]
+            for i, s in zip(nonzero, signs):
+                full[i] = s
+            sign_sets.append(tuple(full))
+    seen = set()
+    out = []
+    for signs in sign_sets:
+        variant = v * np.asarray(signs, dtype=float)
+        key = tuple(variant)
+        if key not in seen:
+            seen.add(key)
+            out.append(variant)
+    return out

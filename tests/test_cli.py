@@ -111,7 +111,7 @@ def test_fig1_needs_two_points(capsys, tmp_path):
     config.write_text("count=1\n")
     code, _, err = _run(capsys, ["fig1", "--config", str(config)])
     assert code == 1
-    assert err == "error: expected an integer of at least 2, got '1'\n"
+    assert err == f"error: {config}:1: count: expected an integer of at least 2, got '1'\n"
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +238,7 @@ def test_tomography_rejects_nan_beta(capsys, tmp_path):
     code, out, err = _run(capsys, ["tomography", "--config", str(config)])
     assert code == 1
     assert out == ""
-    assert err.startswith("error: beta must have unit squared norm")
+    assert err.startswith(f"error: {config}:1: beta: beta must have unit squared norm")
 
 
 def test_tomography_json_channel_c(capsys):
@@ -358,7 +358,7 @@ def test_zero_step_from_a_config_file_is_a_runtime_error(capsys, tmp_path):
     code, out, err = _run(capsys, ["jacobian-check", "0.5", "0.5", "0.5", "--config", str(config)])
     assert code == 1
     assert out == ""
-    assert err == "error: expected a positive finite number, got '0'\n"
+    assert err == f"error: {config}:1: step: expected a positive finite number, got '0'\n"
 
 
 @pytest.mark.parametrize(
@@ -375,11 +375,11 @@ def test_zero_step_from_a_config_file_is_a_runtime_error(capsys, tmp_path):
 )
 def test_out_of_range_values_from_a_config_file_exit_one(capsys, tmp_path, argv, line, message):
     config = tmp_path / "options.cfg"
-    config.write_text(line + "\n")
+    config.write_text("# a comment, then the value\n" + line + "\n")
     code, out, err = _run(capsys, [*argv, "--config", str(config)])
     assert code == 1
     assert out == ""
-    assert err == f"error: {message}\n"
+    assert err == f"error: {config}:2: {line.partition('=')[0]}: {message}\n"
 
 
 def test_scan_exit_code_on_good_region_violation(capsys, monkeypatch):
@@ -672,4 +672,4 @@ def test_config_values_the_flag_rejects_exit_one_with_its_message(capsys, tmp_pa
     code, out, err = _run(capsys, [*argv, "--config", str(config)])
     assert code == 1
     assert out == ""
-    assert err == f"error: {message}\n"
+    assert err == f"error: {config}:1: {key}: {message}\n"

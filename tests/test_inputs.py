@@ -21,11 +21,12 @@ from blochcopy.channel import (
     tetrahedron_mask,
     transfer_from_gram,
 )
-from blochcopy.circuit import channel_tomography, circuit_a, circuit_b, prepare_ancilla
+from blochcopy.circuit import beta_from_error_rates, channel_tomography, circuit_a, circuit_b, prepare_ancilla
 from blochcopy.optimizer import (
     b_from_beta,
     gamma_from_beta,
     h_vector,
+    isotropic_tradeoff,
     jacobians,
     same_order,
 )
@@ -129,3 +130,20 @@ def test_wrong_shapes_name_the_argument(call, message):
 def test_non_string_channel_names_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# each case calls one public function with one argument in [0, 1] set to `bad`
+_UNIT_INTERVAL_CASES = {
+    "r": lambda bad: isotropic_tradeoff(bad),
+    "p1": lambda bad: mixed_isometry(_V, _V, bad),
+    "d_xy": lambda bad: beta_from_error_rates(bad, 0.5),
+    "d_uv": lambda bad: beta_from_error_rates(0.5, bad),
+}
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan, np.inf], ids=["below", "above", "nan", "inf"])
+@pytest.mark.parametrize("name", list(_UNIT_INTERVAL_CASES))
+def test_values_outside_the_unit_interval_are_named(name, bad):
+    with pytest.raises(ValueError) as err:
+        _UNIT_INTERVAL_CASES[name](bad)
+    assert str(err.value) == f"{name} must lie in [0, 1], got {bad}"

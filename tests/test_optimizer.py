@@ -1,5 +1,7 @@
 """Coefficient chain, trade-off map, pair classification, Jacobians."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from blochcopy.channel import tetrahedron_check
 from blochcopy.errors import NotPossibleError, NotPositiveOptimalError
 from blochcopy.optimizer import (
     _g_columns,
+    _sign_patterns,
     b_from_beta,
     beta_from_b,
     class_p_check,
@@ -26,6 +29,7 @@ from blochcopy.optimizer import (
 )
 from blochcopy.pauli import lambda_matrix
 from blochcopy.validation import sample_good_region
+from oracles import sign_patterns
 
 
 def _random_tetra(rng):
@@ -81,7 +85,16 @@ def test_g_map_many_matches_scalar_map():
     rows = np.array([_random_tetra(rng) for _ in range(64)])
     batch = g_map_many(rows)
     for row, out in zip(rows, batch):
-        assert out == pytest.approx(g_map(row), abs=1e-14)
+        assert np.array_equal(out, g_map(row))
+
+
+_ATTAINABLE_AXES = st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 3).filter(tetrahedron_check)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_ATTAINABLE_AXES)
+def test_scalar_and_batch_g_agree_bit_for_bit(b):
+    assert g_map(b).tobytes() == g_map_many([b])[0].tobytes()
 
 
 def _matmul_g(b_rows):
@@ -94,20 +107,24 @@ def _matmul_g(b_rows):
 
 
 def _sequential_g(b_rows):
-    """g with every Lambda product written out as a left-to-right sum."""
-    x0, x1, x2, x3 = 0.25, *(0.25 * b_rows.T)
-    beta_sq = [
-        ((x0 + x1) + x2) + x3,
-        ((x0 + x1) - x2) - x3,
-        ((x0 - x1) + x2) - x3,
-        ((x0 - x1) - x2) + x3,
-    ]
-    y0, y1, y2, y3 = (0.5 * np.sqrt(np.maximum(v, 0.0)) for v in beta_sq)
-    s0, s1, s2, s3 = (
-        v**2
-        for v in (((y0 + y1) + y2) + y3, ((y0 + y1) - y2) - y3, ((y0 - y1) + y2) - y3, ((y0 - y1) - y2) + y3)
+    """g in closed form, each component written out.
+
+    beta_j^2 = 1/4 (1 +- b1 +- b2 +- b3) summed left to right, then
+    c_q = 2 (beta_0 beta_q + beta_q' beta_q'').
+    """
+    b1, b2, b3 = np.asarray(b_rows, dtype=float).T
+    beta0, beta1, beta2, beta3 = (
+        np.sqrt(np.maximum(0.25 * v, 0.0))
+        for v in (((1.0 + b1) + b2) + b3, ((1.0 + b1) - b2) - b3, ((1.0 - b1) + b2) - b3, ((1.0 - b1) - b2) + b3)
     )
-    return np.stack([((s0 + s1) - s2) - s3, ((s0 - s1) + s2) - s3, ((s0 - s1) - s2) + s3], axis=1)
+    return np.stack(
+        [
+            2.0 * (beta0 * beta1 + beta2 * beta3),
+            2.0 * (beta0 * beta2 + beta3 * beta1),
+            2.0 * (beta0 * beta3 + beta1 * beta2),
+        ],
+        axis=1,
+    )
 
 
 def test_g_columns_equals_the_sequential_sum_oracle():
@@ -123,10 +140,38 @@ def test_g_columns_equals_the_sequential_sum_oracle():
             got = g_map_many(rows)
             assert np.array_equal(got, _sequential_g(rows))
             assert np.array_equal(_g_columns(rows.T, work=np.empty((2, 4, len(rows) + 5))).T, got)
-            # bit-equal where the BLAS sums over k in order; that order is the
-            # BLAS's choice, so only a tolerance is gated
+            # the chain rounds differently, and its summation order is the BLAS's
+            # choice, so only a tolerance is gated
             assert np.max(np.abs(got - _matmul_g(rows))) <= 1e-15
     assert g_map_many(np.empty((0, 3))).shape == (0, 3)
+
+
+def _decimal_g(b):
+    """g of the doubles in b, exact to 50 digits: the stdlib decimal oracle."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x1, x2, x3 = (Decimal(float(v)) for v in b)
+        squares = ((1 + x1 + x2 + x3) / 4, (1 + x1 - x2 - x3) / 4, (1 - x1 + x2 - x3) / 4, (1 - x1 - x2 + x3) / 4)
+        b0, b1, b2, b3 = (max(v, Decimal(0)).sqrt() for v in squares)
+        return (2 * (b0 * b1 + b2 * b3), 2 * (b0 * b2 + b3 * b1), 2 * (b0 * b3 + b1 * b2))
+
+
+def _row_errors(got, exact):
+    """Largest absolute error of each row against the oracle."""
+    return np.array([max(float(abs(Decimal(float(g)) - w)) for g, w in zip(row, want)) for row, want in zip(got, exact)])
+
+
+def test_g_is_more_accurate_than_the_matmul_chain():
+    # 20,000 attainable axes Lambda p, p uniform on the simplex; the near-face
+    # rows, where the root amplifies the rounding of beta^2, set the maximum
+    # error of every path alike, so the mean and the 99th percentile are gated
+    rng = np.random.default_rng(2024)
+    rows = np.einsum("qk,nk->nq", lambda_matrix()[1:], rng.dirichlet(np.ones(4), size=20_000))
+    exact = [_decimal_g(b) for b in rows]
+    err = _row_errors(g_map_many(rows), exact)
+    chain = _row_errors(_matmul_g(rows), exact)
+    assert err.mean() <= 1.1e-16 and np.percentile(err, 99) <= 3.2e-16
+    assert err.mean() < chain.mean() and np.percentile(err, 99) < np.percentile(chain, 99)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +482,18 @@ def test_sign_variants_stay_attainable():
         assert np.prod(cv) >= 0.0
         assert tetrahedron_check(bv)
         assert tetrahedron_check(cv)
+
+
+def test_sign_patterns_match_the_two_branch_oracle():
+    # byte for byte, so order and the +0.0 kept on zero components count too
+    rng = np.random.default_rng(72)
+    vectors = list(rng.random((2000, 3)))
+    with_zeros = rng.random((2000, 3))
+    with_zeros[rng.random((2000, 3)) < 0.5] = 0.0
+    vectors += list(with_zeros) + [np.zeros(3), np.ones(3), np.array([0.0, 1.0, 0.0])]
+    for v in vectors:
+        got, want = _sign_patterns(v), sign_patterns(v)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
 
 def test_sign_variants_need_a_positive_optimal_pair():
