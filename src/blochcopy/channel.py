@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotHermitianError, NotIsometricError, NotPhysicalError
-from .linalg import DEFAULT_TOL, _checked, _hermiticity_error
+from .linalg import DEFAULT_TOL, _checked, _hermiticity_error, dagger
 from .pauli import CYCLIC, CYCLIC_AXES, SIGMA, l_table
 
 __all__ = [
@@ -165,16 +165,17 @@ def gram_from_transfer(transfer: np.ndarray) -> np.ndarray:
     return 0.25 * np.einsum("jklm,lm->jk", l_table(), transfer)
 
 
-def isometry_residuals(e_gram: np.ndarray) -> tuple[float, float]:
+def isometry_residuals(e_gram: np.ndarray) -> tuple:
     """Residuals of the two isometry conditions on a Gram matrix.
 
     Returns (trace residual |sum_l E_ll - 1|, largest residual of
-    Re E_0q = Im E_q'q'' over the cyclic triples).
+    Re E_0q = Im E_q'q'' over the cyclic triples), as arrays for a stack.
     """
-    e_gram = _checked(e_gram, "e_gram", (4, 4), complex)
-    trace_err = abs(np.trace(e_gram) - 1.0)
-    reim = max(abs(e_gram[0, q].real - e_gram[qp, qpp].imag) for q, qp, qpp in CYCLIC)
-    return float(trace_err), float(reim)
+    e_gram = _checked(e_gram, "e_gram", (..., 4, 4), complex)
+    q, qp, qpp = np.transpose(CYCLIC)
+    trace_err = np.abs(np.trace(e_gram, axis1=-2, axis2=-1) - 1.0)
+    reim = np.max(np.abs(e_gram[..., 0, q].real - e_gram[..., qp, qpp].imag), axis=-1)
+    return (float(trace_err), float(reim)) if e_gram.ndim == 2 else (trace_err, reim)
 
 
 def b_from_e(e_gram: np.ndarray, check: bool = True, tol: float = DEFAULT_TOL) -> AffineBlochMap:
@@ -361,31 +362,31 @@ def extract_e_vectors(v: np.ndarray) -> np.ndarray:
     """Recover the four expansion vectors from an isometry into B (x) E.
 
     Inverts isometry_from_e_vectors via e_l[d] = (1/2) sum_ba conj(sigma_l[b,a]) V[(b,d),a].
-    Accepts any even number of rows; the E dimension is rows / 2.
+    Accepts any even number of rows, and stacks; the E dimension is rows / 2.
     """
-    v = _checked(v, "v", ("2d", 2), complex)
-    return 0.5 * np.einsum("lba,bda->ld", SIGMA.conj(), v.reshape(2, len(v) // 2, 2))
+    v = _checked(v, "v", (..., "2d", 2), complex)
+    return 0.5 * np.einsum("lba,...bda->...ld", SIGMA.conj(), v.reshape(*v.shape[:-2], 2, v.shape[-2] // 2, 2))
 
 
 def gram_matrix(e_vectors: np.ndarray) -> np.ndarray:
-    """Gram matrix E_lm = <e_l|e_m> of the expansion vectors."""
-    e_vectors = _checked(e_vectors, "e_vectors", (4, "d"), complex)
-    return e_vectors.conj() @ e_vectors.T
+    """Gram matrix E_lm = <e_l|e_m> of the expansion vectors, or of each set in a stack."""
+    e_vectors = _checked(e_vectors, "e_vectors", (..., 4, "d"), complex)
+    return e_vectors.conj() @ np.swapaxes(e_vectors, -1, -2)
 
 
-def realize_e_vectors(e_gram: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def realize_e_vectors(e_gram: np.ndarray) -> np.ndarray:
     """Concrete expansion vectors in the 4-dimensional E space with the given Gram matrix.
 
     The realization is fixed by the eigendecomposition of the Gram matrix
-    and is unique up to a unitary on E.  Eigenvalues in [-tol, 0) are
-    clipped to zero; anything lower raises NotPhysicalError.
+    and is unique up to a unitary on E.  Eigenvalues in [-DEFAULT_TOL, 0)
+    are clipped to zero; anything lower, anywhere in a stack, raises NotPhysicalError.
     """
-    e_gram = _checked(e_gram, "e_gram", (4, 4), complex)
-    w, u = np.linalg.eigh(0.5 * (e_gram + np.conj(e_gram).T))
-    if w[0] < -tol:
-        raise NotPhysicalError(f"Gram matrix has negative eigenvalue {w[0]:.3e}")
-    w = np.maximum(w, 0.0)
-    return u.conj() * np.sqrt(w)[None, :]
+    e_gram = _checked(e_gram, "e_gram", (..., 4, 4), complex)
+    w, u = np.linalg.eigh(0.5 * (e_gram + dagger(e_gram)))
+    lowest = np.min(w[..., 0], initial=np.inf)
+    if lowest < -DEFAULT_TOL:
+        raise NotPhysicalError(f"Gram matrix has negative eigenvalue {lowest:.3e}")
+    return u.conj() * np.sqrt(np.maximum(w, 0.0))[..., None, :]
 
 
 def output_map(v: np.ndarray, qubit: str = "B") -> AffineBlochMap:

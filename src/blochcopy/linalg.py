@@ -71,16 +71,16 @@ def _in_unit_interval(x, name: str) -> float:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(m).T
+    return np.swapaxes(np.conj(m), -1, -2)
 
 
-def _hermiticity_error(m: np.ndarray) -> float:
-    """Largest entrywise deviation of m from its conjugate transpose.
+def _hermiticity_error(m: np.ndarray) -> float | np.ndarray:
+    """Largest entrywise deviation of m from its conjugate transpose: a float, or one per matrix of a stack.
 
-    Unchecked: every caller has passed m through _checked as a square matrix.
+    Unchecked: every caller has passed m through _checked as square matrices.
     """
-    m = np.asarray(m)
-    return float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
+    err = np.max(np.abs(m - dagger(m)), axis=(-2, -1), initial=0.0)
+    return float(err) if err.ndim == 0 else err
 
 
 def random_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

@@ -31,13 +31,14 @@ __all__ = [
 ]
 
 
-def trace_norm(h: np.ndarray, tol: float = DEFAULT_TOL) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    h = _checked(h, "h", ("n", "n"), complex)
+def trace_norm(h: np.ndarray) -> float | np.ndarray:
+    """Sum of absolute eigenvalues of a Hermitian matrix, or of each matrix in a stack."""
+    h = _checked(h, "h", (..., "n", "n"), complex)
     err = _hermiticity_error(h)
-    if err > tol * max(1.0, float(np.max(np.abs(h)))):
-        raise NotHermitianError(f"matrix deviates from Hermitian by {err:.3e}")
-    return float(np.sum(np.abs(np.linalg.eigvalsh(h))))
+    if np.any(err > DEFAULT_TOL * np.maximum(1.0, np.max(np.abs(h), axis=(-2, -1)))):
+        raise NotHermitianError(f"matrix deviates from Hermitian by {np.max(err):.3e}")
+    norms = np.sum(np.abs(np.linalg.eigvalsh(h)), axis=-1)
+    return float(norms) if h.ndim == 2 else norms
 
 
 def min_error_rate(rho1: np.ndarray, rho2: np.ndarray, p1: float = 0.5, p2: float = 0.5) -> float:
@@ -65,32 +66,31 @@ def omega_e(e_vectors: np.ndarray, m) -> np.ndarray:
     F_lm = sum_jk L(jk;lm) |e_j><e_k| is an operator on the E space.
 
     Works for expansion vectors of any dimension (the block-embedded case
-    included).  Equals the partial trace over B of V (m . sigma / 2) V^dag.
+    included) and stacks.  Equals the partial trace over B of V (m . sigma / 2) V^dag.
     """
     m = _unit_mode(m)
-    e_vectors = _checked(e_vectors, "e_vectors", (4, "d"), complex)
-    return np.einsum("q,jkq,jd,ke->de", m, l_table()[:, :, 1:, 0], e_vectors, e_vectors.conj())
+    e_vectors = _checked(e_vectors, "e_vectors", (..., 4, "d"), complex)
+    return np.einsum("q,jkq,...jd,...ke->...de", m, l_table()[:, :, 1:, 0], e_vectors, e_vectors.conj())
 
 
-def quality_e_from_vectors(e_vectors: np.ndarray, m) -> float:
+def quality_e_from_vectors(e_vectors: np.ndarray, m) -> float | np.ndarray:
     """Environment quality from concrete expansion vectors (no physicality check)."""
     return trace_norm(omega_e(e_vectors, m))
 
 
-def quality_e(e_gram: np.ndarray, m, tol: float = DEFAULT_TOL) -> float:
-    """Environment quality Tr|Omega_E(m)| of a physical machine Gram matrix.
+def quality_e(e_gram: np.ndarray, m) -> float | np.ndarray:
+    """Environment quality Tr|Omega_E(m)| of a physical machine Gram matrix, or of each in a stack.
 
     Raises NotPhysicalError on every Gram matrix that check_physical fails:
     realize_e_vectors runs the one eigendecomposition and rejects negative
-    eigenvalues, the Hermiticity and isometry residuals are tested here.
+    eigenvalues, the Hermiticity and isometry residuals (worst of a stack) are tested here.
     """
-    e_vectors = realize_e_vectors(e_gram, tol=tol)
+    e_vectors = realize_e_vectors(e_gram)
     herm = _hermiticity_error(e_gram)
-    residual = max(isometry_residuals(e_gram))
-    if not max(herm, residual) <= tol:
+    residual = np.maximum(*isometry_residuals(e_gram))
+    if not np.all(np.maximum(herm, residual) <= DEFAULT_TOL):
         raise NotPhysicalError(
-            "Gram matrix fails physicality: "
-            f"Hermiticity error {herm:.3e}, isometry residual {residual:.3e}"
+            f"Gram matrix fails physicality: Hermiticity error {np.max(herm):.3e}, isometry residual {np.max(residual):.3e}"
         )
     return quality_e_from_vectors(e_vectors, m)
 

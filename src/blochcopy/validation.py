@@ -261,15 +261,13 @@ def symmetry_check(e_gram: np.ndarray, mode, tol: float = 1e-10) -> tuple[float,
     """Verify the time-reversal symmetry on one machine Gram matrix.
 
     Checks that the reversed machine has the exact same linear part, the
-    exact negated displacement, and equal eavesdropper quality along the
-    given mode direction.  Returns the two quality values.  The quality of
-    the machine is computed first, so a Gram matrix that fails the
-    physicality checks raises NotPhysicalError; its reversal is physical
-    exactly when it is.
+    exact negated displacement, and eavesdropper qualities along the given
+    mode direction within tol, and returns the two.  A Gram matrix
+    that fails the physicality checks raises NotPhysicalError (its reversal
+    is physical exactly when it is).
     """
     e_rev = time_reversed_gram(e_gram)
-    q = quality_e(e_gram, mode)
-    q_rev = quality_e(e_rev, mode)
+    q, q_rev = quality_e(np.stack([e_gram, e_rev]), mode).tolist()
 
     bmap = b_from_e(e_gram, check=False)
     bmap_rev = b_from_e(e_rev, check=False)
@@ -289,28 +287,25 @@ def mixed_isometry(v1: np.ndarray, v2: np.ndarray, p1: float) -> np.ndarray:
 
     The E spaces are stacked as orthogonal blocks, so the mixture's Gram
     matrix is exactly p1 E1 + (1 - p1) E2.  Row order keeps the B bit most
-    significant.
+    significant.  Stacks of machines with equal leading shapes mix pairwise.
     """
-    v1 = _checked(v1, "v1", ("2d", 2), complex)
-    v2 = _checked(v2, "v2", ("2d", 2), complex)
+    v1 = _checked(v1, "v1", (..., "2d", 2), complex)
+    v2 = _checked(v2, "v2", (..., "2d", 2), complex)
+    lead = v1.shape[:-2]
+    if v2.shape[:-2] != lead:
+        raise ValueError(f"v1 and v2 must have equal leading shapes, got {lead} and {v2.shape[:-2]}")
     p1 = _in_unit_interval(p1, "p1")
-    d1 = len(v1) // 2
-    d2 = len(v2) // 2
-    d = d1 + d2
-    w = np.zeros((2 * d, 2), dtype=complex)
-    for b in (0, 1):
-        w[b * d : b * d + d1] = np.sqrt(p1) * v1[b * d1 : (b + 1) * d1]
-        w[b * d + d1 : (b + 1) * d] = np.sqrt(1.0 - p1) * v2[b * d2 : (b + 1) * d2]
-    return w
+    w1 = np.sqrt(p1) * v1.reshape(*lead, 2, v1.shape[-2] // 2, 2)
+    w2 = np.sqrt(1.0 - p1) * v2.reshape(*lead, 2, v2.shape[-2] // 2, 2)
+    return np.concatenate([w1, w2], axis=-2).reshape(*lead, v1.shape[-2] + v2.shape[-2], 2)
 
 
-def concavity_check(v1: np.ndarray, v2: np.ndarray, p1: float, mode) -> tuple[float, float]:
+def concavity_check(v1: np.ndarray, v2: np.ndarray, p1: float, mode) -> tuple:
     """Eavesdropper quality of a mixture vs the mixture of qualities.
 
-    Returns (mixed, averaged); concavity is mixed >= averaged.
+    Returns (mixed, averaged), arrays for stacks of machine pairs; concavity is mixed >= averaged.
     """
     w = mixed_isometry(v1, v2, p1)
-    mixed = quality_e(gram_matrix(extract_e_vectors(w)), mode)
-    q1 = quality_e(gram_matrix(extract_e_vectors(v1)), mode)
-    q2 = quality_e(gram_matrix(extract_e_vectors(v2)), mode)
-    return mixed, p1 * q1 + (1.0 - p1) * q2
+    q = quality_e(np.stack([gram_matrix(extract_e_vectors(v)) for v in (w, v1, v2)]), mode)
+    mixed, averaged = q[0], p1 * q[1] + (1.0 - p1) * q[2]
+    return (float(mixed), float(averaged)) if q.ndim == 1 else (mixed, averaged)

@@ -6,6 +6,8 @@ instead.  partial_trace and reduced_state read output qubits off full
 density matrices, where the package uses the Heisenberg picture.
 sign_patterns enumerates sign variants in two branches, on whether a
 component is zero; the package takes one pass over all eight patterns.
+concavity_report checks one trial at a time, where the concavity
+subcommand checks a block of trials per call.
 """
 
 from __future__ import annotations
@@ -132,3 +134,26 @@ def sign_patterns(v: np.ndarray) -> list[np.ndarray]:
             seen.add(key)
             out.append(variant)
     return out
+
+
+def concavity_report(trials: int, seed: int, p1: float, mode, tol: float) -> dict:
+    """min_margin and violations of the concavity subcommand, one concavity_check call per trial.
+
+    The subcommand checks its trials in blocks; this loop draws v1 then v2
+    for one trial at a time, the draw order it must keep.
+    """
+    from blochcopy.linalg import random_isometry
+    from blochcopy.validation import concavity_check
+
+    rng = np.random.default_rng(seed)
+    min_margin = np.inf
+    bad = 0
+    for _ in range(trials):
+        v1 = random_isometry(8, 2, rng)
+        v2 = random_isometry(8, 2, rng)
+        mixed, averaged = concavity_check(v1, v2, p1, mode)
+        margin = mixed - averaged
+        min_margin = min(min_margin, margin)
+        if margin < -tol:
+            bad += 1
+    return {"min_margin": float(min_margin), "violations": bad}

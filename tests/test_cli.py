@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from blochcopy import cli
 from blochcopy.cli import _build_parser, main
 from blochcopy.channel import complex_matrix_to_json
 from blochcopy.optimizer import g_map
 from blochcopy.validation import random_physical_gram
+from oracles import concavity_report
 
 
 def _run(capsys, argv):
@@ -406,6 +408,25 @@ def test_concavity_command(capsys):
     assert doc["trials"] == 5
     assert doc["violations"] == 0
     assert doc["min_margin"] >= -1e-9
+
+
+@pytest.mark.parametrize(
+    "block, argv",
+    [
+        (1024, ["--trials", "1030", "--seed", "3", "--p1", "0.4", "--mode", "0.3,-0.5,0.8"]),
+        (4, ["--trials", "10", "--seed", "5", "--p1", "0.9", "--mode", "y", "--tol", "0.5"]),
+    ],
+    ids=["default-block", "small-blocks"],
+)
+def test_concavity_blocks_match_the_per_trial_loop(capsys, monkeypatch, block, argv):
+    monkeypatch.setattr(cli, "_CONCAVITY_BLOCK", block)
+    code, out, _ = _run(capsys, ["concavity", *argv])
+    assert code == 0
+    args = _build_parser()[0].parse_args(["concavity", *argv])
+    doc = json.loads(out)
+    assert {k: doc[k] for k in ("min_margin", "violations")} == concavity_report(
+        args.trials, args.seed, args.p1, args.mode, args.tol
+    )
 
 
 def test_jacobian_check_interior_point(capsys):

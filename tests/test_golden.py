@@ -54,6 +54,12 @@ GOLDEN = [
      "aa7873b8a9b1f4438b5d267f29d0c7c408a0b0d8f2746905367ef56906878494"),
     (["jacobian-check", "0.5", "0.6", "0.55"],
      "8c736f7f4bb31f26ed47597ef684301c58e398b14f45148a2606dd01c42a0515"),
+    (["concavity"],
+     "ff4496d48bdc4c6fa04c0b0efa03b500c30c8916fc1fadd524587b4768d2da0f"),
+    (["concavity", "--trials", "500", "--seed", "7", "--p1", "0.3", "--mode", "0.3,-0.5,0.8"],
+     "ad3ca72fda9ee14e01d0535d9be8281bd366ca10677c333a9651a29f9e147a7c"),
+    (["concavity", "--trials", "50", "--seed", "123", "--p1", "0.9", "--mode", "x"],
+     "49dc194d1e2c19b56898756c07be559094293e8ce19f9ae0d37337330fcbc4cb"),
 ]
 
 

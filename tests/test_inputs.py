@@ -104,11 +104,11 @@ def test_non_finite_entries_raise_value_error(call, bad):
     "call, message",
     [
         (lambda: output_map(np.zeros((7, 2))), r"v must have shape \(2d, 2\), got \(7, 2\)"),
-        (lambda: trace_norm(np.zeros((2, 3))), r"h must have shape \(n, n\)"),
+        (lambda: trace_norm(np.zeros((2, 3))), r"h must have shape \(\.\.\., n, n\)"),
         (lambda: tetrahedron_mask(np.zeros((5, 4))), r"b_rows must have shape \(\.\.\., 3\)"),
-        (lambda: quality_e(np.eye(3), _Z), r"e_gram must have shape \(4, 4\)"),
-        (lambda: isometry_residuals(np.eye(3)), r"e_gram must have shape \(4, 4\)"),
-        (lambda: mixed_isometry(_V, np.zeros((4, 3)), 0.5), r"v2 must have shape \(2d, 2\)"),
+        (lambda: quality_e(np.eye(3), _Z), r"e_gram must have shape \(\.\.\., 4, 4\)"),
+        (lambda: isometry_residuals(np.eye(3)), r"e_gram must have shape \(\.\.\., 4, 4\)"),
+        (lambda: mixed_isometry(_V, np.zeros((4, 3)), 0.5), r"v2 must have shape \(\.\.\., 2d, 2\)"),
         (lambda: b_from_beta([1.0, 0.0, 0.0]), r"beta must have shape \(4,\), got \(3,\)"),
     ],
     ids=["isometry", "square", "rows", "gram", "residuals", "second-machine", "beta"],

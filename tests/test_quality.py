@@ -12,7 +12,9 @@ from blochcopy.channel import (
     extract_e_vectors,
     gram_matrix,
     isometry_from_beta,
+    isometry_residuals,
     output_map,
+    realize_e_vectors,
 )
 from blochcopy.errors import NotHermitianError, NotPhysicalError
 from blochcopy.linalg import dagger, random_isometry
@@ -28,6 +30,7 @@ from blochcopy.quality import (
     quality_e_from_vectors,
     trace_norm,
 )
+from blochcopy.validation import random_physical_gram
 from oracles import partial_trace
 
 
@@ -185,6 +188,51 @@ def test_quality_e_decomposes_its_gram_once(monkeypatch):
     # one eigendecomposition of the Gram matrix, one eigenvalue solve of the mode operator
     assert len(solved) == 2
     assert sum(a.shape == e.shape and np.allclose(a, e) for a in solved) == 1
+
+
+def _bits(x) -> bytes:
+    return np.ascontiguousarray(x, dtype=float if np.isrealobj(x) else complex).tobytes()
+
+
+def test_stacks_give_the_bits_of_one_call_per_matrix():
+    rng = np.random.default_rng(2026)
+    grams = gram_matrix(extract_e_vectors(np.array([random_isometry(8, 2, rng) for _ in range(1000)])))
+    m = _random_mode(rng)
+    vectors = realize_e_vectors(grams)
+    assert _bits(vectors) == _bits([realize_e_vectors(e) for e in grams])
+    assert _bits(isometry_residuals(grams)) == _bits(np.transpose([isometry_residuals(e) for e in grams]))
+    omegas = omega_e(vectors, m)
+    assert _bits(trace_norm(omegas)) == _bits([trace_norm(h) for h in omegas])
+    single = [quality_e(e, m) for e in grams]
+    assert all(type(q) is float for q in single)
+    assert _bits(quality_e(grams, m)) == _bits(single)
+    # any number of leading axes
+    assert _bits(quality_e(grams.reshape(10, 25, 4, 4, 4), m)) == _bits(single)
+
+
+@pytest.mark.parametrize("kind", ["negative-eigenvalue", "trace", "hermiticity"])
+def test_one_unphysical_gram_fails_its_stack_with_its_own_message(kind):
+    rng = np.random.default_rng(2027)
+    grams = np.array([random_physical_gram(rng) for _ in range(50)])
+    bad = {
+        "negative-eigenvalue": np.diag([0.6, 0.5, -0.05, -0.05]).astype(complex),
+        "trace": grams[17] * 1.001,
+        "hermiticity": grams[17] + np.diag([0.0, 1e-6, 0.0, 0.0]) @ np.ones((4, 4)),
+    }[kind]
+    grams[17] = bad
+    with pytest.raises(NotPhysicalError) as alone:
+        quality_e(bad, [0, 0, 1])
+    with pytest.raises(NotPhysicalError) as stacked:
+        quality_e(grams, [0, 0, 1])
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_trace_norm_gates_each_matrix_of_a_stack():
+    h = np.array([np.eye(2), [[1.0, 1e-3], [0.0, 1.0]]])
+    with pytest.raises(NotHermitianError, match="by 1.000e-03"):
+        trace_norm(h)
+    # each matrix is measured against its own largest entry
+    assert trace_norm(np.array([np.eye(2), 1e9 * np.eye(2) + [[0.0, 1.0], [0.0, 0.0]]]))[0] == 2.0
 
 
 def test_perfect_transmission_to_environment():

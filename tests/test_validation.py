@@ -416,6 +416,32 @@ def test_mixing_never_reduces_the_eavesdropper_quality():
         assert mixed >= averaged - 1e-10
 
 
+def test_stacked_pairs_give_the_bits_of_one_check_per_pair():
+    rng = np.random.default_rng(92)
+    v = np.array([random_isometry(8, 2, rng) for _ in range(600)]).reshape(2, 300, 8, 2)
+    mode = _random_mode(rng)
+    w = mixed_isometry(v[0], v[1], 0.3)
+    assert w.tobytes() == np.array([mixed_isometry(a, b, 0.3) for a, b in zip(*v)]).tobytes()
+    single = [concavity_check(a, b, 0.3, mode) for a, b in zip(*v)]
+    assert all(type(x) is float for pair in single for x in pair)
+    mixed, averaged = concavity_check(v[0], v[1], 0.3, mode)
+    assert np.stack([mixed, averaged], axis=1).tobytes() == np.array(single).tobytes()
+
+
+def test_stacked_machines_need_equal_leading_shapes():
+    rng = np.random.default_rng(93)
+    v = np.array([random_isometry(8, 2, rng) for _ in range(3)])
+    with pytest.raises(ValueError, match=r"v1 and v2 must have equal leading shapes, got \(3,\) and \(2,\)"):
+        mixed_isometry(v, v[:2], 0.5)
+    with pytest.raises(ValueError, match="equal leading shapes"):
+        concavity_check(v[0], v, 0.5, [0, 0, 1])
+
+
+def test_symmetry_check_returns_floats():
+    e = random_physical_gram(np.random.default_rng(94))
+    assert all(type(q) is float for q in symmetry_check(e, [0, 0, 1]))
+
+
 def test_mixing_a_machine_with_itself_changes_nothing():
     rng = np.random.default_rng(91)
     v = random_isometry(8, 2, rng)
