@@ -329,13 +329,13 @@ def tetrahedron_check(b, tol: float = 1e-12) -> bool:
     return bool(tetrahedron_mask(_checked(b, "b", (3,), finite=False), tol=tol))
 
 
-def isometry_from_beta(beta, tol: float = DEFAULT_TOL) -> np.ndarray:
+def isometry_from_beta(beta) -> np.ndarray:
     """Explicit 8 x 2 copying isometry for machine coefficients beta.
 
     beta weights the four Pauli error channels; sum of squares must be 1.
     Rows are ordered |bcd> with the B bit most significant.
     """
-    b0, b1, b2, b3 = _checked(beta, "beta", (4,), unit_tol=tol)
+    b0, b1, b2, b3 = _checked(beta, "beta", (4,), unit_tol=DEFAULT_TOL)
     v = np.zeros((8, 2), dtype=complex)
     v[0, 0] = (b0 + b3) * _RT2  # |000>
     v[3, 0] = (b0 - b3) * _RT2  # |011>

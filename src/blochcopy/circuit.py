@@ -76,13 +76,13 @@ _UNITARY_A.setflags(write=False)
 _UNITARY_B.setflags(write=False)
 
 
-def prepare_ancilla(beta, tol: float = DEFAULT_TOL) -> np.ndarray:
+def prepare_ancilla(beta) -> np.ndarray:
     """Two-qubit ancilla amplitudes in the |cd> basis for coefficients beta.
 
     The coefficient-to-basis assignment is the single bug-prone spot of the
     whole construction: beta[2] weights |11> and beta[3] weights |10>.
     """
-    beta = _checked(beta, "beta", (4,), unit_tol=tol)
+    beta = _checked(beta, "beta", (4,), unit_tol=DEFAULT_TOL)
     return np.array([beta[0], beta[1], beta[3], beta[2]], dtype=complex)
 
 

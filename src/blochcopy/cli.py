@@ -9,9 +9,10 @@ errors.
 Each option's type, choices and default are declared once, in
 _build_parser.  A config file of key=value lines (--config) supplies
 values through the same declarations; one its flag would reject exits 1
-with the flag's message after its file, line and key.  Precedence: flag,
-scan --full preset, config file, default.  `circuit --input -x` takes -x
-as a value.
+with the flag's message after its file, line and key.  A key that names
+an option of another subcommand is ignored, one that names no option at
+all exits 1.  Precedence: flag, scan --full preset, config file, default.
+`circuit --input -x` takes -x as a value.
 """
 
 from __future__ import annotations
@@ -438,11 +439,18 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, subs.choices
 
 
-def _config_defaults(sub: argparse.ArgumentParser, path: str) -> dict:
-    """Config values parsed as their flags would be, failing with the flags' messages; other keys are ignored."""
+def _config_defaults(subparsers: dict, command: str, path: str) -> dict:
+    """Config values parsed as their flags would be, failing with the flags' messages.
+
+    Keys of another subcommand's options are ignored, so one file can serve several; any other key fails.
+    """
+    known = {a.dest for sub in subparsers.values() for a in sub._actions if a.option_strings}
+    sub = subparsers[command]
     actions = {a.dest: a for a in sub._actions if a.option_strings and a.dest not in ("help", "config")}
     values = {}
     for key, (lineno, text) in _load_config(path).items():
+        if key not in known:
+            raise argparse.ArgumentTypeError(f"{path}:{lineno}: {key}: unknown config key")
         if key in actions:
             action = actions[key]
             try:  # argparse's own steps for a flag: the action's type, then its choices
@@ -463,7 +471,7 @@ def main(argv=None) -> int:
         if args.config or full:
             # config values and the --full preset become defaults; flags win on reparse
             sub = subparsers[args.command]
-            values = _config_defaults(sub, args.config) if args.config else {}
+            values = _config_defaults(subparsers, args.command, args.config) if args.config else {}
             if full or values.get("full"):
                 values.update(n_outer=4000, n_inner=100000)
             sub.set_defaults(**values)

@@ -15,6 +15,7 @@ Three families of checks live here:
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -46,6 +47,8 @@ def random_physical_gram(rng: np.random.Generator) -> np.ndarray:
     return gram_matrix(extract_e_vectors(random_isometry(8, 2, rng)))
 
 
+# Largest quality change that symmetry_check lets time reversal make.
+_SYMMETRY_TOL = 1e-10
 # Candidates drawn per block by the rejection samplers.
 _LOOKAHEAD = 64
 # Candidate rows a scan tests per pass of the row kernels: small enough that
@@ -121,12 +124,18 @@ class ScanConfig:
     max_keep: int = 256
 
     def __post_init__(self):
-        if self.n_outer < 1 or self.n_inner < 1:
-            raise ValueError("scan sizes must be at least 1")
+        # each integer field with its least value; numpy integers become ints
+        for name, least in (("n_outer", 1), ("n_inner", 1), ("seed", 0), ("max_keep", 0)):
+            value = getattr(self, name)
+            try:
+                number = operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if number < least:
+                raise ValueError(f"{name} must be at least {least}, got {number}")
+            object.__setattr__(self, name, number)
         if self.region not in ("good", "outside"):
             raise ValueError("region must be 'good' or 'outside'")
-        if self.max_keep < 0:
-            raise ValueError("max_keep must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -257,12 +266,12 @@ def time_reversed_gram(e_gram: np.ndarray) -> np.ndarray:
     return e_gram.conj() * np.outer(signs, signs)
 
 
-def symmetry_check(e_gram: np.ndarray, mode, tol: float = 1e-10) -> tuple[float, float]:
+def symmetry_check(e_gram: np.ndarray, mode) -> tuple[float, float]:
     """Verify the time-reversal symmetry on one machine Gram matrix.
 
     Checks that the reversed machine has the exact same linear part, the
     exact negated displacement, and eavesdropper qualities along the given
-    mode direction within tol, and returns the two.  A Gram matrix
+    mode direction within _SYMMETRY_TOL, and returns the two.  A Gram matrix
     that fails the physicality checks raises NotPhysicalError (its reversal
     is physical exactly when it is).
     """
@@ -275,7 +284,7 @@ def symmetry_check(e_gram: np.ndarray, mode, tol: float = 1e-10) -> tuple[float,
         raise ValueError("reversed machine changed the linear part")
     if not np.array_equal(bmap_rev.delta, -bmap.delta):
         raise ValueError("reversed machine did not negate the displacement")
-    if abs(q - q_rev) > tol:
+    if abs(q - q_rev) > _SYMMETRY_TOL:
         raise ValueError(
             f"eavesdropper quality changed under reversal: {q!r} vs {q_rev!r}"
         )

@@ -549,6 +549,23 @@ def test_malformed_config_line(capsys, tmp_path):
     assert err.startswith(f"error: {config}:2: expected key=value")
 
 
+def test_config_keys_of_other_subcommands_are_ignored(capsys, tmp_path):
+    config = tmp_path / "shared.cfg"
+    config.write_text("n_outer=3\nn_inner=40\nbeta=1,0,0,0\nstep=1e-5\ntrials=7\n")
+    code, out, _ = _run(capsys, ["scan", "--config", str(config)])
+    assert code == 0
+    assert json.loads(out)["n_outer"] == 3
+
+
+def test_config_key_of_no_subcommand_exits_one(capsys, tmp_path):
+    config = tmp_path / "typo.cfg"
+    config.write_text("n_outer=3\n# the typo\nn_iner=5\n")
+    code, out, err = _run(capsys, ["scan", "--config", str(config)])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {config}:3: n_iner: unknown config key\n"
+
+
 def test_bad_config_value_is_a_runtime_error(capsys, tmp_path):
     config = tmp_path / "quality.cfg"
     config.write_text("beta=1,0,0\n")

@@ -39,7 +39,7 @@ from blochcopy.quality import (
     quality_e_diagonal,
     trace_norm,
 )
-from blochcopy.validation import mixed_isometry, symmetry_check, time_reversed_gram
+from blochcopy.validation import ScanConfig, mixed_isometry, monotonicity_scan, symmetry_check, time_reversed_gram
 
 _BETA = np.array([0.8, 0.1, 0.1, 0.5830951894845301])
 _GRAM = np.diag(_BETA**2).astype(complex)
@@ -147,3 +147,27 @@ def test_values_outside_the_unit_interval_are_named(name, bad):
     with pytest.raises(ValueError) as err:
         _UNIT_INTERVAL_CASES[name](bad)
     assert str(err.value) == f"{name} must lie in [0, 1], got {bad}"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("n_inner", 2.5, "n_inner must be an integer, got 2.5"),
+        ("max_keep", 1.5, "max_keep must be an integer, got 1.5"),
+        ("n_outer", "3", "n_outer must be an integer, got '3'"),
+        ("seed", -1, "seed must be at least 0, got -1"),
+        ("n_outer", 0, "n_outer must be at least 1, got 0"),
+        ("max_keep", -2, "max_keep must be at least 0, got -2"),
+    ],
+    ids=["n_inner-float", "max_keep-float", "n_outer-str", "seed-negative", "n_outer-zero", "max_keep-negative"],
+)
+def test_scan_config_names_its_bad_field(field, value, message):
+    with pytest.raises(ValueError) as err:
+        ScanConfig(**{field: value})
+    assert str(err.value) == message
+
+
+def test_scan_config_takes_numpy_integers_as_ints():
+    config = ScanConfig(n_outer=np.int64(2), n_inner=np.uint8(30), seed=np.int32(4), max_keep=np.int16(1))
+    assert [type(getattr(config, f)) for f in ("n_outer", "n_inner", "seed", "max_keep")] == [int] * 4
+    assert monotonicity_scan(config).to_json() == monotonicity_scan(ScanConfig(2, 30, 4, max_keep=1)).to_json()
