@@ -14,7 +14,7 @@ import numpy as np
 from .channel import AffineBlochMap, isometry_residuals, realize_e_vectors
 from .circuit import channel_tomography
 from .errors import NotHermitianError, NotPhysicalError
-from .linalg import DEFAULT_TOL, _checked, _hermiticity_error
+from .linalg import DEFAULT_TOL, _checked, _hermiticity_error, _in_unit_interval
 from .optimizer import _pair_products
 from .pauli import l_table
 
@@ -43,8 +43,9 @@ def trace_norm(h: np.ndarray) -> float | np.ndarray:
 
 def min_error_rate(rho1: np.ndarray, rho2: np.ndarray, p1: float = 0.5, p2: float = 0.5) -> float:
     """Minimum error probability for distinguishing two states with priors p1, p2."""
-    if not (p1 >= 0.0 and p2 >= 0.0 and abs(p1 + p2 - 1.0) <= 1e-12):  # NaN fails too
-        raise ValueError("priors must be nonnegative and sum to 1")
+    p1, p2 = _in_unit_interval(p1, "p1"), _in_unit_interval(p2, "p2")
+    if not abs(p1 + p2 - 1.0) <= 1e-12:
+        raise ValueError(f"priors p1 and p2 must sum to 1, got {p1} and {p2}")
     rho1 = _checked(rho1, "rho1", ("n", "n"), complex)
     rho2 = _checked(rho2, "rho2", rho1.shape, complex)
     return 0.5 * (1.0 - trace_norm(p1 * rho1 - p2 * rho2))
@@ -130,9 +131,10 @@ def distinguishability(rep, x1, x2, channel: str = "B") -> float:
     """
     x1 = _checked(x1, "x1", (3,))
     x2 = _checked(x2, "x2", (3,))
-    for x in (x1, x2):
-        if x @ x > 1.0 + DEFAULT_TOL:
-            raise ValueError("Bloch vectors must lie inside the unit ball")
+    for name, x in (("x1", x1), ("x2", x2)):
+        norm_sq = float(x @ x)
+        if norm_sq > 1.0 + DEFAULT_TOL:
+            raise ValueError(f"{name} must lie inside the unit ball, got squared norm {norm_sq}")
     diff = x1 - x2
     dist = float(np.linalg.norm(diff))
     if dist == 0.0:

@@ -60,36 +60,54 @@ _LAM_AXES = lambda_matrix()[1:]
 _ONES4 = np.ones(4)
 
 
-def _first_accepted(rng: np.random.Generator, draw, accept) -> np.ndarray:
-    """First row of draw(rng, k) that passes accept, found by block look-ahead.
+def _first_accepted(rngs: list, raw, transform, accept) -> np.ndarray:
+    """First accepted row of each generator's stream, found by block look-ahead.
 
-    A block of k draws consumes the stream exactly like k single draws, so
-    after a hit at row j the generator is rewound and moved on by j + 1
-    draws: it ends where a one-draw-at-a-time rejection loop leaves it.
+    raw(rng, k) draws k raw rows from one generator, transform maps raw rows
+    to rows of semi-axes and accept masks those rows.  Each round draws one
+    _LOOKAHEAD block from every pending generator, at most
+    _TILE_ROWS // _LOOKAHEAD of them so that a round fits in a tile, and
+    tests the stacked blocks with one transform and one accept call.  A
+    block of k draws consumes the stream exactly like k single draws, so a
+    generator whose first hit is row j is rewound and moved on by j + 1 raw
+    draws: it ends where a one-draw-at-a-time rejection loop leaves it.  A
+    generator without a hit keeps its position for the next round.
+    Returns an (len(rngs), 3) array, one row per generator.
     """
-    while True:
-        state = rng.bit_generator.state
-        rows = draw(rng, _LOOKAHEAD)
-        hits = accept(rows)
-        j = hits.argmax()  # the first hit, if there is one
-        if hits[j]:
-            rng.bit_generator.state = state
-            draw(rng, j + 1)
-            return rows[j]
-
-
-def _draw_good(rng: np.random.Generator, k: int) -> np.ndarray:
-    # einsum gives each row the bits of the single-draw lam @ beta_sq;
-    # beta_sq @ lam.T does not
-    return np.einsum("qk,nk->nq", _LAM_AXES, rng.dirichlet(_ONES4, size=k))
-
-
-def _draw_outside(rng: np.random.Generator, k: int) -> np.ndarray:
-    return rng.random((k, 3))
+    out = np.empty((len(rngs), 3))
+    per_round = max(1, _TILE_ROWS // _LOOKAHEAD)
+    for lo in range(0, len(rngs), per_round):
+        pending = np.arange(lo, min(lo + per_round, len(rngs)))
+        while len(pending):
+            states = [rngs[i].bit_generator.state for i in pending]
+            # the blocks in order, as one 2-D array of rows
+            rows = transform(np.concatenate([raw(rngs[i], _LOOKAHEAD) for i in pending]))
+            hits = accept(rows).reshape(len(pending), _LOOKAHEAD)
+            rows = rows.reshape(len(pending), _LOOKAHEAD, 3)
+            first = hits.argmax(axis=1)  # the first hit, if there is one
+            found = hits[np.arange(len(pending)), first]
+            for k in np.flatnonzero(found):
+                rng = rngs[pending[k]]
+                rng.bit_generator.state = states[k]
+                raw(rng, int(first[k]) + 1)
+            out[pending[found]] = rows[found, first[found]]
+            pending = pending[~found]
+    return out
 
 
 def _outside_region(rows: np.ndarray) -> np.ndarray:
     return tetrahedron_mask(rows) & ~positive_optimal_mask(rows)
+
+
+def _sample(rngs: list, region: str) -> np.ndarray:
+    """One base point per generator, drawn from the 'good' or the 'outside' region."""
+    if region == "good":
+        # einsum gives each row the bits of the single-draw lam @ beta_sq;
+        # beta_sq @ lam.T does not
+        to_axes = partial(np.einsum, "qk,nk->nq", _LAM_AXES)
+        return _first_accepted(rngs, lambda rng, k: rng.dirichlet(_ONES4, k), to_axes, positive_optimal_mask)
+    # uniform draws in the cube are the semi-axes themselves
+    return _first_accepted(rngs, lambda rng, k: rng.random((k, 3)), np.asarray, _outside_region)
 
 
 def sample_good_region(rng: np.random.Generator) -> np.ndarray:
@@ -99,12 +117,12 @@ def sample_good_region(rng: np.random.Generator) -> np.ndarray:
     simplex and rejected until the induced first-copy axes satisfy the
     region inequalities.
     """
-    return _first_accepted(rng, _draw_good, positive_optimal_mask)
+    return _sample([rng], "good")[0]
 
 
 def sample_outside_region(rng: np.random.Generator) -> np.ndarray:
     """Attainable semi-axes in [0, 1]^3 failing some b_q >= b_q' b_q''."""
-    return _first_accepted(rng, _draw_outside, _outside_region)
+    return _sample([rng], "outside")[0]
 
 
 @dataclass(frozen=True)
@@ -183,14 +201,14 @@ def monotonicity_scan(config: ScanConfig) -> ScanReport:
     point and its candidates from its own child seed, so reports with equal
     config are identical however the points are batched.  Candidates are
     tested in tiles of up to _TILE_ROWS rows, stored column by column in
-    buffers reused from tile to tile.
+    buffers reused from tile to tile.  A tile's base points come from one
+    _first_accepted call: each round tests the next look-ahead block of
+    every point still without a hit, and each point's stream ends where its
+    own one-draw rejection loop would leave it.
     """
     start = time.perf_counter()
-    if config.region == "good":
-        sampler, in_region = sample_good_region, positive_optimal_mask
-    else:
-        # outside the good region candidates only need to stay attainable
-        sampler, in_region = sample_outside_region, partial(tetrahedron_mask, tol=0.0)
+    # outside the good region candidates only need to stay attainable
+    in_region = positive_optimal_mask if config.region == "good" else partial(tetrahedron_mask, tol=0.0)
     n_inner = config.n_inner
     children = np.random.SeedSequence(config.seed).spawn(config.n_outer)
     per_tile = max(1, _TILE_ROWS // n_inner)
@@ -206,7 +224,7 @@ def monotonicity_scan(config: ScanConfig) -> ScanReport:
         points = children[lo : lo + per_tile]
         m = len(points)
         rngs = [np.random.default_rng(child) for child in points]
-        b = np.array([sampler(rng) for rng in rngs])
+        b = _sample(rngs, config.region)
         g_b = _g_columns(b.T)
         lower, scale = b.T[:, :, None], (1.0 - b).T[:, :, None]
         # a point with more than seg rows draws them segment by segment,

@@ -149,6 +149,32 @@ def test_values_outside_the_unit_interval_are_named(name, bad):
     assert str(err.value) == f"{name} must lie in [0, 1], got {bad}"
 
 
+_MIXED = np.eye(2) / 2
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan, np.inf], ids=["below", "above", "nan", "inf"])
+@pytest.mark.parametrize("name", ["p1", "p2"])
+def test_min_error_rate_names_its_bad_prior(name, bad):
+    priors = {"p1": 0.5, "p2": 0.5, name: bad}
+    with pytest.raises(ValueError) as err:
+        min_error_rate(_MIXED, _MIXED, **priors)
+    assert str(err.value) == f"{name} must lie in [0, 1], got {bad}"
+
+
+def test_min_error_rate_priors_must_sum_to_one():
+    with pytest.raises(ValueError) as err:
+        min_error_rate(_MIXED, _MIXED, 0.3, 0.3)
+    assert str(err.value) == "priors p1 and p2 must sum to 1, got 0.3 and 0.3"
+
+
+@pytest.mark.parametrize("name", ["x1", "x2"])
+def test_distinguishability_names_the_vector_outside_the_unit_ball(name):
+    vectors = {"x1": _Z, "x2": -_Z, name: 2.0 * _Z}
+    with pytest.raises(ValueError) as err:
+        distinguishability(AffineBlochMap.identity(), **vectors)
+    assert str(err.value) == f"{name} must lie inside the unit ball, got squared norm 4.0"
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [

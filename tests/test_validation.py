@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from blochcopy import validation
 from blochcopy.channel import (
     b_from_e,
     check_physical,
@@ -161,6 +162,68 @@ def test_samplers_match_the_one_draw_oracle(sampler, oracle):
         for _ in range(3):
             assert np.array_equal(sampler(rng), oracle(ref))
         assert rng.random() == ref.random()
+
+
+def _mask_rows_per_call(monkeypatch):
+    """Wrap the good-region row mask, which both samplers' accept masks call.
+
+    The returned list gets the row count of each call.
+    """
+    mask, seen = validation.positive_optimal_mask, []
+
+    def counted(rows, *args, **kwargs):
+        seen.append(np.asarray(rows).size // 3)
+        return mask(rows, *args, **kwargs)
+
+    monkeypatch.setattr(validation, "positive_optimal_mask", counted)
+    return seen
+
+
+@pytest.mark.parametrize("lookahead", [1, 2])
+def test_short_lookahead_blocks_still_match_the_one_draw_oracles(monkeypatch, lookahead):
+    # most generators miss their first block or two, so they need several rounds
+    monkeypatch.setattr(validation, "_LOOKAHEAD", lookahead)
+    seen = _mask_rows_per_call(monkeypatch)
+    children = np.random.SeedSequence(11).spawn(300)
+    for region, oracle in (("good", _oracle_sample_good), ("outside", _oracle_sample_outside)):
+        rngs = [np.random.default_rng(child) for child in children]
+        refs = [np.random.default_rng(child) for child in children]
+        seen.clear()
+        got = validation._sample(rngs, region)
+        assert len(seen) > 1
+        assert np.array_equal(got, np.array([oracle(ref) for ref in refs]))
+        assert [rng.random() for rng in rngs] == [ref.random() for ref in refs]
+    for sampler, oracle in ((sample_good_region, _oracle_sample_good),
+                            (sample_outside_region, _oracle_sample_outside)):
+        for seed in range(20):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(sampler(rng), oracle(ref))
+            assert rng.random() == ref.random()
+    for region in ("good", "outside"):
+        config = ScanConfig(n_outer=300, n_inner=20, seed=12, region=region, max_keep=10**6)
+        assert json.dumps(monotonicity_scan(config).to_json()) == json.dumps(_oracle_scan(config).to_json())
+
+
+def test_generators_that_miss_their_first_block_take_more_rounds(monkeypatch):
+    # 2000 points of seed 0: a few good-region points miss their first block,
+    # so the sampler makes more accept calls than it has rounds of fresh points
+    seen = _mask_rows_per_call(monkeypatch)
+    children = np.random.SeedSequence(0).spawn(2000)
+    got = validation._sample([np.random.default_rng(child) for child in children], "good")
+    per_round = _TILE_ROWS // validation._LOOKAHEAD
+    assert len(seen) > -(-len(children) // per_round)
+    want = [_oracle_sample_good(np.random.default_rng(child)) for child in children]
+    assert np.array_equal(got, np.array(want))
+
+
+@pytest.mark.parametrize("region", ["good", "outside"])
+def test_sampler_rounds_stay_within_a_tile(monkeypatch, region):
+    # n_inner=1 puts _TILE_ROWS points in one tile; their look-ahead blocks
+    # would stack to 64 times that many rows without the cap on a round
+    seen = _mask_rows_per_call(monkeypatch)
+    report = monotonicity_scan(ScanConfig(n_outer=20_000, n_inner=1, seed=3, region=region))
+    assert report.checked > 0
+    assert max(seen) == _TILE_ROWS
 
 
 def test_random_gram_is_physical():
