@@ -146,16 +146,17 @@ def map_bloch(bmap: AffineBlochMap, r) -> np.ndarray:
 
 
 def transfer_from_gram(e_gram: np.ndarray) -> np.ndarray:
-    """Contract a Hermitian Gram matrix to the full 4 x 4 real transfer matrix.
+    """Contract a Hermitian Gram matrix, or each of a stack, to the full 4 x 4 real transfer matrix.
 
     T_lm = sum_jk L(lm;jk) E_jk.  For a Hermitian input the result is real;
-    the imaginary residue is checked against a fixed DEFAULT_TOL bound.
+    the imaginary residue is checked against a fixed DEFAULT_TOL bound, and
+    a stack fails on its worst matrix.
     """
-    e_gram = _checked(e_gram, "e_gram", (4, 4), complex)
-    herm = _hermiticity_error(e_gram)
+    e_gram = _checked(e_gram, "e_gram", (..., 4, 4), complex)
+    herm = np.max(_hermiticity_error(e_gram), initial=0.0)
     if herm > DEFAULT_TOL:
         raise NotHermitianError(f"Gram matrix deviates from Hermitian by {herm:.3e}")
-    full = np.einsum("lmjk,jk->lm", l_table(), e_gram)
+    full = np.einsum("lmjk,...jk->...lm", l_table(), e_gram)
     return full.real
 
 
@@ -178,20 +179,20 @@ def isometry_residuals(e_gram: np.ndarray) -> tuple:
     return (float(trace_err), float(reim)) if e_gram.ndim == 2 else (trace_err, reim)
 
 
-def b_from_e(e_gram: np.ndarray, check: bool = True, tol: float = DEFAULT_TOL) -> AffineBlochMap:
+def b_from_e(e_gram: np.ndarray, check: bool = True) -> AffineBlochMap:
     """Affine Bloch map of the B output from the machine Gram matrix.
 
     Args:
         e_gram: Hermitian 4 x 4 Gram matrix of the expansion vectors.
-        check: verify the isometry conditions before converting.  Unchecked
-            mode drops the first column of the transfer matrix, which is
-            only meaningful input when those conditions hold.
-        tol: tolerance for the isometry check.
+        check: verify the isometry conditions, within DEFAULT_TOL, before
+            converting.  Unchecked mode drops the first column of the
+            transfer matrix, which is only meaningful input when those
+            conditions hold.
     """
-    full = transfer_from_gram(e_gram)
+    full = transfer_from_gram(_checked(e_gram, "e_gram", (4, 4), complex))
     if check:
         trace_err, reim = isometry_residuals(e_gram)
-        if max(trace_err, reim) > tol:
+        if max(trace_err, reim) > DEFAULT_TOL:
             raise NotIsometricError(
                 f"isometry conditions violated (trace {trace_err:.3e}, re/im {reim:.3e})"
             )
@@ -335,17 +336,8 @@ def isometry_from_beta(beta) -> np.ndarray:
     beta weights the four Pauli error channels; sum of squares must be 1.
     Rows are ordered |bcd> with the B bit most significant.
     """
-    b0, b1, b2, b3 = _checked(beta, "beta", (4,), unit_tol=DEFAULT_TOL)
-    v = np.zeros((8, 2), dtype=complex)
-    v[0, 0] = (b0 + b3) * _RT2  # |000>
-    v[3, 0] = (b0 - b3) * _RT2  # |011>
-    v[5, 0] = (b1 + b2) * _RT2  # |101>
-    v[6, 0] = (b1 - b2) * _RT2  # |110>
-    v[1, 1] = (b1 - b2) * _RT2  # |001>
-    v[2, 1] = (b1 + b2) * _RT2  # |010>
-    v[4, 1] = (b0 - b3) * _RT2  # |100>
-    v[7, 1] = (b0 + b3) * _RT2  # |111>
-    return v
+    beta = _checked(beta, "beta", (4,), unit_tol=DEFAULT_TOL)
+    return isometry_from_e_vectors(beta[:, None] * E_HAT)
 
 
 def isometry_from_e_vectors(e_vectors: np.ndarray) -> np.ndarray:
@@ -426,7 +418,7 @@ def output_map(v: np.ndarray, qubit: str = "B") -> AffineBlochMap:
 
 def complex_matrix_to_json(m: np.ndarray) -> list:
     """Encode a complex matrix as nested [re, im] pairs, row-major."""
-    m = np.asarray(m, dtype=complex)
+    m = _checked(m, "m", ("r", "c"), complex)
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 

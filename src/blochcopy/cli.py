@@ -33,6 +33,7 @@ from .optimizer import (
     beta_from_b,
     classify_pair,
     g_map,
+    g_map_many,
     gamma_from_beta,
     isotropic_tradeoff,
     jacobians,
@@ -283,8 +284,8 @@ def _cmd_concavity(args) -> int:
     bad = 0
     for lo in range(0, args.trials, _CONCAVITY_BLOCK):
         # v1 then v2, trial by trial: the draw order of one trial at a time
-        pairs = np.array([random_isometry(8, 2, rng) for _ in range(2 * min(_CONCAVITY_BLOCK, args.trials - lo))])
-        mixed, averaged = concavity_check(pairs[0::2], pairs[1::2], args.p1, args.mode)
+        pairs = random_isometry(8, 2, rng, (min(_CONCAVITY_BLOCK, args.trials - lo), 2))
+        mixed, averaged = concavity_check(pairs[:, 0], pairs[:, 1], args.p1, args.mode)
         margins = mixed - averaged
         min_margin = min(min_margin, float(margins.min()))
         bad += int(np.count_nonzero(margins < -args.tol))
@@ -308,11 +309,9 @@ def _cmd_jacobian_check(args) -> int:
     if not pair.invertible:
         raise ValueError("Jacobian is singular at this point (a coefficient vanishes)")
     analytic = pair.j / (16.0 * pair.beta4)
-    fd = np.zeros((3, 3))
-    for q in range(3):
-        shift = np.zeros(3)
-        shift[q] = step
-        fd[:, q] = (g_map(b + shift) - g_map(b - shift)) / (2.0 * step)
+    shifts = step * np.eye(3)
+    c = g_map_many(np.concatenate([b + shifts, b - shifts]))  # rows b + step e_q, then b - step e_q
+    fd = (c[:3] - c[3:]).T / (2.0 * step)
     fd_error = float(np.max(np.abs(fd - analytic)) / max(1.0, np.max(np.abs(analytic))))
     inverse = pair.k / (16.0 * pair.gamma4)
     residual = float(np.max(np.abs(analytic @ inverse - np.eye(3))))

@@ -83,10 +83,15 @@ def _hermiticity_error(m: np.ndarray) -> float | np.ndarray:
     return float(err) if err.ndim == 0 else err
 
 
-def random_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Random rows x cols matrix with orthonormal columns."""
+def random_isometry(rows: int, cols: int, rng: np.random.Generator, size: tuple = ()) -> np.ndarray:
+    """Random rows x cols matrix with orthonormal columns, or a size-shaped stack of them.
+
+    Each matrix draws its real parts, then its imaginary parts, so a stack
+    equals one call per matrix in order, bit for bit, and leaves rng where
+    those calls do.
+    """
     if cols > rows:
         raise ValueError("an isometry needs at least as many rows as columns")
-    z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    q, _ = np.linalg.qr(z)
-    return q[:, :cols]
+    z = rng.standard_normal((*size, 2, rows, cols))
+    q, _ = np.linalg.qr(z[..., 0, :, :] + 1j * z[..., 1, :, :])
+    return q[..., :cols]

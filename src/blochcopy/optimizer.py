@@ -63,14 +63,18 @@ def _lambda_rows(terms, out) -> None:
 def _positive_beta(b: np.ndarray, tol: float = DEFAULT_TOL, out: np.ndarray | None = None) -> np.ndarray:
     """Positive coefficients of a (3, ...) array of semi-axes, as a (4, ...) array (into out if given).
 
-    beta^2 = (1/4) Lambda (1, b); a square below -tol (or NaN) raises, the
-    others are clamped to zero before the root.
+    beta^2 = (1/4) Lambda (1, b); a square below -tol (or NaN) raises
+    NotPossibleError naming the inequalities that the first such b violates,
+    the others are clamped to zero before the root.
     """
     beta = np.empty((4, *b.shape[1:])) if out is None else out
     _lambda_rows((1.0, *b), beta)
     beta *= 0.25
     if beta.size and not beta.min() >= -tol:  # NaN fails too
-        raise NotPossibleError("some rows lie outside the attainable tetrahedron")
+        first = np.argmin(np.all(beta >= -tol, axis=0).reshape(-1))
+        names = tetrahedron_violations(b.reshape(3, -1)[:, first], tol=4.0 * tol)
+        detail = "; ".join(names) if names else "axes outside the attainable tetrahedron"
+        raise NotPossibleError(f"tetrahedron violated: {detail}")
     np.maximum(beta, 0.0, out=beta)
     return np.sqrt(beta, out=beta)
 
@@ -96,7 +100,7 @@ def _g_from_beta(beta: np.ndarray, p: np.ndarray | None = None, s: np.ndarray | 
     return c
 
 
-def _g_columns(cols: np.ndarray, tol: float = DEFAULT_TOL, work: np.ndarray | None = None) -> np.ndarray:
+def _g_columns(cols: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """g over the columns of a (3, n) array of semi-axes, as a (3, n) view into work.
 
     work is a (2, 4, m) float buffer with m >= n (allocated when None) that
@@ -104,7 +108,7 @@ def _g_columns(cols: np.ndarray, tol: float = DEFAULT_TOL, work: np.ndarray | No
     """
     n = cols.shape[1]
     work = np.empty((2, 4, n)) if work is None else work[:, :, :n]
-    beta = _positive_beta(cols, tol=tol, out=work[0])
+    beta = _positive_beta(cols, out=work[0])
     return _g_from_beta(beta, p=beta[1:], s=work[1, 1:])
 
 
@@ -114,13 +118,7 @@ def beta_from_b(b, tol: float = DEFAULT_TOL) -> np.ndarray:
     beta^2 = (1/4) Lambda (1, b); squared components in [-tol, 0) are
     clamped to zero, anything lower means b is unattainable.
     """
-    b = _checked(b, "b", (3,), finite=False)
-    try:
-        return _positive_beta(b, tol=tol)
-    except NotPossibleError:
-        names = tetrahedron_violations(b, tol=4.0 * tol)
-        detail = "; ".join(names) if names else "axes outside the attainable tetrahedron"
-        raise NotPossibleError(f"tetrahedron violated: {detail}") from None
+    return _positive_beta(_checked(b, "b", (3,), finite=False), tol=tol)
 
 
 def b_from_beta(beta) -> np.ndarray:
@@ -143,10 +141,10 @@ def g_map(b, tol: float = DEFAULT_TOL) -> np.ndarray:
     return _g_from_beta(beta_from_b(b, tol=tol))
 
 
-def g_map_many(b_rows: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Vectorized g_map over the rows of an (n, 3) array, bit for bit equal to it."""
+def g_map_many(b_rows: np.ndarray) -> np.ndarray:
+    """Vectorized g_map over the rows of an (n, 3) array, bit for bit equal to it and raising its error."""
     b_rows = _checked(b_rows, "b_rows", (..., 3), finite=False).reshape(-1, 3)
-    return _g_columns(b_rows.T, tol=tol).T
+    return _g_columns(b_rows.T).T
 
 
 def isotropic_tradeoff(r: float) -> float:

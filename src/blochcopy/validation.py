@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .channel import b_from_e, extract_e_vectors, gram_matrix, tetrahedron_mask
+from .channel import extract_e_vectors, gram_matrix, tetrahedron_mask, transfer_from_gram
 from .linalg import _checked, _in_unit_interval, random_isometry
 from .optimizer import _g_columns, positive_optimal_mask
 from .pauli import lambda_matrix
@@ -293,14 +293,13 @@ def symmetry_check(e_gram: np.ndarray, mode) -> tuple[float, float]:
     that fails the physicality checks raises NotPhysicalError (its reversal
     is physical exactly when it is).
     """
-    e_rev = time_reversed_gram(e_gram)
-    q, q_rev = quality_e(np.stack([e_gram, e_rev]), mode).tolist()
-
-    bmap = b_from_e(e_gram, check=False)
-    bmap_rev = b_from_e(e_rev, check=False)
-    if not np.array_equal(bmap_rev.linear, bmap.linear):
+    pair = np.stack([e_gram, time_reversed_gram(e_gram)])
+    q, q_rev = quality_e(pair, mode).tolist()
+    # row 0 of a transfer matrix holds the displacement, the rest the linear part
+    t, t_rev = transfer_from_gram(pair)
+    if not np.array_equal(t_rev[1:, 1:], t[1:, 1:]):
         raise ValueError("reversed machine changed the linear part")
-    if not np.array_equal(bmap_rev.delta, -bmap.delta):
+    if not np.array_equal(t_rev[0, 1:], -t[0, 1:]):
         raise ValueError("reversed machine did not negate the displacement")
     if abs(q - q_rev) > _SYMMETRY_TOL:
         raise ValueError(

@@ -106,6 +106,24 @@ def test_transfer_requires_hermitian():
         transfer_from_gram(bad)
 
 
+def test_stacked_transfer_equals_one_call_per_matrix():
+    rng = np.random.default_rng(25)
+    grams = np.array([_random_machine_gram(rng) for _ in range(24)]).reshape(4, 6, 4, 4)
+    stacked = transfer_from_gram(grams)
+    assert stacked.shape == (4, 6, 4, 4)
+    for idx in np.ndindex(4, 6):
+        assert np.array_equal(stacked[idx], transfer_from_gram(grams[idx]))
+    assert transfer_from_gram(grams[:0]).shape == (0, 6, 4, 4)
+
+
+def test_stacked_transfer_fails_on_its_worst_matrix():
+    grams = np.zeros((3, 4, 4), dtype=complex)
+    grams[1, 0, 1] = 1e-3
+    grams[2, 2, 3] = 0.5
+    with pytest.raises(NotHermitianError, match="by 5.000e-01"):
+        transfer_from_gram(grams)
+
+
 def test_perfect_machine_gram():
     # identity channel on B: E_00 = 1, everything else 0
     e = e_from_b(AffineBlochMap.identity())

@@ -429,6 +429,38 @@ def test_concavity_blocks_match_the_per_trial_loop(capsys, monkeypatch, block, a
     )
 
 
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Replace module.name by a wrapper that records each call's arguments; returns the record."""
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_concavity_draws_each_block_with_one_call(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_CONCAVITY_BLOCK", 4)
+    calls = _count_calls(monkeypatch, cli, "random_isometry")
+    code, _, _ = _run(capsys, ["concavity", "--trials", "9", "--seed", "2"])
+    assert code == 0
+    assert [(args[0], args[1], args[3]) for args in calls] == [(8, 2, (4, 2)), (8, 2, (4, 2)), (8, 2, (1, 2))]
+
+
+def test_jacobian_check_shifts_with_one_batch_call(capsys, monkeypatch):
+    many = _count_calls(monkeypatch, cli, "g_map_many")
+    scalar = _count_calls(monkeypatch, cli, "g_map")
+    code, _, _ = _run(capsys, ["jacobian-check", "0.3", "0.2", "0.1"])
+    assert code == 0
+    assert [args[0].shape for args in many] == [(6, 3)]
+    assert scalar == []
+
+
+def test_jacobian_check_near_a_face_names_the_shift_outside(capsys):
+    code, out, err = _run(capsys, ["jacobian-check", "0.999", "0.999", "0.999", "--step", "1e-2"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: tetrahedron violated: b1+b2 > 1+b3; b3+b1 > 1+b2\n"
+
+
 def test_jacobian_check_interior_point(capsys):
     code, out, _ = _run(capsys, ["jacobian-check", "0.5", "0.6", "0.55"])
     assert code == 0

@@ -66,6 +66,9 @@ GOLDEN = [
      "ad3ca72fda9ee14e01d0535d9be8281bd366ca10677c333a9651a29f9e147a7c"),
     (["concavity", "--trials", "50", "--seed", "123", "--p1", "0.9", "--mode", "x"],
      "49dc194d1e2c19b56898756c07be559094293e8ce19f9ae0d37337330fcbc4cb"),
+    # two block boundaries and a last block of one trial
+    (["concavity", "--trials", "2049", "--seed", "3", "--p1", "0.2"],
+     "3e248a879fddb85e40250db5ddbd86409eeb69e50dcba26637de8f5f6b05efb8"),
 ]
 
 

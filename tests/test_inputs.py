@@ -8,6 +8,7 @@ from blochcopy.channel import (
     b_from_e,
     bloch_vector,
     check_physical,
+    complex_matrix_to_json,
     density_from_bloch,
     extract_e_vectors,
     gram_from_transfer,
@@ -75,6 +76,7 @@ _CASES = {
     "map_bloch": lambda bad: map_bloch(AffineBlochMap.identity(), _spoil(_Z, bad)),
     "transfer_from_gram": lambda bad: transfer_from_gram(_spoil(_GRAM, bad)),
     "b_from_e": lambda bad: b_from_e(_spoil(_GRAM, bad), check=False),
+    "complex_matrix_to_json": lambda bad: complex_matrix_to_json(_spoil(_GRAM, bad)),
     "isometry_residuals": lambda bad: isometry_residuals(_spoil(_GRAM, bad)),
     "gram_from_transfer": lambda bad: gram_from_transfer(_spoil(np.eye(4), bad)),
     "isometry_from_beta": lambda bad: isometry_from_beta(_spoil(_BETA, bad)),
@@ -110,8 +112,9 @@ def test_non_finite_entries_raise_value_error(call, bad):
         (lambda: isometry_residuals(np.eye(3)), r"e_gram must have shape \(\.\.\., 4, 4\)"),
         (lambda: mixed_isometry(_V, np.zeros((4, 3)), 0.5), r"v2 must have shape \(\.\.\., 2d, 2\)"),
         (lambda: b_from_beta([1.0, 0.0, 0.0]), r"beta must have shape \(4,\), got \(3,\)"),
+        (lambda: complex_matrix_to_json(np.zeros(3)), r"m must have shape \(r, c\), got \(3,\)"),
     ],
-    ids=["isometry", "square", "rows", "gram", "residuals", "second-machine", "beta"],
+    ids=["isometry", "square", "rows", "gram", "residuals", "second-machine", "beta", "json-matrix"],
 )
 def test_wrong_shapes_name_the_argument(call, message):
     with pytest.raises(ValueError, match=message):

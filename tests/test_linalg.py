@@ -77,6 +77,24 @@ def test_random_isometry_columns_orthonormal():
     assert np.allclose(dagger(v) @ v, np.eye(2), atol=1e-12)
 
 
+def _one_isometry(rows, cols, rng):
+    """One matrix the way random_isometry drew it before it took stacks."""
+    z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    q, _ = np.linalg.qr(z)
+    return q[:, :cols]
+
+
+@pytest.mark.parametrize("size", [(), (1,), (7, 2), (1024, 2)])
+def test_stacked_isometries_equal_one_call_per_matrix(size):
+    for seed in range(20):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        v = random_isometry(8, 2, rng, size)
+        each = [_one_isometry(8, 2, oracle_rng) for _ in range(int(np.prod(size)))]
+        assert v.shape == (*size, 8, 2)
+        assert np.array_equal(v.reshape(-1, 8, 2), np.array(each).reshape(-1, 8, 2))
+        assert rng.random() == oracle_rng.random()
+
+
 def test_random_isometry_rejects_wide_shape():
     with pytest.raises(ValueError):
         random_isometry(2, 4, np.random.default_rng(0))

@@ -65,6 +65,26 @@ def test_unattainable_axes_raise_with_the_failed_face():
     assert str(err.value) == "tetrahedron violated: b1+b2 > 1+b3"
 
 
+@pytest.mark.parametrize(
+    "bad, names",
+    [
+        ([0.9, 0.5, 0.9], "b3+b1 > 1+b2"),
+        ([1.5, 1.5, 1.5], "b1+b2 > 1+b3; b2+b3 > 1+b1; b3+b1 > 1+b2"),
+        ([-0.9, -0.9, -0.9], "b1+b2+b3 < -1"),
+        ([0.5, np.nan, 0.5], "NaN component"),
+    ],
+    ids=["one-face", "three-faces", "sum", "nan"],
+)
+def test_batch_and_scalar_g_name_the_first_bad_row(bad, names):
+    rows = [[0.5, 0.5, 0.5], bad, [0.9, 0.9, 0.5]]
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NotPossibleError) as batch:
+            g_map_many(rows)
+        with pytest.raises(NotPossibleError) as scalar:
+            g_map(bad)
+    assert str(batch.value) == str(scalar.value) == f"tetrahedron violated: {names}"
+
+
 def test_chain_round_trip():
     rng = np.random.default_rng(60)
     for _ in range(200):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from blochcopy import validation
+from blochcopy import channel, validation
 from blochcopy.channel import (
     b_from_e,
     check_physical,
@@ -400,6 +400,17 @@ def test_symmetry_check_negates_the_displacement():
     bmap_rev = b_from_e(time_reversed_gram(e), check=False)
     assert np.array_equal(bmap_rev.delta, -bmap.delta)
     assert np.array_equal(bmap_rev.linear, bmap.linear)
+
+
+def test_symmetry_check_makes_one_transfer_call_on_the_pair(monkeypatch):
+    calls = {"validation": [], "channel": []}
+    for module, key in ((validation, "validation"), (channel, "channel")):
+        real = module.transfer_from_gram
+        monkeypatch.setattr(module, "transfer_from_gram", lambda e, real=real, key=key: calls[key].append(e.shape) or real(e))
+    e = random_physical_gram(np.random.default_rng(87))
+    symmetry_check(e, [0.0, 0.6, 0.8])
+    # a b_from_e call anywhere would show as a channel.transfer_from_gram call
+    assert calls == {"validation": [(2, 4, 4)], "channel": []}
 
 
 def test_symmetry_check_rejects_unphysical_input():
