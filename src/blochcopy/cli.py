@@ -39,7 +39,7 @@ from .optimizer import (
     jacobians,
 )
 from .quality import quality_bloch, quality_e_diagonal
-from .validation import ScanConfig, concavity_check, monotonicity_scan
+from .validation import _MAX_OUTER, ScanConfig, concavity_check, monotonicity_scan
 
 __all__ = ["main"]
 
@@ -128,6 +128,7 @@ def _number(cast, test, expected: str):
 
 _positive_int = _number(int, lambda n: n >= 1, "a positive integer")
 _nonnegative_int = _number(int, lambda n: n >= 0, "a nonnegative integer")
+_outer_count = _number(int, lambda n: 1 <= n <= _MAX_OUTER, f"a positive integer of at most {_MAX_OUTER}")
 _count = _number(int, lambda n: n >= 2, "an integer of at least 2")
 _finite_float = _number(float, math.isfinite, "a finite number")
 _positive_float = _number(float, lambda x: 0.0 < x < math.inf, "a positive finite number")
@@ -409,7 +410,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = _add_common(subs.add_parser("scan", help="randomized monotonicity scan of the trade-off"))
     p.add_argument("--region", choices=("good", "outside"), default="good")
-    p.add_argument("--n-outer", dest="n_outer", type=_positive_int, default=100)
+    p.add_argument("--n-outer", dest="n_outer", type=_outer_count, default=100)
     p.add_argument("--n-inner", dest="n_inner", type=_positive_int, default=1000)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--max-keep", dest="max_keep", type=_nonnegative_int, default=256)

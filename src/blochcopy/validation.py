@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -57,7 +57,65 @@ _LOOKAHEAD = 64
 _TILE_ROWS = 2**14
 
 _LAM_AXES = lambda_matrix()[1:]
-_ONES4 = np.ones(4)
+
+# numpy's SeedSequence hash constants, with its pool size 4 and shift 16
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# the hash constant at a spawn key's 4 hashes and after each, when the key
+# follows the pool's own 16 hashes (seeds of up to 4 words)
+_KEY_HASH = np.array([_INIT_A * pow(_MULT_A, 16 + i, 2**32) % 2**32 for i in range(5)], dtype=np.uint32)
+# generate_state's hash constant at its 8 words, pool words 0-3 twice, and after each
+_STATE_HASH = np.array([_INIT_B * pow(_MULT_B, i, 2**32) % 2**32 for i in range(9)], dtype=np.uint32)
+_STATE_XOR, _STATE_MUL = _STATE_HASH[:8].reshape(2, 4), _STATE_HASH[1:].reshape(2, 4)
+# most outer points of a scan: spawn keys below it are one uint32 word each
+_MAX_OUTER = 2**32
+
+
+@cache
+def _preset_seed():
+    """A seed sequence class whose generate_state returns words given up front.
+
+    Made on first use: importing numpy.random costs ~15 ms, which only a
+    scan needs to pay.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PresetWords(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return PresetWords
+
+
+def _spawned_generators(seed: int, lo: int, n: int) -> list:
+    """default_rng of SeedSequence(seed).spawn(lo + n)[lo:], in one pass.
+
+    A port of SeedSequence's child mixing.  A child's entropy is the
+    parent's run words, zero-padded to the pool size 4, then its spawn key,
+    so its pool is the parent's pool with the key hashed into each word.
+    PCG64 is then seeded from generate_state(4, uint64): 8 hashes of that
+    pool, read as little-endian pairs.  The children are hashed together,
+    in uint32 arrays whose products wrap like numpy's uint32_t arithmetic.
+    Keys must be below _MAX_OUTER, where spawn would use two words.
+    """
+    # each run word past the pool's 4 takes 4 more hashes before the key's
+    past_pool = max(0, -(-seed.bit_length() // 32) - 4)
+    key_hash = _KEY_HASH * np.uint32(pow(_MULT_A, 4 * past_pool, 2**32))
+    keys = np.arange(lo, lo + n, dtype=np.uint32)[:, None]
+    hashed = (keys ^ key_hash[:4]) * key_hash[1:]
+    hashed ^= hashed >> 16
+    hashed *= _MIX_R
+    child = np.random.SeedSequence(seed).pool * _MIX_L - hashed
+    child ^= child >> 16
+    words = (child[:, None, :] ^ _STATE_XOR) * _STATE_MUL
+    words ^= words >> 16
+    states = words.reshape(n, 8).view("<u8").astype(np.uint64, copy=False)
+    preset, pcg64, generator = _preset_seed(), np.random.PCG64, np.random.Generator
+    return [generator(pcg64(preset(row))) for row in states]
 
 
 def _first_accepted(rngs: list, raw, transform, accept) -> np.ndarray:
@@ -99,13 +157,25 @@ def _outside_region(rows: np.ndarray) -> np.ndarray:
     return tetrahedron_mask(rows) & ~positive_optimal_mask(rows)
 
 
+def _simplex_axes(exp: np.ndarray) -> np.ndarray:
+    """Semi-axes lam @ beta_sq of the Dirichlet(1, 1, 1, 1) rows made from exp.
+
+    Rows of 4 standard exponentials times the reciprocal of their sum,
+    taken left to right, have the bits of dirichlet(ones(4)), and the draw
+    leaves the stream where dirichlet does; dividing by the sum does not.
+    einsum gives each row the bits of the single-draw lam @ beta_sq;
+    beta_sq @ lam.T does not.
+    """
+    total = ((exp[:, 0] + exp[:, 1]) + exp[:, 2]) + exp[:, 3]
+    return np.einsum("qk,nk->nq", _LAM_AXES, exp * (1.0 / total)[:, None])
+
+
 def _sample(rngs: list, region: str) -> np.ndarray:
     """One base point per generator, drawn from the 'good' or the 'outside' region."""
     if region == "good":
-        # einsum gives each row the bits of the single-draw lam @ beta_sq;
-        # beta_sq @ lam.T does not
-        to_axes = partial(np.einsum, "qk,nk->nq", _LAM_AXES)
-        return _first_accepted(rngs, lambda rng, k: rng.dirichlet(_ONES4, k), to_axes, positive_optimal_mask)
+        return _first_accepted(
+            rngs, lambda rng, k: rng.standard_exponential((k, 4)), _simplex_axes, positive_optimal_mask
+        )
     # uniform draws in the cube are the semi-axes themselves
     return _first_accepted(rngs, lambda rng, k: rng.random((k, 3)), np.asarray, _outside_region)
 
@@ -132,7 +202,8 @@ class ScanConfig:
     n_outer base points are drawn from the requested region; for each one
     n_inner candidates dominating it componentwise are tested.  max_keep
     caps the number of stored counterexample records, the count in the
-    report is always exact.
+    report is always exact.  n_outer is at most 2**32, the outer points
+    whose seeds the scan derives.
     """
 
     n_outer: int = 100
@@ -152,6 +223,8 @@ class ScanConfig:
             if number < least:
                 raise ValueError(f"{name} must be at least {least}, got {number}")
             object.__setattr__(self, name, number)
+        if self.n_outer > _MAX_OUTER:
+            raise ValueError(f"n_outer must be at most {_MAX_OUTER}, got {self.n_outer}")
         if self.region not in ("good", "outside"):
             raise ValueError("region must be 'good' or 'outside'")
 
@@ -199,7 +272,8 @@ def monotonicity_scan(config: ScanConfig) -> ScanReport:
     g(b') >= g(b) in every component.  Inside the good region none should
     ever be found; outside they are common.  Each outer point draws its base
     point and its candidates from its own child seed, so reports with equal
-    config are identical however the points are batched.  Candidates are
+    config are identical however the points are batched; a tile's
+    generators come from one _spawned_generators call.  Candidates are
     tested in tiles of up to _TILE_ROWS rows, stored column by column in
     buffers reused from tile to tile.  A tile's base points come from one
     _first_accepted call: each round tests the next look-ahead block of
@@ -210,7 +284,6 @@ def monotonicity_scan(config: ScanConfig) -> ScanReport:
     # outside the good region candidates only need to stay attainable
     in_region = positive_optimal_mask if config.region == "good" else partial(tetrahedron_mask, tol=0.0)
     n_inner = config.n_inner
-    children = np.random.SeedSequence(config.seed).spawn(config.n_outer)
     per_tile = max(1, _TILE_ROWS // n_inner)
     seg = min(n_inner, _TILE_ROWS)
     size = min(per_tile, config.n_outer) * seg
@@ -221,9 +294,8 @@ def monotonicity_scan(config: ScanConfig) -> ScanReport:
     n_violations = 0
     kept: list[dict] = []
     for lo in range(0, config.n_outer, per_tile):
-        points = children[lo : lo + per_tile]
-        m = len(points)
-        rngs = [np.random.default_rng(child) for child in points]
+        m = min(per_tile, config.n_outer - lo)
+        rngs = _spawned_generators(config.seed, lo, m)
         b = _sample(rngs, config.region)
         g_b = _g_columns(b.T)
         lower, scale = b.T[:, :, None], (1.0 - b).T[:, :, None]

@@ -326,6 +326,8 @@ def test_scan_sizes_must_be_positive(capsys, flag):
         (["concavity", "--trials", "0"], "argument --trials: expected a positive integer"),
         (["concavity", "--trials", "-1"], "argument --trials: expected a positive integer"),
         (["scan", "--max-keep", "-1"], "argument --max-keep: expected a nonnegative integer"),
+        (["scan", "--n-outer", "4294967297"],
+         "argument --n-outer: expected a positive integer of at most 4294967296"),
         (["jacobian-check", "0.5", "0.5", "0.5", "--step", "0"], "expected a positive finite number"),
         (["jacobian-check", "0.5", "0.5", "0.5", "--step=nan"], "expected a positive finite number"),
         (["jacobian-check", "0.5", "0.5", "0.5", "--step", "-1e-3"], "argument --step: expected a positive finite number"),
@@ -340,8 +342,9 @@ def test_scan_sizes_must_be_positive(capsys, flag):
         (["quality", "--beta", "1,0,0,0", "--mode", "0,0,0"], "argument --mode: mode direction must be nonzero"),
         (["circuit", "--beta", "1,0,0,0", "--input", "0,0,0,0"], "argument --input: state must be nonzero"),
     ],
-    ids=["trials0", "trials-1", "max-keep-1", "step0", "step-nan", "step-sci", "count1", "p1", "tol-1",
-         "tol-inf", "scan-seed-1", "concavity-seed-1", "beta-length", "beta-norm", "mode-zero", "state-zero"],
+    ids=["trials0", "trials-1", "max-keep-1", "n-outer-2**32+1", "step0", "step-nan", "step-sci", "count1", "p1",
+         "tol-1", "tol-inf", "scan-seed-1", "concavity-seed-1", "beta-length", "beta-norm", "mode-zero",
+         "state-zero"],
 )
 def test_bad_counts_and_steps_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -368,12 +371,14 @@ def test_zero_step_from_a_config_file_is_a_runtime_error(capsys, tmp_path):
     [
         (["concavity", "--trials", "1"], "p1=1.5", "expected a number in [0, 1], got '1.5'"),
         (["scan", "--n-outer", "1", "--n-inner", "1"], "seed=-1", "expected a nonnegative integer, got '-1'"),
+        (["scan", "--n-inner", "1"], "n_outer=4294967297",
+         "expected a positive integer of at most 4294967296, got '4294967297'"),
         (["gmap", "0.5", "0.5", "0.5"], "tol=-1", "expected a nonnegative finite number, got '-1'"),
         (["classify", "0.5", "0.5", "0.5", "0.5", "0.5", "0.5"], "tol=-1",
          "expected a nonnegative finite number, got '-1'"),
         (["gmap", "0.5", "0.5", "0.5"], "tol=nan", "expected a nonnegative finite number, got 'nan'"),
     ],
-    ids=["p1", "seed", "tol", "classify-tol", "tol-nan"],
+    ids=["p1", "seed", "n-outer", "tol", "classify-tol", "tol-nan"],
 )
 def test_out_of_range_values_from_a_config_file_exit_one(capsys, tmp_path, argv, line, message):
     config = tmp_path / "options.cfg"

@@ -186,14 +186,21 @@ def test_distinguishability_names_the_vector_outside_the_unit_ball(name):
         ("n_outer", "3", "n_outer must be an integer, got '3'"),
         ("seed", -1, "seed must be at least 0, got -1"),
         ("n_outer", 0, "n_outer must be at least 1, got 0"),
+        # spawn keys from 2**32 on take two words, which the scan's seeding does not port
+        ("n_outer", 2**32 + 1, "n_outer must be at most 4294967296, got 4294967297"),
         ("max_keep", -2, "max_keep must be at least 0, got -2"),
     ],
-    ids=["n_inner-float", "max_keep-float", "n_outer-str", "seed-negative", "n_outer-zero", "max_keep-negative"],
+    ids=["n_inner-float", "max_keep-float", "n_outer-str", "seed-negative", "n_outer-zero", "n_outer-above-2**32",
+         "max_keep-negative"],
 )
 def test_scan_config_names_its_bad_field(field, value, message):
     with pytest.raises(ValueError) as err:
         ScanConfig(**{field: value})
     assert str(err.value) == message
+
+
+def test_scan_config_takes_n_outer_up_to_two_to_the_32():
+    assert ScanConfig(n_outer=2**32).n_outer == 2**32
 
 
 def test_scan_config_takes_numpy_integers_as_ints():

@@ -1,10 +1,14 @@
 """Monotonicity scans, time reversal, and mixing concavity."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import blochcopy
 from blochcopy import channel, validation
 from blochcopy.channel import (
     b_from_e,
@@ -21,6 +25,7 @@ from blochcopy.quality import quality_e
 from blochcopy.validation import (
     ScanConfig,
     ScanReport,
+    _MAX_OUTER,
     _TILE_ROWS,
     concavity_check,
     mixed_isometry,
@@ -224,6 +229,41 @@ def test_sampler_rounds_stay_within_a_tile(monkeypatch, region):
     report = monotonicity_scan(ScanConfig(n_outer=20_000, n_inner=1, seed=3, region=region))
     assert report.checked > 0
     assert max(seen) == _TILE_ROWS
+
+
+# 2**130 + 5 has five run words, one more than the pool
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 5])
+def test_spawned_generators_match_spawn_and_default_rng(seed):
+    for lo, n in ((0, 300), (256, 44)):
+        children = np.random.SeedSequence(seed).spawn(lo + n)[lo:]
+        want = [np.random.default_rng(child).bit_generator.state for child in children]
+        assert [rng.bit_generator.state for rng in validation._spawned_generators(seed, lo, n)] == want
+    # the last point a scan may have; spawn would make 2**32 children to reach it
+    (got,) = validation._spawned_generators(seed, _MAX_OUTER - 1, 1)
+    want = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_MAX_OUTER - 1,)))
+    assert got.bit_generator.state == want.bit_generator.state
+    assert np.array_equal(got.random(4), want.random(4))
+
+
+def test_normalised_exponentials_are_dirichlet_draws():
+    # rows times the reciprocal of their left-to-right sum; dividing by the sum differs
+    for seed in range(300):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        exp = rng.standard_exponential((64, 4))
+        want = ref.dirichlet(np.ones(4), 64)
+        rows = exp * (1.0 / (((exp[:, 0] + exp[:, 1]) + exp[:, 2]) + exp[:, 3]))[:, None]
+        assert np.array_equal(rows, want)
+        assert np.array_equal(validation._simplex_axes(exp), np.einsum("qk,nk->nq", lambda_matrix()[1:], want))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_importing_the_package_leaves_numpy_random_unloaded():
+    # numpy.random takes ~15 ms to import; only a scan loads it
+    src = os.path.dirname(os.path.dirname(blochcopy.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, blochcopy; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
 
 
 def test_random_gram_is_physical():
