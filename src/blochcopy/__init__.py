@@ -12,9 +12,7 @@ from .channel import (
     complex_matrix_to_json,
     density_from_bloch,
     diagonalize,
-    e_from_b,
     extract_e_vectors,
-    gram_from_transfer,
     gram_matrix,
     isometry_from_beta,
     isometry_from_e_vectors,
@@ -63,7 +61,7 @@ from .optimizer import (
     same_order,
     sign_flip_variants,
 )
-from .pauli import SIGMA, l_table, l_tensor, lambda_matrix, pauli
+from .pauli import SIGMA, l_table, lambda_matrix
 from .quality import (
     distinguishability,
     min_error_rate,
@@ -72,7 +70,6 @@ from .quality import (
     quality_c_from_circuit,
     quality_e,
     quality_e_diagonal,
-    quality_e_from_vectors,
     trace_norm,
 )
 from .validation import (
@@ -82,8 +79,6 @@ from .validation import (
     mixed_isometry,
     monotonicity_scan,
     random_physical_gram,
-    sample_good_region,
-    sample_outside_region,
     symmetry_check,
     time_reversed_gram,
 )

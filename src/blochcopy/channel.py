@@ -36,9 +36,7 @@ __all__ = [
     "density_from_bloch",
     "bloch_vector",
     "transfer_from_gram",
-    "gram_from_transfer",
     "b_from_e",
-    "e_from_b",
     "isometry_residuals",
     "check_physical",
     "diagonalize",
@@ -100,39 +98,15 @@ class AffineBlochMap:
         object.__setattr__(self, "linear", _checked(self.linear, "linear", (3, 3)))
 
     @classmethod
-    def identity(cls) -> "AffineBlochMap":
-        return cls(np.zeros(3), np.eye(3))
-
-    @classmethod
-    def diagonal(cls, axes, delta=None) -> "AffineBlochMap":
-        """Centered (or displaced) map with a diagonal linear part."""
-        d = np.zeros(3) if delta is None else delta
-        return cls(d, np.diag(np.asarray(axes, dtype=float)))
-
-    def as_matrix(self) -> np.ndarray:
-        """4 x 4 form: first row (1, delta), first column (1, 0, 0, 0)^T."""
-        m = np.zeros((4, 4))
-        m[0, 0] = 1.0
-        m[0, 1:] = self.delta
-        m[1:, 1:] = self.linear
-        return m
-
-    @classmethod
-    def from_matrix(cls, m) -> "AffineBlochMap":
-        m = _checked(m, "m", (4, 4))
-        if abs(m[0, 0] - 1.0) > 1e-12 or np.max(np.abs(m[1:, 0])) > 1e-12:
-            raise ValueError("first column must be (1, 0, 0, 0)")
-        return cls(m[0, 1:], m[1:, 1:])
+    def diagonal(cls, axes) -> "AffineBlochMap":
+        """Centered map with a diagonal linear part."""
+        return cls(np.zeros(3), np.diag(_checked(axes, "axes", (3,))))
 
     def to_json(self) -> dict:
         return {
             "delta": [float(x) for x in self.delta],
             "linear": [[float(x) for x in row] for row in self.linear],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "AffineBlochMap":
-        return cls(obj["delta"], obj["linear"])
 
 
 def map_bloch(bmap: AffineBlochMap, r) -> np.ndarray:
@@ -142,7 +116,7 @@ def map_bloch(bmap: AffineBlochMap, r) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Gram matrix <-> transfer matrix
+# Gram matrix -> transfer matrix
 
 
 def transfer_from_gram(e_gram: np.ndarray) -> np.ndarray:
@@ -158,12 +132,6 @@ def transfer_from_gram(e_gram: np.ndarray) -> np.ndarray:
         raise NotHermitianError(f"Gram matrix deviates from Hermitian by {herm:.3e}")
     full = np.einsum("lmjk,...jk->...lm", l_table(), e_gram)
     return full.real
-
-
-def gram_from_transfer(transfer: np.ndarray) -> np.ndarray:
-    """Inverse contraction: E_jk = (1/4) sum_lm L(jk;lm) T_lm."""
-    transfer = _checked(transfer, "transfer", (4, 4))
-    return 0.25 * np.einsum("jklm,lm->jk", l_table(), transfer)
 
 
 def isometry_residuals(e_gram: np.ndarray) -> tuple:
@@ -197,11 +165,6 @@ def b_from_e(e_gram: np.ndarray, check: bool = True) -> AffineBlochMap:
                 f"isometry conditions violated (trace {trace_err:.3e}, re/im {reim:.3e})"
             )
     return AffineBlochMap(full[0, 1:], full[1:, 1:])
-
-
-def e_from_b(bmap: AffineBlochMap) -> np.ndarray:
-    """Gram matrix whose B output realizes the given affine map."""
-    return gram_from_transfer(bmap.as_matrix())
 
 
 @dataclass(frozen=True)
@@ -423,8 +386,9 @@ def complex_matrix_to_json(m: np.ndarray) -> list:
 
 
 def complex_matrix_from_json(obj) -> np.ndarray:
-    """Inverse of complex_matrix_to_json."""
-    rows = []
-    for row in obj:
-        rows.append([complex(re, im) for re, im in row])
-    return np.array(rows, dtype=complex)
+    """Inverse of complex_matrix_to_json; anything but rows of finite [re, im] pairs raises ValueError naming obj."""
+    try:
+        m = np.array([[complex(re, im) for re, im in row] for row in obj], dtype=complex)
+    except (TypeError, ValueError):
+        raise ValueError("obj must be a list of rows of [re, im] number pairs") from None
+    return _checked(m, "obj", ("r", "c"), complex)

@@ -1,5 +1,10 @@
 """Exception types raised when a physical or algebraic constraint is violated."""
 
+__all__ = [
+    "NotHermitianError", "NotIsometricError", "NotNormalizedError",
+    "NotPhysicalError", "NotPossibleError", "NotPositiveOptimalError",
+]
+
 
 class NotHermitianError(ValueError):
     """Operator expected to be Hermitian is not, beyond tolerance."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SIGMA", "CYCLIC", "CYCLIC_AXES", "pauli", "l_tensor", "l_table", "lambda_matrix"]
+__all__ = ["SIGMA", "CYCLIC", "CYCLIC_AXES", "l_table", "lambda_matrix"]
 
 SIGMA = np.array(
     [
@@ -48,21 +48,6 @@ def _build_l_table() -> np.ndarray:
 
 
 _L = _build_l_table()
-
-
-def pauli(index: int) -> np.ndarray:
-    """Return sigma_index for index in 0..3 (identity, x, y, z)."""
-    if index not in (0, 1, 2, 3):
-        raise ValueError(f"Pauli index must be in 0..3, got {index}")
-    return SIGMA[index]
-
-
-def l_tensor(j: int, k: int, l: int, m: int) -> complex:
-    """Contraction coefficient L(jk;lm) = (1/2) Tr[sigma_j sigma_l sigma_k sigma_m]."""
-    for idx in (j, k, l, m):
-        if idx not in (0, 1, 2, 3):
-            raise ValueError(f"indices must be in 0..3, got {(j, k, l, m)}")
-    return complex(_L[j, k, l, m])
 
 
 def l_table() -> np.ndarray:

@@ -24,7 +24,6 @@ __all__ = [
     "quality_bloch",
     "omega_e",
     "quality_e",
-    "quality_e_from_vectors",
     "quality_e_diagonal",
     "quality_c_from_circuit",
     "distinguishability",
@@ -74,11 +73,6 @@ def omega_e(e_vectors: np.ndarray, m) -> np.ndarray:
     return np.einsum("q,jkq,...jd,...ke->...de", m, l_table()[:, :, 1:, 0], e_vectors, e_vectors.conj())
 
 
-def quality_e_from_vectors(e_vectors: np.ndarray, m) -> float | np.ndarray:
-    """Environment quality from concrete expansion vectors (no physicality check)."""
-    return trace_norm(omega_e(e_vectors, m))
-
-
 def quality_e(e_gram: np.ndarray, m) -> float | np.ndarray:
     """Environment quality Tr|Omega_E(m)| of a physical machine Gram matrix, or of each in a stack.
 
@@ -93,7 +87,7 @@ def quality_e(e_gram: np.ndarray, m) -> float | np.ndarray:
         raise NotPhysicalError(
             f"Gram matrix fails physicality: Hermiticity error {np.max(herm):.3e}, isometry residual {np.max(residual):.3e}"
         )
-    return quality_e_from_vectors(e_vectors, m)
+    return trace_norm(omega_e(e_vectors, m))
 
 
 def quality_e_diagonal(beta, m) -> float:

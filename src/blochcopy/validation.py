@@ -30,8 +30,6 @@ from .quality import quality_e
 
 __all__ = [
     "random_physical_gram",
-    "sample_good_region",
-    "sample_outside_region",
     "ScanConfig",
     "ScanReport",
     "monotonicity_scan",
@@ -178,21 +176,6 @@ def _sample(rngs: list, region: str) -> np.ndarray:
         )
     # uniform draws in the cube are the semi-axes themselves
     return _first_accepted(rngs, lambda rng, k: rng.random((k, 3)), np.asarray, _outside_region)
-
-
-def sample_good_region(rng: np.random.Generator) -> np.ndarray:
-    """Semi-axes b with b_q >= b_q' b_q'' and components in [0, 1].
-
-    Squared machine coefficients are drawn uniformly from the probability
-    simplex and rejected until the induced first-copy axes satisfy the
-    region inequalities.
-    """
-    return _sample([rng], "good")[0]
-
-
-def sample_outside_region(rng: np.random.Generator) -> np.ndarray:
-    """Attainable semi-axes in [0, 1]^3 failing some b_q >= b_q' b_q''."""
-    return _sample([rng], "outside")[0]
 
 
 @dataclass(frozen=True)

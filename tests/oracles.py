@@ -7,7 +7,9 @@ density matrices, where the package uses the Heisenberg picture.
 sign_patterns enumerates sign variants in two branches, on whether a
 component is zero; the package takes one pass over all eight patterns.
 concavity_report checks one trial at a time, where the concavity
-subcommand checks a block of trials per call.
+subcommand checks a block of trials per call.  gram_from_transfer is the
+inverse of the package's transfer_from_gram, which the round-trip tests
+compare it against.
 """
 
 from __future__ import annotations
@@ -111,6 +113,13 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+def gram_from_transfer(transfer: np.ndarray) -> np.ndarray:
+    """Inverse contraction of transfer_from_gram: E_jk = (1/4) sum_lm L(jk;lm) T_lm."""
+    from blochcopy.pauli import l_table
+
+    return 0.25 * np.einsum("jklm,lm->jk", l_table(), np.asarray(transfer, dtype=float))
 
 
 def sign_patterns(v: np.ndarray) -> list[np.ndarray]:

@@ -8,10 +8,10 @@ from blochcopy.channel import (
     b_from_e,
     bloch_vector,
     check_physical,
+    complex_matrix_from_json,
     complex_matrix_to_json,
     density_from_bloch,
     extract_e_vectors,
-    gram_from_transfer,
     gram_matrix,
     isometry_from_beta,
     isometry_from_e_vectors,
@@ -46,6 +46,7 @@ _BETA = np.array([0.8, 0.1, 0.1, 0.5830951894845301])
 _GRAM = np.diag(_BETA**2).astype(complex)
 _V = isometry_from_beta(_BETA)
 _Z = np.array([0.0, 0.0, 1.0])
+_IDENTITY = AffineBlochMap.diagonal(np.ones(3))
 
 
 def _spoil(x, bad):
@@ -67,18 +68,18 @@ _CASES = {
     "jacobians": lambda bad: jacobians(_spoil(_BETA, bad)),
     "density_from_bloch": lambda bad: density_from_bloch(_spoil(_Z, bad)),
     "output_map": lambda bad: output_map(_spoil(_V, bad), "C"),
-    "quality_bloch": lambda bad: quality_bloch(AffineBlochMap.identity(), _spoil(_Z, bad)),
+    "quality_bloch": lambda bad: quality_bloch(_IDENTITY, _spoil(_Z, bad)),
     "circuit_a": lambda bad: circuit_a(_spoil([1.0, 0.0], bad), _BETA),
     "circuit_b": lambda bad: circuit_b([1.0, 0.0], _spoil(_BETA, bad)),
     "check_physical": lambda bad: check_physical(_spoil(_GRAM, bad)),
     "bloch_vector": lambda bad: bloch_vector(_spoil(np.eye(2) / 2, bad)),
     "affine_map": lambda bad: AffineBlochMap(_spoil(np.zeros(3), bad), np.eye(3)),
-    "map_bloch": lambda bad: map_bloch(AffineBlochMap.identity(), _spoil(_Z, bad)),
+    "map_bloch": lambda bad: map_bloch(_IDENTITY, _spoil(_Z, bad)),
     "transfer_from_gram": lambda bad: transfer_from_gram(_spoil(_GRAM, bad)),
     "b_from_e": lambda bad: b_from_e(_spoil(_GRAM, bad), check=False),
     "complex_matrix_to_json": lambda bad: complex_matrix_to_json(_spoil(_GRAM, bad)),
+    "complex_matrix_from_json": lambda bad: complex_matrix_from_json(_spoil(np.zeros((4, 4, 2)), bad).tolist()),
     "isometry_residuals": lambda bad: isometry_residuals(_spoil(_GRAM, bad)),
-    "gram_from_transfer": lambda bad: gram_from_transfer(_spoil(np.eye(4), bad)),
     "isometry_from_beta": lambda bad: isometry_from_beta(_spoil(_BETA, bad)),
     "isometry_from_e_vectors": lambda bad: isometry_from_e_vectors(_spoil(np.eye(4), bad)),
     "extract_e_vectors": lambda bad: extract_e_vectors(_spoil(_V, bad)),
@@ -87,7 +88,7 @@ _CASES = {
     "quality_e": lambda bad: quality_e(_spoil(_GRAM, bad), _Z),
     "quality_e_mode": lambda bad: quality_e(_GRAM, _spoil(_Z, bad)),
     "quality_e_diagonal": lambda bad: quality_e_diagonal(_spoil(_BETA, bad), _Z),
-    "distinguishability": lambda bad: distinguishability(AffineBlochMap.identity(), _spoil(_Z, bad), -_Z),
+    "distinguishability": lambda bad: distinguishability(_IDENTITY, _spoil(_Z, bad), -_Z),
     "prepare_ancilla": lambda bad: prepare_ancilla(_spoil(_BETA, bad)),
     "time_reversed_gram": lambda bad: time_reversed_gram(_spoil(_GRAM, bad)),
     "symmetry_check": lambda bad: symmetry_check(_spoil(_GRAM, bad), _Z),
@@ -113,8 +114,11 @@ def test_non_finite_entries_raise_value_error(call, bad):
         (lambda: mixed_isometry(_V, np.zeros((4, 3)), 0.5), r"v2 must have shape \(\.\.\., 2d, 2\)"),
         (lambda: b_from_beta([1.0, 0.0, 0.0]), r"beta must have shape \(4,\), got \(3,\)"),
         (lambda: complex_matrix_to_json(np.zeros(3)), r"m must have shape \(r, c\), got \(3,\)"),
+        (lambda: complex_matrix_from_json([[1, 2]]), r"obj must be a list of rows of \[re, im\] number pairs"),
+        (lambda: AffineBlochMap.diagonal([1, 2]), r"axes must have shape \(3,\), got \(2,\)"),
     ],
-    ids=["isometry", "square", "rows", "gram", "residuals", "second-machine", "beta", "json-matrix"],
+    ids=["isometry", "square", "rows", "gram", "residuals", "second-machine", "beta", "json-matrix", "json-pairs",
+         "diagonal-axes"],
 )
 def test_wrong_shapes_name_the_argument(call, message):
     with pytest.raises(ValueError, match=message):
@@ -126,7 +130,7 @@ def test_wrong_shapes_name_the_argument(call, message):
     [
         (lambda: channel_tomography(_BETA, 3), "output qubit must be 'B', 'C' or 'D'"),
         (lambda: output_map(_V, 3), "output qubit must be 'B', 'C' or 'D'"),
-        (lambda: distinguishability(AffineBlochMap.identity(), _Z, -_Z, channel=3), "channel must be 'B', 'C' or 'E'"),
+        (lambda: distinguishability(_IDENTITY, _Z, -_Z, channel=3), "channel must be 'B', 'C' or 'E'"),
     ],
     ids=["channel_tomography", "output_map", "distinguishability"],
 )
@@ -174,7 +178,7 @@ def test_min_error_rate_priors_must_sum_to_one():
 def test_distinguishability_names_the_vector_outside_the_unit_ball(name):
     vectors = {"x1": _Z, "x2": -_Z, name: 2.0 * _Z}
     with pytest.raises(ValueError) as err:
-        distinguishability(AffineBlochMap.identity(), **vectors)
+        distinguishability(_IDENTITY, **vectors)
     assert str(err.value) == f"{name} must lie inside the unit ball, got squared norm 4.0"
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blochcopy import validation
 from blochcopy.channel import tetrahedron_check
 from blochcopy.errors import NotPossibleError, NotPositiveOptimalError
 from blochcopy.optimizer import (
@@ -28,7 +29,6 @@ from blochcopy.optimizer import (
     sign_flip_variants,
 )
 from blochcopy.pauli import lambda_matrix
-from blochcopy.validation import sample_good_region
 from oracles import sign_patterns
 
 
@@ -201,7 +201,7 @@ def test_g_is_more_accurate_than_the_matmul_chain():
 def test_g_is_involutive_on_the_good_region():
     rng = np.random.default_rng(63)
     for _ in range(300):
-        b = sample_good_region(rng)
+        b = validation._sample([rng], "good")[0]
         assert np.max(np.abs(g_map(g_map(b)) - b)) < 1e-10
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from blochcopy.pauli import SIGMA, l_table, l_tensor, lambda_matrix, pauli
+from blochcopy.pauli import SIGMA, l_table, lambda_matrix
 
 # Closed-form single-qubit algebra: sigma_a sigma_b = phase * sigma_c.
 # Built without any matrix arithmetic so it can serve as an independent
@@ -58,13 +58,11 @@ def test_l_table_matches_closed_form_exactly():
 
 
 def test_l_tensor_scalar_access():
-    assert l_tensor(0, 0, 0, 0) == 1.0
-    assert l_tensor(1, 2, 3, 0) == -1j
-    assert l_tensor(2, 1, 3, 0) == 1j
-    with pytest.raises(ValueError):
-        l_tensor(4, 0, 0, 0)
-    with pytest.raises(ValueError):
-        l_tensor(0, -1, 0, 0)
+    # L(jk;lm) is the entry l_table()[j, k, l, m]
+    table = l_table()
+    assert table[0, 0, 0, 0] == 1.0
+    assert table[1, 2, 3, 0] == -1j
+    assert table[2, 1, 3, 0] == 1j
 
 
 def test_l_entries_are_unimodular_or_zero():
@@ -100,10 +98,9 @@ def test_lambda_squares_to_four():
 
 
 def test_pauli_accessor():
-    assert np.array_equal(pauli(0), np.eye(2))
-    assert np.array_equal(pauli(3), np.diag([1.0, -1.0]).astype(complex))
-    with pytest.raises(ValueError):
-        pauli(5)
+    # sigma_i is SIGMA[i], for i in 0..3 (identity, x, y, z)
+    assert np.array_equal(SIGMA[0], np.eye(2))
+    assert np.array_equal(SIGMA[3], np.diag([1.0, -1.0]).astype(complex))
 
 
 def test_sigma_readonly():

@@ -27,7 +27,6 @@ from blochcopy.quality import (
     quality_c_from_circuit,
     quality_e,
     quality_e_diagonal,
-    quality_e_from_vectors,
     trace_norm,
 )
 from blochcopy.validation import random_physical_gram
@@ -152,7 +151,7 @@ def test_quality_bloch_of_diagonal_map():
 
 def test_quality_needs_unit_mode():
     with pytest.raises(ValueError):
-        quality_bloch(AffineBlochMap.identity(), [0, 0, 2])
+        quality_bloch(AffineBlochMap.diagonal(np.ones(3)), [0, 0, 2])
 
 
 def test_closed_form_matches_eigensolve():
@@ -161,7 +160,7 @@ def test_closed_form_matches_eigensolve():
         beta = _random_beta(rng)
         m = _random_mode(rng)
         via_gram = quality_e(np.diag(beta**2).astype(complex), m)
-        via_vectors = quality_e_from_vectors(beta[:, None] * E_HAT, m)
+        via_vectors = trace_norm(omega_e(beta[:, None] * E_HAT, m))
         closed = quality_e_diagonal(beta, m)
         assert abs(via_gram - closed) < 1e-12
         assert abs(via_vectors - closed) < 1e-12
@@ -288,7 +287,7 @@ def test_distinguishability_through_environment():
 
 
 def test_distinguishability_validates_inputs():
-    bmap = AffineBlochMap.identity()
+    bmap = AffineBlochMap.diagonal(np.ones(3))
     with pytest.raises(ValueError):
         distinguishability(bmap, [0, 0, 2], [0, 0, -1])
     with pytest.raises(ValueError):

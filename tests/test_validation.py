@@ -31,8 +31,6 @@ from blochcopy.validation import (
     mixed_isometry,
     monotonicity_scan,
     random_physical_gram,
-    sample_good_region,
-    sample_outside_region,
     symmetry_check,
     time_reversed_gram,
 )
@@ -142,7 +140,7 @@ def _oracle_scan(config):
 def test_good_region_sampler():
     rng = np.random.default_rng(80)
     for _ in range(200):
-        b = sample_good_region(rng)
+        b = validation._sample([rng], "good")[0]
         assert positive_optimal_condition(b)
         assert np.all(b >= 0.0) and np.all(b <= 1.0)
         assert tetrahedron_check(b)
@@ -151,21 +149,20 @@ def test_good_region_sampler():
 def test_outside_region_sampler():
     rng = np.random.default_rng(81)
     for _ in range(200):
-        b = sample_outside_region(rng)
+        b = validation._sample([rng], "outside")[0]
         assert tetrahedron_check(b)
         assert not positive_optimal_condition(b)
 
 
 @pytest.mark.parametrize(
-    "sampler, oracle",
-    [(sample_good_region, _oracle_sample_good), (sample_outside_region, _oracle_sample_outside)],
+    "region, oracle", [("good", _oracle_sample_good), ("outside", _oracle_sample_outside)], ids=["good", "outside"]
 )
-def test_samplers_match_the_one_draw_oracle(sampler, oracle):
+def test_samplers_match_the_one_draw_oracle(region, oracle):
     # equal points, and the generator is left where one-at-a-time draws leave it
     for seed in range(300):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):
-            assert np.array_equal(sampler(rng), oracle(ref))
+            assert np.array_equal(validation._sample([rng], region)[0], oracle(ref))
         assert rng.random() == ref.random()
 
 
@@ -198,11 +195,10 @@ def test_short_lookahead_blocks_still_match_the_one_draw_oracles(monkeypatch, lo
         assert len(seen) > 1
         assert np.array_equal(got, np.array([oracle(ref) for ref in refs]))
         assert [rng.random() for rng in rngs] == [ref.random() for ref in refs]
-    for sampler, oracle in ((sample_good_region, _oracle_sample_good),
-                            (sample_outside_region, _oracle_sample_outside)):
+    for region, oracle in (("good", _oracle_sample_good), ("outside", _oracle_sample_outside)):
         for seed in range(20):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert np.array_equal(sampler(rng), oracle(ref))
+            assert np.array_equal(validation._sample([rng], region)[0], oracle(ref))
             assert rng.random() == ref.random()
     for region in ("good", "outside"):
         config = ScanConfig(n_outer=300, n_inner=20, seed=12, region=region, max_keep=10**6)
