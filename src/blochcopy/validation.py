@@ -16,6 +16,7 @@ Three families of checks live here:
 from __future__ import annotations
 
 import operator
+import threading
 import time
 from dataclasses import dataclass, field
 from functools import cache, partial
@@ -116,7 +117,7 @@ def _spawned_generators(seed: int, lo: int, n: int) -> list:
     return [generator(pcg64(preset(row))) for row in states]
 
 
-def _first_accepted(rngs: list, raw, transform, accept) -> np.ndarray:
+def _first_accepted(rngs: list, raw, transform, accept, words: int | None = None) -> np.ndarray:
     """First accepted row of each generator's stream, found by block look-ahead.
 
     raw(rng, k) draws k raw rows from one generator, transform maps raw rows
@@ -125,9 +126,14 @@ def _first_accepted(rngs: list, raw, transform, accept) -> np.ndarray:
     _TILE_ROWS // _LOOKAHEAD of them so that a round fits in a tile, and
     tests the stacked blocks with one transform and one accept call.  A
     block of k draws consumes the stream exactly like k single draws, so a
-    generator whose first hit is row j is rewound and moved on by j + 1 raw
-    draws: it ends where a one-draw-at-a-time rejection loop leaves it.  A
-    generator without a hit keeps its position for the next round.
+    generator whose first hit is row j is put back where j + 1 single draws
+    leave it, as a one-draw-at-a-time rejection loop would.  Given words,
+    the fixed number of words a raw row takes, it is rewound past the rows
+    after j with bit_generator.advance, which drops a buffered 32-bit half
+    just as a state write does; otherwise (the good region's ziggurat
+    exponentials take a variable number) its state is saved before the
+    block, restored, and moved on by j + 1 raw draws.  A generator without
+    a hit keeps its position for the next round.
     Returns an (len(rngs), 3) array, one row per generator.
     """
     out = np.empty((len(rngs), 3))
@@ -135,7 +141,7 @@ def _first_accepted(rngs: list, raw, transform, accept) -> np.ndarray:
     for lo in range(0, len(rngs), per_round):
         pending = np.arange(lo, min(lo + per_round, len(rngs)))
         while len(pending):
-            states = [rngs[i].bit_generator.state for i in pending]
+            states = None if words else [rngs[i].bit_generator.state for i in pending]
             # the blocks in order, as one 2-D array of rows
             rows = transform(np.concatenate([raw(rngs[i], _LOOKAHEAD) for i in pending]))
             hits = accept(rows).reshape(len(pending), _LOOKAHEAD)
@@ -144,8 +150,11 @@ def _first_accepted(rngs: list, raw, transform, accept) -> np.ndarray:
             found = hits[np.arange(len(pending)), first]
             for k in np.flatnonzero(found):
                 rng = rngs[pending[k]]
-                rng.bit_generator.state = states[k]
-                raw(rng, int(first[k]) + 1)
+                if words:
+                    rng.bit_generator.advance(-words * (_LOOKAHEAD - 1 - int(first[k])))
+                else:
+                    rng.bit_generator.state = states[k]
+                    raw(rng, int(first[k]) + 1)
             out[pending[found]] = rows[found, first[found]]
             pending = pending[~found]
     return out
@@ -174,8 +183,27 @@ def _sample(rngs: list, region: str) -> np.ndarray:
         return _first_accepted(
             rngs, lambda rng, k: rng.standard_exponential((k, 4)), _simplex_axes, positive_optimal_mask
         )
-    # uniform draws in the cube are the semi-axes themselves
-    return _first_accepted(rngs, lambda rng, k: rng.random((k, 3)), np.asarray, _outside_region)
+    # uniform draws in the cube are the semi-axes themselves, one word each
+    return _first_accepted(rngs, lambda rng, k: rng.random((k, 3)), np.asarray, _outside_region, words=3)
+
+
+_workspace = threading.local()
+
+
+def _tile_buffers() -> tuple:
+    """This thread's tile buffers: draws, cols and picked of 3 * _TILE_ROWS floats, and work.
+
+    Allocated on the thread's first scan and kept for its life, so a scan
+    does not fault ~2.2 MB of pages back in on every call; pages that a
+    small scan never touches are never made resident.  A thread-local, so
+    two threads scanning at once never share a buffer.
+    """
+    try:
+        return _workspace.buffers
+    except AttributeError:
+        flat = np.empty((3, 3 * _TILE_ROWS))
+        _workspace.buffers = (*flat, np.empty((2, 4, _TILE_ROWS)))
+        return _workspace.buffers
 
 
 @dataclass(frozen=True)
@@ -257,8 +285,10 @@ def monotonicity_scan(config: ScanConfig) -> ScanReport:
     point and its candidates from its own child seed, so reports with equal
     config are identical however the points are batched; a tile's
     generators come from one _spawned_generators call.  Candidates are
-    tested in tiles of up to _TILE_ROWS rows, stored column by column in
-    buffers reused from tile to tile.  A tile's base points come from one
+    tested in tiles of up to _TILE_ROWS rows, stored column by column in the
+    thread's buffers, reused from tile to tile and from scan to scan.  A
+    tile holding one point compares its candidates with that point's g by
+    broadcasting.  A tile's base points come from one
     _first_accepted call: each round tests the next look-ahead block of
     every point still without a hit, and each point's stream ends where its
     own one-draw rejection loop would leave it.
@@ -269,9 +299,8 @@ def monotonicity_scan(config: ScanConfig) -> ScanReport:
     n_inner = config.n_inner
     per_tile = max(1, _TILE_ROWS // n_inner)
     seg = min(n_inner, _TILE_ROWS)
-    size = min(per_tile, config.n_outer) * seg
-    draws, cols, picked = np.empty(3 * size), np.empty(3 * size), np.empty(3 * size)
-    work = np.empty((2, 4, size))
+    # a tile holds min(per_tile, n_outer) * seg <= _TILE_ROWS rows
+    draws, cols, picked, work = _tile_buffers()
 
     checked = 0
     n_violations = 0
@@ -300,14 +329,15 @@ def monotonicity_scan(config: ScanConfig) -> ScanReport:
             checked += len(idx)
             sel = np.take(cand.reshape(3, n), idx, axis=1, out=picked[: 3 * len(idx)].reshape(3, -1))
             g_cand = _g_columns(sel, work=work)
-            owner = idx // rows
-            dominated = g_cand[0] >= g_b[0, owner]
+            # each candidate's point's g: the (3, 1) g_b itself when the tile holds one point
+            ref = g_b if m == 1 else g_b[:, idx // rows]
+            dominated = g_cand[0] >= ref[0]
             for q in (1, 2):
-                dominated &= g_cand[q] >= g_b[q, owner]
+                dominated &= g_cand[q] >= ref[q]
             bad = np.flatnonzero(dominated)
             n_violations += len(bad)
             for i in bad[: config.max_keep - len(kept)]:
-                k = owner[i]
+                k = idx[i] // rows
                 kept.append(
                     {
                         "b": b[k].tolist(),

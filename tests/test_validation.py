@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,6 +229,40 @@ def test_sampler_rounds_stay_within_a_tile(monkeypatch, region):
     assert max(seen) == _TILE_ROWS
 
 
+class _NoStateBitGenerator:
+    """A bit generator that moves by advance only; reading its state fails."""
+
+    def __init__(self, bit_generator):
+        self._bit_generator = bit_generator
+
+    def advance(self, delta):
+        self._bit_generator.advance(delta)
+
+    @property
+    def state(self):
+        raise AssertionError("the outside sampler read a generator's state")
+
+
+class _NoStateGenerator:
+    def __init__(self, rng):
+        self._rng = rng
+        self.bit_generator = _NoStateBitGenerator(rng.bit_generator)
+
+    def random(self, *args, **kwargs):
+        return self._rng.random(*args, **kwargs)
+
+
+def test_outside_sampler_rewinds_by_word_count_without_reading_state():
+    # uniform rows take three words each, so a hit rewinds by count alone
+    children = np.random.SeedSequence(13).spawn(200)
+    rngs = [np.random.default_rng(child) for child in children]
+    refs = [np.random.default_rng(child) for child in children]
+    for _ in range(3):
+        got = validation._sample([_NoStateGenerator(rng) for rng in rngs], "outside")
+        assert np.array_equal(got, np.array([_oracle_sample_outside(ref) for ref in refs]))
+    assert [rng.random() for rng in rngs] == [ref.random() for ref in refs]
+
+
 # 2**130 + 5 has five run words, one more than the pool
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 5])
 def test_spawned_generators_match_spawn_and_default_rng(seed):
@@ -330,6 +366,56 @@ def test_scan_report_is_byte_equal_to_the_per_point_oracle(config):
     for i, (rec, ref) in enumerate(zip(got["violations"], want["violations"])):
         assert json.dumps(rec) == json.dumps(ref), f"record {i}"
     assert json.dumps(got) == json.dumps(want)
+
+
+def test_a_warm_scan_reuses_its_tile_buffers():
+    # a fresh ~2.2 MB of tile buffers per call would peak well above 1 MiB
+    config = ScanConfig(n_outer=1, n_inner=100_000, seed=3)
+    monotonicity_scan(config)
+    tracemalloc.start()
+    try:
+        monotonicity_scan(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+
+
+def test_reused_buffers_leave_nothing_from_the_previous_scan():
+    # a deep scan fills every row of the buffers, a wide one few rows per point
+    deep = ScanConfig(n_outer=1, n_inner=100_000, seed=3)
+    wide = ScanConfig(n_outer=1000, n_inner=50, seed=8, region="outside", max_keep=10**6)
+    for config in (deep, wide, deep):
+        assert json.dumps(monotonicity_scan(config).to_json()) == json.dumps(_oracle_scan(config).to_json())
+
+
+def test_threads_scanning_at_once_do_not_share_buffers():
+    configs = [
+        ScanConfig(n_outer=1, n_inner=100_000, seed=3),
+        ScanConfig(n_outer=500, n_inner=50, seed=8, region="outside", max_keep=10**6),
+        ScanConfig(n_outer=3, n_inner=_TILE_ROWS + 7, seed=9, region="outside", max_keep=10**6),
+        ScanConfig(n_outer=400, n_inner=64, seed=10),
+    ]
+    want = [json.dumps(monotonicity_scan(config).to_json()) for config in configs]
+    start = threading.Barrier(2, timeout=60)
+    got, buffers = [[], []], [None, None]
+
+    def scan_all(t, order):
+        buffers[t] = validation._tile_buffers()
+        start.wait()
+        for _ in range(2):
+            for i in order:
+                got[t].append((i, json.dumps(monotonicity_scan(configs[i]).to_json())))
+
+    threads = [threading.Thread(target=scan_all, args=(t, order)) for t, order in enumerate([[0, 1, 2, 3], [3, 2, 1, 0]])]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert not any(np.shares_memory(a, b) for a in buffers[0] for b in buffers[1])
+    for out in got:
+        assert len(out) == 2 * len(configs)
+        assert all(report == want[i] for i, report in out)
 
 
 def test_outside_violations_span_several_tiles():
