@@ -272,6 +272,14 @@ def tetrahedron_violations(b, tol: float = 1e-12) -> list[str]:
     return bad
 
 
+def _edge_conditions(b: np.ndarray, ok: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    """AND b_q + b_q' <= 1 + b_q'' + tol, for each cyclic triple, into the mask ok; b holds one component per row."""
+    for q, qp, qpp in CYCLIC_AXES:
+        rhs = 1.0 + b[qpp]
+        ok &= b[q] + b[qp] <= (rhs + tol if tol else rhs)  # the scan's tol 0 skips a pass
+    return ok
+
+
 def tetrahedron_mask(b_rows, tol: float = 1e-12) -> np.ndarray:
     """Row-wise tetrahedron test over an (..., 3) array of semi-axes.
 
@@ -283,9 +291,7 @@ def tetrahedron_mask(b_rows, tol: float = 1e-12) -> np.ndarray:
     finite = np.isfinite(b)
     ok = finite[..., 0] & finite[..., 1] & finite[..., 2]
     ok &= b[..., 0] + b[..., 1] + b[..., 2] >= -1.0 - tol
-    for q, qp, qpp in CYCLIC_AXES:
-        ok &= b[..., q] + b[..., qp] <= 1.0 + b[..., qpp] + tol
-    return ok
+    return _edge_conditions(b.transpose(-1, *range(b.ndim - 1)), ok, tol=tol)
 
 
 def tetrahedron_check(b, tol: float = 1e-12) -> bool:

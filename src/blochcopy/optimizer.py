@@ -70,31 +70,36 @@ def _positive_beta(b: np.ndarray, tol: float = DEFAULT_TOL, out: np.ndarray | No
     beta = np.empty((4, *b.shape[1:])) if out is None else out
     _lambda_rows((1.0, *b), beta)
     beta *= 0.25
-    if beta.size and not beta.min() >= -tol:  # NaN fails too
+    low = beta.min() if beta.size else 0.0
+    if not low >= -tol:  # NaN fails too
         first = np.argmin(np.all(beta >= -tol, axis=0).reshape(-1))
         names = tetrahedron_violations(b.reshape(3, -1)[:, first], tol=4.0 * tol)
         detail = "; ".join(names) if names else "axes outside the attainable tetrahedron"
         raise NotPossibleError(f"tetrahedron violated: {detail}")
-    np.maximum(beta, 0.0, out=beta)
+    if low < 0.0:  # squares >= 0 need no clamp: each starts at 1.0, so none is -0.0
+        np.maximum(beta, 0.0, out=beta)
     return np.sqrt(beta, out=beta)
 
 
-def _pair_products(beta: np.ndarray, p: np.ndarray | None = None, s: np.ndarray | None = None):
-    """p_q = beta_0 beta_q and s_q = beta_q' beta_q'' for q = 1, 2, 3, over a (4, ...) beta.
-
-    p and s are (3, ...) outputs, allocated when None; p may be beta[1:]
-    itself, since s is written first.
-    """
-    if s is None:
-        s = np.empty((3, *beta.shape[1:]))
+def _pair_products(beta: np.ndarray):
+    """p_q = beta_0 beta_q and s_q = beta_q' beta_q'' for q = 1, 2, 3, over a (4, ...) beta."""
+    s = np.empty((3, *beta.shape[1:]))
     for i, (_, qp, qpp) in enumerate(CYCLIC):
         np.multiply(beta[qp], beta[qpp], out=s[i, ...])
-    return np.multiply(beta[0], beta[1:], out=p), s
+    return beta[0] * beta[1:], s
 
 
-def _g_from_beta(beta: np.ndarray, p: np.ndarray | None = None, s: np.ndarray | None = None) -> np.ndarray:
-    """Second-copy semi-axes c_q = 2 (beta_0 beta_q + beta_q' beta_q''); p and s as in _pair_products."""
-    c, s = _pair_products(beta, p, s)
+_TRIPLES = np.array(CYCLIC).T  # column i: the rows q, q', q'' of beta that component i of g reads
+
+
+def _g_from_beta(beta: np.ndarray, i: int | slice = slice(None), out=None, s=None) -> np.ndarray:
+    """Second-copy semi-axes c_q = 2 (beta_0 beta_q + beta_q' beta_q'') over a (4, ...) beta.
+
+    i picks one component or all three; c goes to out, beta_q' beta_q'' to s (allocated when None).
+    """
+    q, qp, qpp = _TRIPLES[:, i]
+    s = np.multiply(beta[qp], beta[qpp], out=s)
+    c = np.multiply(beta[0], beta[q], out=out)
     c += s
     c *= 2.0
     return c
@@ -104,12 +109,14 @@ def _g_columns(cols: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """g over the columns of a (3, n) array of semi-axes, as a (3, n) view into work.
 
     work is a (2, 4, m) float buffer with m >= n (allocated when None) that
-    holds beta and the pair products; the result is valid until work is reused.
+    holds beta, g and a product; the result is valid until work is reused.
     """
     n = cols.shape[1]
     work = np.empty((2, 4, n)) if work is None else work[:, :, :n]
     beta = _positive_beta(cols, out=work[0])
-    return _g_from_beta(beta, p=beta[1:], s=work[1, 1:])
+    for i in range(3):  # one component at a time: beta's rows are views, not copies
+        _g_from_beta(beta, i, out=work[1, 1 + i], s=work[1, 0])
+    return work[1, 1:]
 
 
 def beta_from_b(b, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -184,6 +191,14 @@ def class_p_check(xi, tol: float = 0.0) -> bool:
     return True
 
 
+def _product_conditions(b: np.ndarray, ok: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    """AND b_q >= b_q' b_q'' - tol, for each cyclic triple, into the mask ok; b holds one component per row."""
+    for q, qp, qpp in CYCLIC_AXES:
+        prod = b[qp] * b[qpp]
+        ok &= b[q] >= (prod - tol if tol else prod)  # the scan's tol 0 skips a pass
+    return ok
+
+
 def positive_optimal_mask(b_rows, tol: float = 0.0) -> np.ndarray:
     """Row-wise positive_optimal_condition over an (..., 3) array of semi-axes.
 
@@ -193,9 +208,7 @@ def positive_optimal_mask(b_rows, tol: float = 0.0) -> np.ndarray:
     # column by column: reductions over a length-3 axis are slow in numpy
     inside = (b >= -tol) & (b <= 1.0 + tol)
     ok = inside[..., 0] & inside[..., 1] & inside[..., 2]
-    for q, qp, qpp in CYCLIC_AXES:
-        ok &= b[..., q] >= b[..., qp] * b[..., qpp] - tol
-    return ok
+    return _product_conditions(b.transpose(-1, *range(b.ndim - 1)), ok, tol=tol)
 
 
 def positive_optimal_condition(b, tol: float = 0.0) -> bool:

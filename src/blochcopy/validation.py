@@ -19,13 +19,13 @@ import operator
 import threading
 import time
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
-from .channel import extract_e_vectors, gram_matrix, tetrahedron_mask, transfer_from_gram
+from .channel import _edge_conditions, extract_e_vectors, gram_matrix, tetrahedron_mask, transfer_from_gram
 from .linalg import _checked, _in_unit_interval, random_isometry
-from .optimizer import _g_columns, positive_optimal_mask
+from .optimizer import _g_columns, _g_from_beta, _positive_beta, _product_conditions, positive_optimal_mask
 from .pauli import lambda_matrix
 from .quality import quality_e
 
@@ -224,11 +224,11 @@ class ScanConfig:
     max_keep: int = 256
 
     def __post_init__(self):
-        # each integer field with its least value; numpy integers become ints
+        # each integer field with its least value; numpy integers become ints, bools fail
         for name, least in (("n_outer", 1), ("n_inner", 1), ("seed", 0), ("max_keep", 0)):
             value = getattr(self, name)
             try:
-                number = operator.index(value)
+                number = operator.index(value if not isinstance(value, bool) else None)
             except TypeError:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
             if number < least:
@@ -287,15 +287,17 @@ def monotonicity_scan(config: ScanConfig) -> ScanReport:
     generators come from one _spawned_generators call.  Candidates are
     tested in tiles of up to _TILE_ROWS rows, stored column by column in the
     thread's buffers, reused from tile to tile and from scan to scan.  A
-    tile holding one point compares its candidates with that point's g by
-    broadcasting.  A tile's base points come from one
-    _first_accepted call: each round tests the next look-ahead block of
-    every point still without a hit, and each point's stream ends where its
-    own one-draw rejection loop would leave it.
+    tile's base points come from one _first_accepted call: each round tests
+    the next look-ahead block of every point still without a hit, and each
+    point's stream ends where its own one-draw rejection loop would leave it.
+
+    A candidate b + u (1 - b) stays in the box [0, 1]^3, so it is tested only on
+    the products (good region) or the tetrahedron edges at tol 0.  g then runs
+    one component at a time over the candidates still at least their g_b.
     """
     start = time.perf_counter()
     # outside the good region candidates only need to stay attainable
-    in_region = positive_optimal_mask if config.region == "good" else partial(tetrahedron_mask, tol=0.0)
+    in_region = _product_conditions if config.region == "good" else _edge_conditions
     n_inner = config.n_inner
     per_tile = max(1, _TILE_ROWS // n_inner)
     seg = min(n_inner, _TILE_ROWS)
@@ -323,27 +325,30 @@ def monotonicity_scan(config: ScanConfig) -> ScanReport:
             np.multiply(tile.transpose(2, 0, 1), scale, out=cand)
             cand += lower
             # cand >= b holds by construction; dominance needs one strict component
-            mask = (cand > lower).any(axis=0)
-            mask &= in_region(np.moveaxis(cand, 0, -1))
-            idx = np.flatnonzero(mask)
+            mask = (cand[0] > lower[0]) | (cand[1] > lower[1]) | (cand[2] > lower[2])
+            idx = np.flatnonzero(in_region(cand, mask))
             checked += len(idx)
             sel = np.take(cand.reshape(3, n), idx, axis=1, out=picked[: 3 * len(idx)].reshape(3, -1))
-            g_cand = _g_columns(sel, work=work)
-            # each candidate's point's g: the (3, 1) g_b itself when the tile holds one point
-            ref = g_b if m == 1 else g_b[:, idx // rows]
-            dominated = g_cand[0] >= ref[0]
-            for q in (1, 2):
-                dominated &= g_cand[q] >= ref[q]
-            bad = np.flatnonzero(dominated)
-            n_violations += len(bad)
-            for i in bad[: config.max_keep - len(kept)]:
+            beta = _positive_beta(sel, out=work[0, :, : len(idx)])
+            live = np.arange(len(idx))  # positions in sel of the candidates still at least g_b
+            for q in range(3):
+                c = _g_from_beta(beta, q, out=work[1, 0, : len(live)], s=work[1, 1, : len(live)])
+                # each candidate's point's g_b: the only one when the tile holds one point
+                ref = g_b[q] if m == 1 else g_b[q, idx[live] // rows]
+                hold = np.flatnonzero(c >= ref)
+                live, beta = live[hold], beta[:, hold]
+                if not len(live):
+                    break
+            n_violations += len(live)
+            keep = live[: config.max_keep - len(kept)]
+            for i, g in zip(keep, _g_columns(sel[:, keep]).T if len(keep) else ()):
                 k = idx[i] // rows
                 kept.append(
                     {
                         "b": b[k].tolist(),
                         "candidate": sel[:, i].tolist(),
                         "g_b": g_b[:, k].tolist(),
-                        "g_candidate": g_cand[:, i].tolist(),
+                        "g_candidate": g.tolist(),
                     }
                 )
     return ScanReport(

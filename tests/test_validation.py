@@ -171,7 +171,9 @@ def test_samplers_match_the_one_draw_oracle(region, oracle):
 def _mask_rows_per_call(monkeypatch):
     """Wrap the good-region row mask, which both samplers' accept masks call.
 
-    The returned list gets the row count of each call.
+    The returned list gets the row count of each call.  A scan's candidate
+    tiles take their region test on columns, without this mask, so every
+    count is a sampler round: a whole number of look-ahead blocks.
     """
     mask, seen = validation.positive_optimal_mask, []
 
@@ -227,6 +229,7 @@ def test_sampler_rounds_stay_within_a_tile(monkeypatch, region):
     report = monotonicity_scan(ScanConfig(n_outer=20_000, n_inner=1, seed=3, region=region))
     assert report.checked > 0
     assert max(seen) == _TILE_ROWS
+    assert all(rows % validation._LOOKAHEAD == 0 for rows in seen)
 
 
 class _NoStateBitGenerator:
@@ -321,6 +324,15 @@ def test_scan_config_validation():
         ScanConfig(max_keep=-1)
 
 
+@pytest.mark.parametrize("name", ["n_outer", "n_inner", "seed", "max_keep"])
+@pytest.mark.parametrize("value", [True, False, np.True_], ids=["True", "False", "np.True_"])
+def test_scan_config_rejects_bools(name, value):
+    # operator.index reads True as 1, which would make a 1 x 1 scan
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+        ScanConfig(**{name: value})
+    assert getattr(ScanConfig(**{name: np.int64(3)}), name) == 3
+
+
 def test_scan_is_deterministic():
     config = ScanConfig(n_outer=10, n_inner=50, seed=3, region="outside")
     first = monotonicity_scan(config)
@@ -366,6 +378,43 @@ def test_scan_report_is_byte_equal_to_the_per_point_oracle(config):
     for i, (rec, ref) in enumerate(zip(got["violations"], want["violations"])):
         assert json.dumps(rec) == json.dumps(ref), f"record {i}"
     assert json.dumps(got) == json.dumps(want)
+
+
+def _adversarial_tile():
+    """Candidate columns b + u (1 - b) of one tile, shaped (3, points, rows) as a scan holds them.
+
+    The bases have components 0 and 1, lie on the faces b_q = b_q' b_q''
+    or next to the box's edges, or come from both samplers; the rows of u
+    take 0, 2**-53, 1/2 and 1 - 2**-53 in every combination, then uniform draws.
+    """
+    rng = np.random.default_rng(14)
+    tiny, top = 1e-300, 1.0 - 2.0**-53
+    corners = [[float(x) for x in f"{k:03b}"] for k in range(8)]
+    pairs = rng.random((6, 2))
+    faces = [np.roll([x * y, x, y], k) for k, (x, y) in enumerate(pairs)]
+    edges = [[tiny, tiny, tiny], [tiny, 0.5, 2 * tiny], [top, top, top], [top, tiny, 0.0], [0.5, 0.25, 0.5]]
+    drawn = [validation._sample([rng], region)[0] for region in ("good", "outside") for _ in range(4)]
+    b = np.array(corners + faces + edges + drawn)
+    special = np.array([0.0, 2.0**-53, 0.5, top])
+    u = np.concatenate([np.stack(np.meshgrid(special, special, special), axis=-1).reshape(-1, 3), rng.random((500, 3))])
+    assert np.all((u >= 0.0) & (u < 1.0))
+    return u.T[:, None, :] * (1.0 - b).T[:, :, None] + b.T[:, :, None]
+
+
+def test_region_helpers_match_the_public_masks_on_candidate_tiles():
+    # a candidate lies in the box, so it is finite with a sum above -1, and
+    # only the product (good region) or edge (outside) inequalities can fail
+    from blochcopy.channel import _edge_conditions, tetrahedron_mask
+    from blochcopy.optimizer import _product_conditions, positive_optimal_mask
+
+    cand = _adversarial_tile()
+    assert np.all((cand >= 0.0) & (cand <= 1.0))
+    rows = np.moveaxis(cand, 0, -1)
+    for helper, mask in ((_product_conditions, positive_optimal_mask(rows)), (_edge_conditions, tetrahedron_mask(rows, tol=0.0))):
+        assert 0 < mask.sum() < mask.size
+        ok = np.ones(mask.shape, dtype=bool)
+        assert helper(cand, ok) is ok  # the scan's mask is updated in place
+        assert np.array_equal(ok, mask)
 
 
 def test_a_warm_scan_reuses_its_tile_buffers():
@@ -429,6 +478,69 @@ def test_outside_violations_span_several_tiles():
     per_tile = _TILE_ROWS // config.n_inner
     tiles = {point[tuple(rec["b"])] // per_tile for rec in monotonicity_scan(config).violations}
     assert tiles == set(range(-(-config.n_outer // per_tile)))
+
+
+def _components_per_tile(monkeypatch):
+    """Wrap the scan's g component kernel.
+
+    The returned list gets one entry per tile: the candidate count handed
+    to each component in turn, so its length is the number of components
+    the tile computed before no candidate was left.
+    """
+    component, tiles = validation._g_from_beta, []
+
+    def counted(beta, i, *args, **kwargs):
+        if i == 0:
+            tiles.append([])
+        tiles[-1].append(beta.shape[1])
+        return component(beta, i, *args, **kwargs)
+
+    monkeypatch.setattr(validation, "_g_from_beta", counted)
+    return tiles
+
+
+@pytest.mark.parametrize(
+    "config, components",
+    [
+        # one point per tile: no candidate reaches its point's g_b1, or none g_b2
+        (ScanConfig(n_outer=1, n_inner=1000, seed=0), {1}),
+        (ScanConfig(n_outer=1, n_inner=1000, seed=2), {2}),
+        # many points per tile, 10 tiles, each stopping after g_2
+        (ScanConfig(n_outer=3000, n_inner=50, seed=0), {2}),
+        # segments of one point: outside violations in several tiles, and
+        # tiles that stop after each component; max_keep reached inside a tile
+        (ScanConfig(n_outer=5, n_inner=50_000, seed=2, region="outside", max_keep=3), {1, 2, 3}),
+        # violations in every one of four many-point tiles (cumulative counts
+        # 20, 39, 60, 63 with no max_keep), so max_keep=50 is reached inside the third
+        (ScanConfig(n_outer=1000, n_inner=50, seed=7, region="outside", max_keep=50), {3}),
+    ],
+    ids=["one-point-stop1", "one-point-stop2", "many-points-stop2", "segments-outside-keep3", "tiles-outside-keep50"],
+)
+def test_component_early_exit_matches_the_per_point_oracle(monkeypatch, config, components):
+    tiles = _components_per_tile(monkeypatch)
+    got = monotonicity_scan(config)
+    assert {len(counts) for counts in tiles} == components
+    assert all(counts[0] > 0 for counts in tiles)
+    assert sum(counts[0] for counts in tiles) == got.checked
+    want = _oracle_scan(config)
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+    if config.region == "outside":
+        assert len(tiles) > 1 and 0 < config.max_keep < got.n_violations
+
+
+@pytest.mark.parametrize("region", ["good", "outside"])
+def test_candidates_without_a_strict_component_are_not_checked(monkeypatch, region):
+    # every candidate of (1, 1, 1) is (1, 1, 1), which both region tests pass
+    # and whose g equals g_b: only the strict test keeps them out
+    points = np.array([[1.0, 1.0, 1.0], [0.5, 0.5, 0.3]])
+    assert positive_optimal_condition(points[0]) and tetrahedron_check(points[0], tol=0.0)
+    monkeypatch.setattr(validation, "_sample", lambda rngs, region: points[: len(rngs)])
+    given = iter(points)
+    monkeypatch.setattr(sys.modules[__name__], f"_oracle_sample_{region}", lambda rng: next(given))
+    config = ScanConfig(n_outer=2, n_inner=500, seed=4, region=region, max_keep=10**6)
+    got = monotonicity_scan(config)
+    assert 0 < got.checked < config.n_inner
+    assert json.dumps(got.to_json()) == json.dumps(_oracle_scan(config).to_json())
 
 
 def test_scan_finds_nothing_in_the_good_region():
