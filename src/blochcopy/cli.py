@@ -88,6 +88,18 @@ def _reasoned(parse):
     return checked
 
 
+def _unit(v: np.ndarray, what: str) -> np.ndarray:
+    """v over its norm; over its largest real or imaginary part first if its squared norm is not finite and normal."""
+    with np.errstate(over="ignore"):
+        norm_sq = float(np.vdot(v, v).real)
+    if not sys.float_info.min <= norm_sq < math.inf:
+        big = float(np.max(np.abs(v.view(float))))
+        if big == 0.0:
+            raise ValueError(f"{what} must be nonzero")
+        return _unit(v / big, what)  # a squared norm in [1, 4]
+    return v / np.sqrt(norm_sq)
+
+
 @_reasoned
 def _parse_mode(text: str) -> np.ndarray:
     named = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
@@ -96,11 +108,7 @@ def _parse_mode(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError("mode must be x, y, z or three comma-separated numbers")
-    m = _checked([float(p) for p in parts], "mode", (3,))
-    norm = float(np.linalg.norm(m))
-    if norm == 0.0:
-        raise ValueError("mode direction must be nonzero")
-    return m / norm
+    return _unit(_checked([float(p) for p in parts], "mode", (3,)), "mode direction")
 
 
 @_reasoned
@@ -157,11 +165,7 @@ def _parse_state(text: str) -> np.ndarray:
     if len(parts) != 4:
         raise ValueError("state must be +x..-z or four comma-separated numbers")
     vals = _checked([float(p) for p in parts], "state", (4,))
-    psi = np.array([vals[0] + 1j * vals[1], vals[2] + 1j * vals[3]])
-    norm = float(np.sqrt(np.vdot(psi, psi).real))
-    if norm == 0.0:
-        raise ValueError("state must be nonzero")
-    return psi / norm
+    return _unit(np.array([vals[0] + 1j * vals[1], vals[2] + 1j * vals[3]]), "state")
 
 
 def _complex_pairs(vec: np.ndarray) -> list:

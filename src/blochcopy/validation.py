@@ -23,10 +23,9 @@ from functools import cache
 
 import numpy as np
 
-from .channel import _edge_conditions, extract_e_vectors, gram_matrix, tetrahedron_mask, transfer_from_gram
+from .channel import _edge_conditions, extract_e_vectors, gram_matrix, transfer_from_gram
 from .linalg import _checked, _in_unit_interval, random_isometry
-from .optimizer import _g_columns, _g_from_beta, _positive_beta, _product_conditions, positive_optimal_mask
-from .pauli import lambda_matrix
+from .optimizer import _g_columns, _g_from_beta, _positive_beta, _product_conditions
 from .quality import quality_e
 
 __all__ = [
@@ -54,8 +53,6 @@ _LOOKAHEAD = 64
 # a tile's buffers stay in a core's L2 cache.  A tile holds several whole
 # outer points, or one segment of a point with more rows than this.
 _TILE_ROWS = 2**14
-
-_LAM_AXES = lambda_matrix()[1:]
 
 # numpy's SeedSequence hash constants, with its pool size 4 and shift 16
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -90,8 +87,8 @@ def _preset_seed():
     return PresetWords
 
 
-def _spawned_generators(seed: int, lo: int, n: int) -> list:
-    """default_rng of SeedSequence(seed).spawn(lo + n)[lo:], in one pass.
+def _spawned_words(seed: int, lo: int, n: int) -> np.ndarray:
+    """PCG64 seed words of SeedSequence(seed).spawn(lo + n)[lo:], as an (n, 4) uint64 array.
 
     A port of SeedSequence's child mixing.  A child's entropy is the
     parent's run words, zero-padded to the pool size 4, then its spawn key,
@@ -112,97 +109,99 @@ def _spawned_generators(seed: int, lo: int, n: int) -> list:
     child ^= child >> 16
     words = (child[:, None, :] ^ _STATE_XOR) * _STATE_MUL
     words ^= words >> 16
-    states = words.reshape(n, 8).view("<u8").astype(np.uint64, copy=False)
-    preset, pcg64, generator = _preset_seed(), np.random.PCG64, np.random.Generator
-    return [generator(pcg64(preset(row))) for row in states]
+    return words.reshape(n, 8).view("<u8").astype(np.uint64, copy=False)
 
 
-def _first_accepted(rngs: list, raw, transform, accept, words: int | None = None) -> np.ndarray:
-    """First accepted row of each generator's stream, found by block look-ahead.
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """A new default_rng of the child whose PCG64 seed words these are, at the start of its stream."""
+    return np.random.Generator(np.random.PCG64(_preset_seed()(words)))
 
-    raw(rng, k) draws k raw rows from one generator, transform maps raw rows
-    to rows of semi-axes and accept masks those rows.  Each round draws one
-    _LOOKAHEAD block from every pending generator, at most
-    _TILE_ROWS // _LOOKAHEAD of them so that a round fits in a tile, and
-    tests the stacked blocks with one transform and one accept call.  A
-    block of k draws consumes the stream exactly like k single draws, so a
-    generator whose first hit is row j is put back where j + 1 single draws
-    leave it, as a one-draw-at-a-time rejection loop would.  Given words,
-    the fixed number of words a raw row takes, it is rewound past the rows
-    after j with bit_generator.advance, which drops a buffered 32-bit half
-    just as a state write does; otherwise (the good region's ziggurat
-    exponentials take a variable number) its state is saved before the
-    block, restored, and moved on by j + 1 raw draws.  A generator without
-    a hit keeps its position for the next round.
-    Returns an (len(rngs), 3) array, one row per generator.
+
+def _simplex_columns(e: np.ndarray, b: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Semi-axes lam @ p, into the (3, n) b, of the Dirichlet(1, 1, 1, 1) draws p made from 4 columns e of exponentials.
+
+    e times the reciprocal of its left-to-right sum (in place; tmp holds n floats) has dirichlet's bits, e over
+    its sum does not.  b_q = (p0 +- p2) + (+-p1 +- p3) has the bits of the single-draw lam @ p.
     """
-    out = np.empty((len(rngs), 3))
+    np.add(e[0], e[1], out=tmp)
+    tmp += e[2]
+    tmp += e[3]
+    e *= np.divide(1.0, tmp, out=tmp)
+    p0, p1, p2, p3 = e
+    np.subtract(p1, p3, out=tmp)
+    np.subtract(p0, p2, out=b[0])
+    np.subtract(b[0], tmp, out=b[2])  # b3 = (p0 - p2) - (p1 - p3)
+    b[0] += tmp  # b1 = (p0 - p2) + (p1 - p3)
+    np.add(p1, p3, out=tmp)
+    np.add(p0, p2, out=b[1])
+    b[1] -= tmp  # b2 = (p0 + p2) - (p1 + p3)
+    return b
+
+
+def _in_sample_region(b: np.ndarray, good: bool) -> np.ndarray:
+    """The samplers' accept mask over (3, n) columns: the box and products (good), or the edges and not the products.
+
+    An outside draw is uniform, so finite and in the box: of the public masks' tests only these two can fail.
+    """
+    if good:
+        return _product_conditions(b, np.all((b >= 0.0) & (b <= 1.0), axis=0))
+    return _edge_conditions(b, ~_product_conditions(b, np.ones(b.shape[1], dtype=bool)), tol=1e-12)
+
+
+def _first_accepted(words: np.ndarray, region: str) -> tuple:
+    """First draw in the 'good' or 'outside' region of each stream, as (3, n) columns, and the generators.
+
+    words holds the streams' PCG64 seed words, one row each.  A round draws the next _LOOKAHEAD raw rows
+    of up to _TILE_ROWS // _LOOKAHEAD pending streams into the tile buffers and tests them at once.  A
+    block of k rows consumes a stream like k single draws, so a stream whose first hit is row j of round r
+    is rebuilt from its words and draws r * _LOOKAHEAD + j + 1 rows in one call: it ends where its
+    one-draw rejection loop leaves it, and no generator state is read or written.
+    """
+    good = region == "good"
+    # raw rows: 4 exponentials made into a Dirichlet draw, or 3 uniforms that are the semi-axes
+    draw, width = ("standard_exponential", 4) if good else ("random", 3)
+    flat, work = _tile_buffers()
+    out, rngs = np.empty((3, len(words))), []
     per_round = max(1, _TILE_ROWS // _LOOKAHEAD)
-    for lo in range(0, len(rngs), per_round):
-        pending = np.arange(lo, min(lo + per_round, len(rngs)))
+    for lo in range(0, len(words), per_round):
+        # look-ahead generators, each replaced by a rebuilt one at its stream's hit
+        rngs += [_generator(row) for row in words[lo : lo + per_round]]
+        pending, drawn = np.arange(lo, len(rngs)), 0
         while len(pending):
-            states = None if words else [rngs[i].bit_generator.state for i in pending]
-            # the blocks in order, as one 2-D array of rows
-            rows = transform(np.concatenate([raw(rngs[i], _LOOKAHEAD) for i in pending]))
-            hits = accept(rows).reshape(len(pending), _LOOKAHEAD)
-            rows = rows.reshape(len(pending), _LOOKAHEAD, 3)
+            n = len(pending) * _LOOKAHEAD
+            # flat's first two rows are contiguous: room for _TILE_ROWS rows of 4
+            blocks = flat[:2].reshape(-1)[: width * n].reshape(len(pending), _LOOKAHEAD, width)
+            for block, i in zip(blocks, pending):
+                getattr(rngs[i], draw)(out=block)
+            cols = blocks.reshape(n, width).T
+            if good:
+                cols = _simplex_columns(cols, flat[2, : 3 * n].reshape(3, n), work[0, 0, :n])
+            hits = _in_sample_region(cols, good).reshape(len(pending), _LOOKAHEAD)
+            drawn += _LOOKAHEAD
             first = hits.argmax(axis=1)  # the first hit, if there is one
             found = hits[np.arange(len(pending)), first]
             for k in np.flatnonzero(found):
-                rng = rngs[pending[k]]
-                if words:
-                    rng.bit_generator.advance(-words * (_LOOKAHEAD - 1 - int(first[k])))
-                else:
-                    rng.bit_generator.state = states[k]
-                    raw(rng, int(first[k]) + 1)
-            out[pending[found]] = rows[found, first[found]]
+                rng = rngs[pending[k]] = _generator(words[pending[k]])
+                getattr(rng, draw)((drawn - _LOOKAHEAD + int(first[k]) + 1, width))
+            out[:, pending[found]] = cols.reshape(3, len(pending), _LOOKAHEAD)[:, found, first[found]]
             pending = pending[~found]
-    return out
-
-
-def _outside_region(rows: np.ndarray) -> np.ndarray:
-    return tetrahedron_mask(rows) & ~positive_optimal_mask(rows)
-
-
-def _simplex_axes(exp: np.ndarray) -> np.ndarray:
-    """Semi-axes lam @ beta_sq of the Dirichlet(1, 1, 1, 1) rows made from exp.
-
-    Rows of 4 standard exponentials times the reciprocal of their sum,
-    taken left to right, have the bits of dirichlet(ones(4)), and the draw
-    leaves the stream where dirichlet does; dividing by the sum does not.
-    einsum gives each row the bits of the single-draw lam @ beta_sq;
-    beta_sq @ lam.T does not.
-    """
-    total = ((exp[:, 0] + exp[:, 1]) + exp[:, 2]) + exp[:, 3]
-    return np.einsum("qk,nk->nq", _LAM_AXES, exp * (1.0 / total)[:, None])
-
-
-def _sample(rngs: list, region: str) -> np.ndarray:
-    """One base point per generator, drawn from the 'good' or the 'outside' region."""
-    if region == "good":
-        return _first_accepted(
-            rngs, lambda rng, k: rng.standard_exponential((k, 4)), _simplex_axes, positive_optimal_mask
-        )
-    # uniform draws in the cube are the semi-axes themselves, one word each
-    return _first_accepted(rngs, lambda rng, k: rng.random((k, 3)), np.asarray, _outside_region, words=3)
+    return out, rngs
 
 
 _workspace = threading.local()
 
 
 def _tile_buffers() -> tuple:
-    """This thread's tile buffers: draws, cols and picked of 3 * _TILE_ROWS floats, and work.
+    """This thread's tile buffers: flat, whose rows draws, cols and picked hold 3 * _TILE_ROWS floats, and work.
 
-    Allocated on the thread's first scan and kept for its life, so a scan
-    does not fault ~2.2 MB of pages back in on every call; pages that a
-    small scan never touches are never made resident.  A thread-local, so
-    two threads scanning at once never share a buffer.
+    Allocated on the thread's first scan and kept for its life, so a scan does not fault ~2.2 MB of pages
+    back in on every call; pages that a small scan never touches are never made resident.  A thread-local,
+    so two threads scanning at once never share a buffer.
     """
     try:
         return _workspace.buffers
     except AttributeError:
-        flat = np.empty((3, 3 * _TILE_ROWS))
-        _workspace.buffers = (*flat, np.empty((2, 4, _TILE_ROWS)))
+        _workspace.buffers = (np.empty((3, 3 * _TILE_ROWS)), np.empty((2, 4, _TILE_ROWS)))
         return _workspace.buffers
 
 
@@ -283,13 +282,11 @@ def monotonicity_scan(config: ScanConfig) -> ScanReport:
     g(b') >= g(b) in every component.  Inside the good region none should
     ever be found; outside they are common.  Each outer point draws its base
     point and its candidates from its own child seed, so reports with equal
-    config are identical however the points are batched; a tile's
-    generators come from one _spawned_generators call.  Candidates are
+    config are identical however the points are batched.  Candidates are
     tested in tiles of up to _TILE_ROWS rows, stored column by column in the
-    thread's buffers, reused from tile to tile and from scan to scan.  A
-    tile's base points come from one _first_accepted call: each round tests
-    the next look-ahead block of every point still without a hit, and each
-    point's stream ends where its own one-draw rejection loop would leave it.
+    thread's buffers, reused from tile to tile and from scan to scan.  A tile's
+    base points come as columns from one _first_accepted call on its seed words,
+    whose generators, rebuilt just past each hit, then draw the candidates.
 
     A candidate b + u (1 - b) stays in the box [0, 1]^3, so it is tested only on
     the products (good region) or the tetrahedron edges at tol 0.  g then runs
@@ -302,17 +299,16 @@ def monotonicity_scan(config: ScanConfig) -> ScanReport:
     per_tile = max(1, _TILE_ROWS // n_inner)
     seg = min(n_inner, _TILE_ROWS)
     # a tile holds min(per_tile, n_outer) * seg <= _TILE_ROWS rows
-    draws, cols, picked, work = _tile_buffers()
+    (draws, cols, picked), work = _tile_buffers()
 
     checked = 0
     n_violations = 0
     kept: list[dict] = []
     for lo in range(0, config.n_outer, per_tile):
         m = min(per_tile, config.n_outer - lo)
-        rngs = _spawned_generators(config.seed, lo, m)
-        b = _sample(rngs, config.region)
-        g_b = _g_columns(b.T)
-        lower, scale = b.T[:, :, None], (1.0 - b).T[:, :, None]
+        b, rngs = _first_accepted(_spawned_words(config.seed, lo, m), config.region)
+        g_b = _g_columns(b)
+        lower, scale = b[:, :, None], (1.0 - b)[:, :, None]
         # a point with more than seg rows draws them segment by segment,
         # which consumes its stream exactly like one draw of all of them
         for r0 in range(0, n_inner, seg):
@@ -345,7 +341,7 @@ def monotonicity_scan(config: ScanConfig) -> ScanReport:
                 k = idx[i] // rows
                 kept.append(
                     {
-                        "b": b[k].tolist(),
+                        "b": b[:, k].tolist(),
                         "candidate": sel[:, i].tolist(),
                         "g_b": g_b[:, k].tolist(),
                         "g_candidate": g.tolist(),

@@ -357,6 +357,30 @@ def test_bad_counts_and_steps_are_usage_errors(capsys, argv, message):
     assert len(errors) == 1 and message in errors[0]
 
 
+@pytest.mark.parametrize(
+    "command, flag, value, scaled",
+    [
+        ("quality", "--mode", "1e308,1e308,0", "1,1,0"),
+        ("quality", "--mode", "-1e308,1e308,0", "-1,1,0"),
+        ("quality", "--mode", "1e154,1e154,1e154", "1,1,1"),
+        ("quality", "--mode", "1e-160,0,0", "x"),
+        ("quality", "--mode", "1e-200,0,0", "x"),
+        ("circuit", "--input", "1e300,0,1e300,0", "1,0,1,0"),
+        ("circuit", "--input", "1e-200,0,1e-200,0", "1,0,1,0"),
+    ],
+    ids=["mode-overflow", "mode-overflow-negative", "mode-overflow-3", "mode-subnormal", "mode-underflow",
+         "state-overflow", "state-underflow"],
+)
+def test_directions_whose_squared_norm_overflows_or_underflows_read_as_their_scaled_form(
+    capsys, command, flag, value, scaled
+):
+    # the squared norm is inf, subnormal or 0; dividing by the largest part first gives the scaled form's bits
+    base = [command, "--beta", "0.7,0.5,0.4,0.31622776601683794"]
+    code, out, err = _run(capsys, [*base, f"{flag}={value}"])
+    assert (code, err) == (0, "")
+    assert out == _run(capsys, [*base, f"{flag}={scaled}"])[1]
+
+
 def test_zero_step_from_a_config_file_is_a_runtime_error(capsys, tmp_path):
     config = tmp_path / "step.cfg"
     config.write_text("step=0\n")

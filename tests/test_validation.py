@@ -139,19 +139,26 @@ def _oracle_scan(config):
 # samplers
 
 
+def _oracle_streams(seed, n, lo=0):
+    """default_rng of children lo .. lo + n - 1 of seed, each from its own SeedSequence."""
+    return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))) for k in range(lo, lo + n)]
+
+
+def _sample(seed, n, region):
+    """First hits, as rows, and generators of children 0 .. n - 1 of seed."""
+    points, rngs = validation._first_accepted(validation._spawned_words(seed, 0, n), region)
+    return points.T, rngs
+
+
 def test_good_region_sampler():
-    rng = np.random.default_rng(80)
-    for _ in range(200):
-        b = validation._sample([rng], "good")[0]
+    for b in _sample(80, 200, "good")[0]:
         assert positive_optimal_condition(b)
         assert np.all(b >= 0.0) and np.all(b <= 1.0)
         assert tetrahedron_check(b)
 
 
 def test_outside_region_sampler():
-    rng = np.random.default_rng(81)
-    for _ in range(200):
-        b = validation._sample([rng], "outside")[0]
+    for b in _sample(81, 200, "outside")[0]:
         assert tetrahedron_check(b)
         assert not positive_optimal_condition(b)
 
@@ -160,49 +167,48 @@ def test_outside_region_sampler():
     "region, oracle", [("good", _oracle_sample_good), ("outside", _oracle_sample_outside)], ids=["good", "outside"]
 )
 def test_samplers_match_the_one_draw_oracle(region, oracle):
-    # equal points, and the generator is left where one-at-a-time draws leave it
+    # equal points, and each generator is left where one-at-a-time draws leave it
     for seed in range(300):
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(3):
-            assert np.array_equal(validation._sample([rng], region)[0], oracle(ref))
-        assert rng.random() == ref.random()
+        got, rngs = _sample(seed, 3, region)
+        refs = _oracle_streams(seed, 3)
+        assert np.array_equal(got, np.array([oracle(ref) for ref in refs]))
+        assert [rng.random() for rng in rngs] == [ref.random() for ref in refs]
 
 
 def _mask_rows_per_call(monkeypatch):
-    """Wrap the good-region row mask, which both samplers' accept masks call.
+    """Wrap the samplers' column accept mask.
 
-    The returned list gets the row count of each call.  A scan's candidate
-    tiles take their region test on columns, without this mask, so every
-    count is a sampler round: a whole number of look-ahead blocks.
+    The returned list gets the row count of each call.  Only the samplers
+    call this mask, so every count is a sampler round: a whole number of
+    look-ahead blocks.
     """
-    mask, seen = validation.positive_optimal_mask, []
+    mask, seen = validation._in_sample_region, []
 
-    def counted(rows, *args, **kwargs):
-        seen.append(np.asarray(rows).size // 3)
-        return mask(rows, *args, **kwargs)
+    def counted(cols, *args, **kwargs):
+        seen.append(cols.shape[1])
+        return mask(cols, *args, **kwargs)
 
-    monkeypatch.setattr(validation, "positive_optimal_mask", counted)
+    monkeypatch.setattr(validation, "_in_sample_region", counted)
     return seen
 
 
 @pytest.mark.parametrize("lookahead", [1, 2])
 def test_short_lookahead_blocks_still_match_the_one_draw_oracles(monkeypatch, lookahead):
-    # most generators miss their first block or two, so they need several rounds
+    # most points miss their first block or two, so they need several rounds
     monkeypatch.setattr(validation, "_LOOKAHEAD", lookahead)
     seen = _mask_rows_per_call(monkeypatch)
-    children = np.random.SeedSequence(11).spawn(300)
     for region, oracle in (("good", _oracle_sample_good), ("outside", _oracle_sample_outside)):
-        rngs = [np.random.default_rng(child) for child in children]
-        refs = [np.random.default_rng(child) for child in children]
+        refs = _oracle_streams(11, 300)
         seen.clear()
-        got = validation._sample(rngs, region)
+        got, rngs = _sample(11, 300, region)
         assert len(seen) > 1
         assert np.array_equal(got, np.array([oracle(ref) for ref in refs]))
         assert [rng.random() for rng in rngs] == [ref.random() for ref in refs]
     for region, oracle in (("good", _oracle_sample_good), ("outside", _oracle_sample_outside)):
         for seed in range(20):
-            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert np.array_equal(validation._sample([rng], region)[0], oracle(ref))
+            (got,), (rng,) = _sample(seed, 1, region)
+            (ref,) = _oracle_streams(seed, 1)
+            assert np.array_equal(got, oracle(ref))
             assert rng.random() == ref.random()
     for region in ("good", "outside"):
         config = ScanConfig(n_outer=300, n_inner=20, seed=12, region=region, max_keep=10**6)
@@ -213,12 +219,12 @@ def test_generators_that_miss_their_first_block_take_more_rounds(monkeypatch):
     # 2000 points of seed 0: a few good-region points miss their first block,
     # so the sampler makes more accept calls than it has rounds of fresh points
     seen = _mask_rows_per_call(monkeypatch)
-    children = np.random.SeedSequence(0).spawn(2000)
-    got = validation._sample([np.random.default_rng(child) for child in children], "good")
+    got, rngs = _sample(0, 2000, "good")
     per_round = _TILE_ROWS // validation._LOOKAHEAD
-    assert len(seen) > -(-len(children) // per_round)
-    want = [_oracle_sample_good(np.random.default_rng(child)) for child in children]
-    assert np.array_equal(got, np.array(want))
+    assert len(seen) > -(-len(got) // per_round)
+    refs = _oracle_streams(0, 2000)
+    assert np.array_equal(got, np.array([_oracle_sample_good(ref) for ref in refs]))
+    assert [rng.random() for rng in rngs] == [ref.random() for ref in refs]
 
 
 @pytest.mark.parametrize("region", ["good", "outside"])
@@ -233,36 +239,40 @@ def test_sampler_rounds_stay_within_a_tile(monkeypatch, region):
 
 
 class _NoStateBitGenerator:
-    """A bit generator that moves by advance only; reading its state fails."""
-
-    def __init__(self, bit_generator):
-        self._bit_generator = bit_generator
-
-    def advance(self, delta):
-        self._bit_generator.advance(delta)
+    """A bit generator whose state can be neither read nor written, and that has no advance."""
 
     @property
     def state(self):
-        raise AssertionError("the outside sampler read a generator's state")
+        raise AssertionError("the sampler read a generator's state")
+
+    @state.setter
+    def state(self, value):
+        raise AssertionError("the sampler wrote a generator's state")
 
 
 class _NoStateGenerator:
+    """A generator that draws like rng, behind a _NoStateBitGenerator."""
+
+    bit_generator = _NoStateBitGenerator()
+
     def __init__(self, rng):
         self._rng = rng
-        self.bit_generator = _NoStateBitGenerator(rng.bit_generator)
 
-    def random(self, *args, **kwargs):
-        return self._rng.random(*args, **kwargs)
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
 
 
-def test_outside_sampler_rewinds_by_word_count_without_reading_state():
-    # uniform rows take three words each, so a hit rewinds by count alone
-    children = np.random.SeedSequence(13).spawn(200)
-    rngs = [np.random.default_rng(child) for child in children]
-    refs = [np.random.default_rng(child) for child in children]
-    for _ in range(3):
-        got = validation._sample([_NoStateGenerator(rng) for rng in rngs], "outside")
-        assert np.array_equal(got, np.array([_oracle_sample_outside(ref) for ref in refs]))
+@pytest.mark.parametrize(
+    "region, oracle", [("good", _oracle_sample_good), ("outside", _oracle_sample_outside)], ids=["good", "outside"]
+)
+def test_samplers_rewind_without_touching_generator_state(monkeypatch, region, oracle):
+    # a hit is rewound by a new generator from the point's words, never by its state
+    generator = validation._generator
+    monkeypatch.setattr(validation, "_generator", lambda words: _NoStateGenerator(generator(words)))
+    got, rngs = _sample(13, 200, region)
+    refs = _oracle_streams(13, 200)
+    assert all(isinstance(rng, _NoStateGenerator) for rng in rngs)
+    assert np.array_equal(got, np.array([oracle(ref) for ref in refs]))
     assert [rng.random() for rng in rngs] == [ref.random() for ref in refs]
 
 
@@ -271,24 +281,31 @@ def test_outside_sampler_rewinds_by_word_count_without_reading_state():
 def test_spawned_generators_match_spawn_and_default_rng(seed):
     for lo, n in ((0, 300), (256, 44)):
         children = np.random.SeedSequence(seed).spawn(lo + n)[lo:]
+        words = validation._spawned_words(seed, lo, n)
+        assert words.dtype == np.uint64 and words.shape == (n, 4)
+        assert np.array_equal(words, np.array([child.generate_state(4, np.uint64) for child in children]))
         want = [np.random.default_rng(child).bit_generator.state for child in children]
-        assert [rng.bit_generator.state for rng in validation._spawned_generators(seed, lo, n)] == want
+        assert [validation._generator(row).bit_generator.state for row in words] == want
     # the last point a scan may have; spawn would make 2**32 children to reach it
-    (got,) = validation._spawned_generators(seed, _MAX_OUTER - 1, 1)
-    want = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_MAX_OUTER - 1,)))
+    (words,) = validation._spawned_words(seed, _MAX_OUTER - 1, 1)
+    got = validation._generator(words)
+    (want,) = _oracle_streams(seed, 1, lo=_MAX_OUTER - 1)
     assert got.bit_generator.state == want.bit_generator.state
     assert np.array_equal(got.random(4), want.random(4))
 
 
 def test_normalised_exponentials_are_dirichlet_draws():
     # rows times the reciprocal of their left-to-right sum; dividing by the sum differs
+    lam = lambda_matrix()[1:]
     for seed in range(300):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         exp = rng.standard_exponential((64, 4))
         want = ref.dirichlet(np.ones(4), 64)
         rows = exp * (1.0 / (((exp[:, 0] + exp[:, 1]) + exp[:, 2]) + exp[:, 3]))[:, None]
         assert np.array_equal(rows, want)
-        assert np.array_equal(validation._simplex_axes(exp), np.einsum("qk,nk->nq", lambda_matrix()[1:], want))
+        # the column sums have the bits of the single-draw semi-axes
+        cols = validation._simplex_columns(exp.T.copy(), np.empty((3, 64)), np.empty(64))
+        assert np.array_equal(cols.T, np.array([lam @ row for row in want]))
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -393,7 +410,7 @@ def _adversarial_tile():
     pairs = rng.random((6, 2))
     faces = [np.roll([x * y, x, y], k) for k, (x, y) in enumerate(pairs)]
     edges = [[tiny, tiny, tiny], [tiny, 0.5, 2 * tiny], [top, top, top], [top, tiny, 0.0], [0.5, 0.25, 0.5]]
-    drawn = [validation._sample([rng], region)[0] for region in ("good", "outside") for _ in range(4)]
+    drawn = [b for region in ("good", "outside") for b in _sample(14, 4, region)[0]]
     b = np.array(corners + faces + edges + drawn)
     special = np.array([0.0, 2.0**-53, 0.5, top])
     u = np.concatenate([np.stack(np.meshgrid(special, special, special), axis=-1).reshape(-1, 3), rng.random((500, 3))])
@@ -428,6 +445,22 @@ def test_a_warm_scan_reuses_its_tile_buffers():
     finally:
         tracemalloc.stop()
     assert peak <= 2**20
+
+
+@pytest.mark.parametrize("region", ["good", "outside"])
+def test_a_warm_wide_scan_draws_its_base_points_into_the_tile_buffers(region):
+    # the generators and the accept masks of 100 points peak near 250 KiB; a
+    # fresh block of their look-ahead draws on every round (150-200 KiB), or a
+    # concatenation of per-point blocks, would peak above 380 KiB
+    config = ScanConfig(n_outer=100, n_inner=64, seed=3, region=region)
+    monotonicity_scan(config)
+    tracemalloc.start()
+    try:
+        monotonicity_scan(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 320 * 2**10
 
 
 def test_reused_buffers_leave_nothing_from_the_previous_scan():
@@ -534,7 +567,11 @@ def test_candidates_without_a_strict_component_are_not_checked(monkeypatch, regi
     # and whose g equals g_b: only the strict test keeps them out
     points = np.array([[1.0, 1.0, 1.0], [0.5, 0.5, 0.3]])
     assert positive_optimal_condition(points[0]) and tetrahedron_check(points[0], tol=0.0)
-    monkeypatch.setattr(validation, "_sample", lambda rngs, region: points[: len(rngs)])
+    monkeypatch.setattr(
+        validation,
+        "_first_accepted",
+        lambda words, region: (points[: len(words)].T, [validation._generator(row) for row in words]),
+    )
     given = iter(points)
     monkeypatch.setattr(sys.modules[__name__], f"_oracle_sample_{region}", lambda rng: next(given))
     config = ScanConfig(n_outer=2, n_inner=500, seed=4, region=region, max_keep=10**6)
