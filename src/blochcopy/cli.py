@@ -146,6 +146,8 @@ _probability = _number(float, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]")
 
 # Trials that concavity draws and checks per concavity_check call.
 _CONCAVITY_BLOCK = 1024
+# Rows that fig1 formats and writes at once.
+_FIG1_CHUNK = 1024
 
 # (+axis, -axis) eigenstates of each Pauli operator
 _AXIS_KETS = {
@@ -228,13 +230,19 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_fig1(args) -> int:
+    # written _FIG1_CHUNK rows at a time, so any count runs in bounded memory; the
+    # bytes are those of _emit_csv and of _emit_json on the whole list of points
     count = args.count
-    rs = [i / (count - 1) for i in range(count)]
-    points = [(r, isotropic_tradeoff(r)) for r in rs]
     if args.format == "csv":
-        _emit_csv(["r", "s"], points)
+        head, row, sep, tail = "r,s\n", "{!r},{!r}", "\n", "\n"
     else:
-        _emit_json({"count": count, "points": [[r, s] for r, s in points]})
+        head = f'{{\n  "count": {count},\n  "points": [\n'
+        row, sep, tail = "    [\n      {!r},\n      {!r}\n    ]", ",\n", "\n  ]\n}\n"
+    sys.stdout.write(head)
+    for lo in range(0, count, _FIG1_CHUNK):
+        rs = [i / (count - 1) for i in range(lo, min(lo + _FIG1_CHUNK, count))]
+        sys.stdout.write((sep if lo else "") + sep.join(row.format(r, isotropic_tradeoff(r)) for r in rs))
+    sys.stdout.write(tail)
     return 0
 
 

@@ -47,8 +47,9 @@ def random_physical_gram(rng: np.random.Generator) -> np.ndarray:
 
 # Largest quality change that symmetry_check lets time reversal make.
 _SYMMETRY_TOL = 1e-10
-# Candidates drawn per block by the rejection samplers.
-_LOOKAHEAD = 64
+# Candidates drawn per block by the rejection samplers, per region: about 9% of
+# good draws hit, so a 32-row block misses with probability 0.908**32 < 5%.
+_LOOKAHEAD = {"good": 32, "outside": 64}
 # Candidate rows a scan tests per pass of the row kernels: small enough that
 # a tile's buffers stay in a core's L2 cache.  A tile holds several whole
 # outer points, or one segment of a point with more rows than this.
@@ -148,42 +149,65 @@ def _in_sample_region(b: np.ndarray, good: bool) -> np.ndarray:
     return _edge_conditions(b, ~_product_conditions(b, np.ones(b.shape[1], dtype=bool)), tol=1e-12)
 
 
-def _first_accepted(words: np.ndarray, region: str) -> tuple:
+def _first_accepted(words: np.ndarray, region: str, tile: np.ndarray) -> tuple:
     """First draw in the 'good' or 'outside' region of each stream, as (3, n) columns, and the generators.
 
-    words holds the streams' PCG64 seed words, one row each.  A round draws the next _LOOKAHEAD raw rows
-    of up to _TILE_ROWS // _LOOKAHEAD pending streams into the tile buffers and tests them at once.  A
-    block of k rows consumes a stream like k single draws, so a stream whose first hit is row j of round r
-    is rebuilt from its words and draws r * _LOOKAHEAD + j + 1 rows in one call: it ends where its
-    one-draw rejection loop leaves it, and no generator state is read or written.
+    words holds the streams' PCG64 seed words, one row each, and tile, C-contiguous (n, rows, 3), gets each
+    stream's next rows of uniforms after its first hit: its point's first candidate segment.  A round
+    draws the next _LOOKAHEAD[region] raw rows of up to _TILE_ROWS // _LOOKAHEAD[region] pending streams
+    into the workspace and tests them at once; a block of k rows consumes a stream like k single draws.
+
+    An outside row is 3 uniforms of one 64-bit word each, so the rows after a hit in its block are the
+    stream's next uniforms: one gather a round moves them into the tile, and the stream's one generator,
+    already past the block, draws only the rest.  A good row's exponentials take a variable number of
+    words, so a good stream whose first hit is row j of round r is rebuilt from its words, draws
+    r * _LOOKAHEAD["good"] + j + 1 rows into the workspace and then its tile rows.  Each generator ends
+    where its one-draw rejection loop and one draw of the tile rows leave it, unless the tile has fewer
+    rows than an outside hit leaves in its block, which only a one-segment scan asks for.  No generator
+    state is read or written.
     """
-    good = region == "good"
+    good, lookahead = region == "good", _LOOKAHEAD[region]
     # raw rows: 4 exponentials made into a Dirichlet draw, or 3 uniforms that are the semi-axes
     draw, width = ("standard_exponential", 4) if good else ("random", 3)
     flat, work = _tile_buffers()
     out, rngs = np.empty((3, len(words))), []
-    per_round = max(1, _TILE_ROWS // _LOOKAHEAD)
+    rows = tile.shape[1]
+    # work's first row holds a round's blocks, then a good stream's skipped rows
+    spare = work[0].reshape(-1)
+    per_round = max(1, _TILE_ROWS // lookahead)
     for lo in range(0, len(words), per_round):
-        # look-ahead generators, each replaced by a rebuilt one at its stream's hit
         rngs += [_generator(row) for row in words[lo : lo + per_round]]
         pending, drawn = np.arange(lo, len(rngs)), 0
         while len(pending):
-            n = len(pending) * _LOOKAHEAD
-            # flat's first two rows are contiguous: room for _TILE_ROWS rows of 4
-            blocks = flat[:2].reshape(-1)[: width * n].reshape(len(pending), _LOOKAHEAD, width)
+            n = len(pending) * lookahead
+            blocks = spare[: width * n].reshape(len(pending), lookahead, width)
             for block, i in zip(blocks, pending):
                 getattr(rngs[i], draw)(out=block)
             cols = blocks.reshape(n, width).T
             if good:
-                cols = _simplex_columns(cols, flat[2, : 3 * n].reshape(3, n), work[0, 0, :n])
-            hits = _in_sample_region(cols, good).reshape(len(pending), _LOOKAHEAD)
-            drawn += _LOOKAHEAD
+                cols = _simplex_columns(cols, flat[1, : 3 * n].reshape(3, n), work[1, 0, :n])
+            hits = _in_sample_region(cols, good).reshape(len(pending), lookahead)
+            drawn += lookahead
             first = hits.argmax(axis=1)  # the first hit, if there is one
             found = hits[np.arange(len(pending)), first]
-            for k in np.flatnonzero(found):
-                rng = rngs[pending[k]] = _generator(words[pending[k]])
-                getattr(rng, draw)((drawn - _LOOKAHEAD + int(first[k]) + 1, width))
-            out[:, pending[found]] = cols.reshape(3, len(pending), _LOOKAHEAD)[:, found, first[found]]
+            ks, js, done = np.flatnonzero(found), first[found], pending[found]
+            out[:, done] = cols.reshape(3, len(pending), lookahead)[:, ks, js]
+            if good:
+                for i, j in zip(done.tolist(), js.tolist()):
+                    rng = rngs[i] = _generator(words[i])
+                    # the blocks are spent: the skipped rows overwrite them, as many at a time as fit
+                    for left in range(width * (drawn - lookahead + j + 1), 0, -len(spare)):
+                        rng.standard_exponential(out=spare[: min(left, len(spare))])
+                    rng.random(out=tile[i])
+            else:
+                # window s: the span rows from block row s on.  Each stream copies the window
+                # after its hit; rows past its block's end are overwritten as it draws the rest
+                span = min(rows, lookahead - 1)
+                windows = np.ndarray((n + 1, 3 * span), buffer=spare, strides=(3 * spare.itemsize, spare.itemsize))
+                tile.reshape(len(tile), 3 * rows)[done, : 3 * span] = windows[ks * lookahead + js + 1]
+                for i, h in zip(done.tolist(), (lookahead - 1 - js).tolist()):
+                    if h < rows:
+                        rngs[i].random(out=tile[i, h:])
             pending = pending[~found]
     return out, rngs
 
@@ -286,7 +310,10 @@ def monotonicity_scan(config: ScanConfig) -> ScanReport:
     tested in tiles of up to _TILE_ROWS rows, stored column by column in the
     thread's buffers, reused from tile to tile and from scan to scan.  A tile's
     base points come as columns from one _first_accepted call on its seed words,
-    whose generators, rebuilt just past each hit, then draw the candidates.
+    which also hands each point's stream straight to its first segment: an
+    outside point's look-ahead rows after its hit become its first candidate
+    rows, and a good point's rebuilt stream draws them.  The scan itself draws
+    only a point's later segments, from the generators the call returns.
 
     A candidate b + u (1 - b) stays in the box [0, 1]^3, so it is tested only on
     the products (good region) or the tetrahedron edges at tol 0.  g then runs
@@ -306,7 +333,9 @@ def monotonicity_scan(config: ScanConfig) -> ScanReport:
     kept: list[dict] = []
     for lo in range(0, config.n_outer, per_tile):
         m = min(per_tile, config.n_outer - lo)
-        b, rngs = _first_accepted(_spawned_words(config.seed, lo, m), config.region)
+        # the sampler hands each point's stream straight to its first segment
+        first = draws[: 3 * m * seg].reshape(m, seg, 3)
+        b, rngs = _first_accepted(_spawned_words(config.seed, lo, m), config.region, first)
         g_b = _g_columns(b)
         lower, scale = b[:, :, None], (1.0 - b)[:, :, None]
         # a point with more than seg rows draws them segment by segment,
@@ -315,8 +344,9 @@ def monotonicity_scan(config: ScanConfig) -> ScanReport:
             rows = min(seg, n_inner - r0)
             n = m * rows
             tile = draws[: 3 * n].reshape(m, rows, 3)
-            for k, rng in enumerate(rngs):
-                rng.random(out=tile[k])
+            if r0:
+                for k, rng in enumerate(rngs):
+                    rng.random(out=tile[k])
             cand = cols[: 3 * n].reshape(3, m, rows)
             np.multiply(tile.transpose(2, 0, 1), scale, out=cand)
             cand += lower
@@ -337,16 +367,14 @@ def monotonicity_scan(config: ScanConfig) -> ScanReport:
                     break
             n_violations += len(live)
             keep = live[: config.max_keep - len(kept)]
-            for i, g in zip(keep, _g_columns(sel[:, keep]).T if len(keep) else ()):
-                k = idx[i] // rows
-                kept.append(
-                    {
-                        "b": b[:, k].tolist(),
-                        "candidate": sel[:, i].tolist(),
-                        "g_b": g_b[:, k].tolist(),
-                        "g_candidate": g.tolist(),
-                    }
-                )
+            if len(keep):
+                # one tolist per field over all kept records
+                at = idx[keep] // rows
+                fields = (b[:, at], sel[:, keep], g_b[:, at], _g_columns(sel[:, keep]))
+                kept += [
+                    {"b": x, "candidate": c, "g_b": gx, "g_candidate": gc}
+                    for x, c, gx, gc in zip(*(f.T.tolist() for f in fields))
+                ]
     return ScanReport(
         region=config.region,
         seed=config.seed,

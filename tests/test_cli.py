@@ -1,6 +1,7 @@
 """End-to-end runs of the command line interface."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,57 @@ def test_fig1_count_and_json(capsys):
     assert doc["points"][0] == [0.0, 1.0]
     assert doc["points"][1] == [0.5, 0.8090169943749475]
     assert doc["points"][2] == [1.0, 0.0]
+
+
+def _old_fig1(count, fmt):
+    """fig1's stdout as it was made before it streamed: from the whole list of points at once."""
+    from blochcopy.optimizer import isotropic_tradeoff
+
+    points = [(r, isotropic_tradeoff(r)) for r in (i / (count - 1) for i in range(count))]
+    if fmt == "csv":
+        return "r,s\n" + "".join(f"{float(r)!r},{float(s)!r}\n" for r, s in points)
+    return json.dumps({"count": count, "points": [[r, s] for r, s in points]}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("count", [2, 101, 1000, cli._FIG1_CHUNK, cli._FIG1_CHUNK + 1, 2 * cli._FIG1_CHUNK + 1])
+def test_fig1_streams_the_bytes_of_the_whole_list(capsys, fmt, count):
+    code, out, err = _run(capsys, ["fig1", "--count", str(count), "--format", fmt])
+    assert (code, err) == (0, "")
+    assert out == _old_fig1(count, fmt)
+
+
+class _Sink:
+    """A stdout that counts what it is given and keeps none of it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_fig1_memory_does_not_grow_with_the_count(monkeypatch, fmt):
+    # the whole list of 50,000 points peaked at 6 MB (csv) and 25 MB (json); a chunk of rows near 0.2 MB
+    main(["fig1", "--count", "2000", "--format", fmt])  # warm: parser and imports
+    peaks = []
+    for count in (2000, 50_000):
+        sink = _Sink()
+        monkeypatch.setattr("sys.stdout", sink)
+        tracemalloc.start()
+        try:
+            assert main(["fig1", "--count", str(count), "--format", fmt]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+            monkeypatch.undo()
+        assert sink.chars > count * 10
+    assert peaks[1] <= peaks[0] + 2**16, peaks
 
 
 def test_fig1_needs_two_points(capsys, tmp_path):

@@ -199,7 +199,7 @@ def test_g_is_more_accurate_than_the_matmul_chain():
 
 
 def test_g_is_involutive_on_the_good_region():
-    points, _ = validation._first_accepted(validation._spawned_words(63, 0, 300), "good")
+    points, _ = validation._first_accepted(validation._spawned_words(63, 0, 300), "good", np.empty((300, 1, 3)))
     for b in points.T:
         assert np.max(np.abs(g_map(g_map(b)) - b)) < 1e-10
 

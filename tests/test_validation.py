@@ -1,5 +1,6 @@
 """Monotonicity scans, time reversal, and mixing concavity."""
 
+import collections
 import json
 import os
 import subprocess
@@ -144,10 +145,44 @@ def _oracle_streams(seed, n, lo=0):
     return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))) for k in range(lo, lo + n)]
 
 
-def _sample(seed, n, region):
-    """First hits, as rows, and generators of children 0 .. n - 1 of seed."""
-    points, rngs = validation._first_accepted(validation._spawned_words(seed, 0, n), region)
-    return points.T, rngs
+def _sample(seed, n, region, rows=64):
+    """First hits of children 0 .. n - 1 of seed, as rows, the rows each hands to its tile, and the generators.
+
+    rows is at least the 63 rows an outside hit can leave in its 64-row block,
+    so every generator is left just past its tile rows.
+    """
+    tile = np.empty((n, rows, 3))
+    points, rngs = validation._first_accepted(validation._spawned_words(seed, 0, n), region, tile)
+    return points.T, tile, rngs
+
+
+def _assert_handed_on(tile, rngs, refs):
+    """Each stream's tile rows are its oracle's next rows, and its generator's next draw the oracle's after them.
+
+    refs are the oracle generators, each just past its first hit.
+    """
+    for rows, ref in zip(tile, refs):
+        assert np.array_equal(rows, ref.random(rows.shape))
+    assert [rng.random() for rng in rngs] == [ref.random() for ref in refs]
+
+
+class _CountingGenerator:
+    """A generator that draws like rng and counts the draw calls made on it."""
+
+    def __init__(self, rng):
+        self._rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        self.calls += 1
+        return getattr(self._rng, name)
+
+
+def _oracle_tries(seed, k, region):
+    """How many draws child k of seed makes in its one-draw rejection loop, the hit included."""
+    (ref,) = _oracle_streams(seed, 1, lo=k)
+    counting = _CountingGenerator(ref)
+    (_oracle_sample_good if region == "good" else _oracle_sample_outside)(counting)
+    return counting.calls
 
 
 def test_good_region_sampler():
@@ -167,12 +202,13 @@ def test_outside_region_sampler():
     "region, oracle", [("good", _oracle_sample_good), ("outside", _oracle_sample_outside)], ids=["good", "outside"]
 )
 def test_samplers_match_the_one_draw_oracle(region, oracle):
-    # equal points, and each generator is left where one-at-a-time draws leave it
+    # equal points, the tile gets each stream's next rows, and each generator
+    # is left where one-at-a-time draws of the point and those rows leave it
     for seed in range(300):
-        got, rngs = _sample(seed, 3, region)
+        got, tile, rngs = _sample(seed, 3, region)
         refs = _oracle_streams(seed, 3)
         assert np.array_equal(got, np.array([oracle(ref) for ref in refs]))
-        assert [rng.random() for rng in rngs] == [ref.random() for ref in refs]
+        _assert_handed_on(tile, rngs, refs)
 
 
 def _mask_rows_per_call(monkeypatch):
@@ -195,21 +231,21 @@ def _mask_rows_per_call(monkeypatch):
 @pytest.mark.parametrize("lookahead", [1, 2])
 def test_short_lookahead_blocks_still_match_the_one_draw_oracles(monkeypatch, lookahead):
     # most points miss their first block or two, so they need several rounds
-    monkeypatch.setattr(validation, "_LOOKAHEAD", lookahead)
+    monkeypatch.setattr(validation, "_LOOKAHEAD", dict.fromkeys(("good", "outside"), lookahead))
     seen = _mask_rows_per_call(monkeypatch)
     for region, oracle in (("good", _oracle_sample_good), ("outside", _oracle_sample_outside)):
         refs = _oracle_streams(11, 300)
         seen.clear()
-        got, rngs = _sample(11, 300, region)
+        got, tile, rngs = _sample(11, 300, region)
         assert len(seen) > 1
         assert np.array_equal(got, np.array([oracle(ref) for ref in refs]))
-        assert [rng.random() for rng in rngs] == [ref.random() for ref in refs]
+        _assert_handed_on(tile, rngs, refs)
     for region, oracle in (("good", _oracle_sample_good), ("outside", _oracle_sample_outside)):
         for seed in range(20):
-            (got,), (rng,) = _sample(seed, 1, region)
-            (ref,) = _oracle_streams(seed, 1)
-            assert np.array_equal(got, oracle(ref))
-            assert rng.random() == ref.random()
+            (got,), tile, rngs = _sample(seed, 1, region, rows=5)
+            refs = _oracle_streams(seed, 1)
+            assert np.array_equal(got, oracle(refs[0]))
+            _assert_handed_on(tile, rngs, refs)
     for region in ("good", "outside"):
         config = ScanConfig(n_outer=300, n_inner=20, seed=12, region=region, max_keep=10**6)
         assert json.dumps(monotonicity_scan(config).to_json()) == json.dumps(_oracle_scan(config).to_json())
@@ -219,23 +255,23 @@ def test_generators_that_miss_their_first_block_take_more_rounds(monkeypatch):
     # 2000 points of seed 0: a few good-region points miss their first block,
     # so the sampler makes more accept calls than it has rounds of fresh points
     seen = _mask_rows_per_call(monkeypatch)
-    got, rngs = _sample(0, 2000, "good")
-    per_round = _TILE_ROWS // validation._LOOKAHEAD
+    got, tile, rngs = _sample(0, 2000, "good")
+    per_round = _TILE_ROWS // validation._LOOKAHEAD["good"]
     assert len(seen) > -(-len(got) // per_round)
     refs = _oracle_streams(0, 2000)
     assert np.array_equal(got, np.array([_oracle_sample_good(ref) for ref in refs]))
-    assert [rng.random() for rng in rngs] == [ref.random() for ref in refs]
+    _assert_handed_on(tile, rngs, refs)
 
 
 @pytest.mark.parametrize("region", ["good", "outside"])
 def test_sampler_rounds_stay_within_a_tile(monkeypatch, region):
     # n_inner=1 puts _TILE_ROWS points in one tile; their look-ahead blocks
-    # would stack to 64 times that many rows without the cap on a round
+    # would stack to 32 or 64 times that many rows without the cap on a round
     seen = _mask_rows_per_call(monkeypatch)
     report = monotonicity_scan(ScanConfig(n_outer=20_000, n_inner=1, seed=3, region=region))
     assert report.checked > 0
     assert max(seen) == _TILE_ROWS
-    assert all(rows % validation._LOOKAHEAD == 0 for rows in seen)
+    assert all(rows % validation._LOOKAHEAD[region] == 0 for rows in seen)
 
 
 class _NoStateBitGenerator:
@@ -266,14 +302,65 @@ class _NoStateGenerator:
     "region, oracle", [("good", _oracle_sample_good), ("outside", _oracle_sample_outside)], ids=["good", "outside"]
 )
 def test_samplers_rewind_without_touching_generator_state(monkeypatch, region, oracle):
-    # a hit is rewound by a new generator from the point's words, never by its state
+    # an outside stream hands on its block's rows after the hit and a good one
+    # is rewound by a new generator from the point's words, never by its state
     generator = validation._generator
     monkeypatch.setattr(validation, "_generator", lambda words: _NoStateGenerator(generator(words)))
-    got, rngs = _sample(13, 200, region)
+    got, tile, rngs = _sample(13, 200, region)
     refs = _oracle_streams(13, 200)
     assert all(isinstance(rng, _NoStateGenerator) for rng in rngs)
     assert np.array_equal(got, np.array([oracle(ref) for ref in refs]))
-    assert [rng.random() for rng in rngs] == [ref.random() for ref in refs]
+    _assert_handed_on(tile, rngs, refs)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ScanConfig(n_outer=300, n_inner=64, seed=15, region="good"),
+        ScanConfig(n_outer=300, n_inner=64, seed=15, region="outside"),
+        # later segments draw from the generator that drew the first
+        ScanConfig(n_outer=2, n_inner=_TILE_ROWS + 5, seed=15, region="good"),
+        ScanConfig(n_outer=2, n_inner=_TILE_ROWS + 5, seed=15, region="outside"),
+    ],
+    ids=["good", "outside", "segments-good", "segments-outside"],
+)
+def test_outside_points_build_one_generator_and_good_points_two(monkeypatch, config):
+    # an outside point's look-ahead generator goes on to draw its candidates;
+    # a good point's is rebuilt once, at its hit
+    generator, built = validation._generator, collections.Counter()
+
+    def counted(words):
+        built[words.tobytes()] += 1
+        return generator(words)
+
+    monkeypatch.setattr(validation, "_generator", counted)
+    report = monotonicity_scan(config)
+    assert len(built) == config.n_outer
+    assert set(built.values()) == {2 if config.region == "good" else 1}
+    assert json.dumps(report.to_json()) == json.dumps(_oracle_scan(config).to_json())
+
+
+@pytest.mark.parametrize("region", ["good", "outside"])
+@pytest.mark.parametrize("lookahead, hit_row", [(None, 0), (3, 2)], ids=["first-row", "last-row"])
+def test_hits_at_a_blocks_first_and_last_row_hand_on_the_oracle_rows(monkeypatch, region, lookahead, hit_row):
+    # a hit at row 0 leaves the whole rest of the block to hand on; a hit at the
+    # last row of a (3-row) block leaves nothing, so every tile row is drawn
+    if lookahead is not None:
+        monkeypatch.setitem(validation._LOOKAHEAD, region, lookahead)
+    block = validation._LOOKAHEAD[region]
+    seed = next(s for s in range(1000) if (_oracle_tries(s, 0, region) - 1) % block == hit_row)
+    oracle = _oracle_sample_good if region == "good" else _oracle_sample_outside
+    for rows in (1, block, 200):
+        (got,), tile, rngs = _sample(seed, 1, region, rows=rows)
+        refs = _oracle_streams(seed, 1)
+        assert np.array_equal(got, oracle(refs[0]))
+        # an outside stream with fewer tile rows than its hit leaves is past them
+        if region == "good" or rows >= block - 1 - hit_row:
+            _assert_handed_on(tile, rngs, refs)
+        else:
+            assert np.array_equal(tile[0], refs[0].random((rows, 3)))
+        config = ScanConfig(n_outer=1, n_inner=rows, seed=seed, region=region, max_keep=10**6)
+        assert json.dumps(monotonicity_scan(config).to_json()) == json.dumps(_oracle_scan(config).to_json())
 
 
 # 2**130 + 5 has five run words, one more than the pool
@@ -378,12 +465,17 @@ def test_scan_is_deterministic():
         ScanConfig(n_outer=1000, n_inner=50, seed=7, region="good"),
         # violations in every one of several tiles, each tile holding many points
         ScanConfig(n_outer=1000, n_inner=50, seed=7, region="outside", max_keep=10**6),
+        # an outside hit leaves more rows in its block than a point's one candidate
+        ScanConfig(n_outer=20_000, n_inner=1, seed=3, region="outside", max_keep=10**6),
+        # several segments, the first starting with the rows an outside hit leaves
+        ScanConfig(n_outer=7, n_inner=140_000, seed=3, region="outside", max_keep=3),
         # max_keep reached inside a later tile (63 violations in all)
         ScanConfig(n_outer=1000, n_inner=50, seed=7, region="outside", max_keep=40),
     ],
     ids=["inner1-good", "inner1-outside", "chunks-good", "chunks-outside",
          "keep0", "keep7", "outside-2000x1000", "segments-T+1", "segments-3T-5",
-         "tiles-1000x50-good", "tiles-1000x50-outside", "tiles-1000x50-keep40"],
+         "tiles-1000x50-good", "tiles-1000x50-outside", "leftover-20000x1",
+         "segments-7x140000-keep3", "tiles-1000x50-keep40"],
 )
 def test_scan_report_is_byte_equal_to_the_per_point_oracle(config):
     got = monotonicity_scan(config).to_json()
@@ -567,11 +659,15 @@ def test_candidates_without_a_strict_component_are_not_checked(monkeypatch, regi
     # and whose g equals g_b: only the strict test keeps them out
     points = np.array([[1.0, 1.0, 1.0], [0.5, 0.5, 0.3]])
     assert positive_optimal_condition(points[0]) and tetrahedron_check(points[0], tol=0.0)
-    monkeypatch.setattr(
-        validation,
-        "_first_accepted",
-        lambda words, region: (points[: len(words)].T, [validation._generator(row) for row in words]),
-    )
+
+    def first_accepted(words, region, tile):
+        # the given points, and fresh streams handed straight to the tile
+        rngs = [validation._generator(row) for row in words]
+        for rng, rows in zip(rngs, tile):
+            rng.random(out=rows)
+        return points[: len(words)].T, rngs
+
+    monkeypatch.setattr(validation, "_first_accepted", first_accepted)
     given = iter(points)
     monkeypatch.setattr(sys.modules[__name__], f"_oracle_sample_{region}", lambda rng: next(given))
     config = ScanConfig(n_outer=2, n_inner=500, seed=4, region=region, max_keep=10**6)
