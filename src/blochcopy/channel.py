@@ -255,6 +255,8 @@ def diagonalize(bmap: AffineBlochMap) -> DiagonalForm:
 # Centered machines: attainable axes and explicit isometries
 
 
+# here and below: a huge finite axis may overflow to inf in a sum, which the tests then judge
+@np.errstate(over="ignore")
 def tetrahedron_violations(b, tol: float = 1e-12) -> list[str]:
     """Names of the attainability inequalities violated by semi-axes b."""
     b = _checked(b, "b", (3,), finite=False)
@@ -280,6 +282,7 @@ def _edge_conditions(b: np.ndarray, ok: np.ndarray, tol: float = 0.0) -> np.ndar
     return ok
 
 
+@np.errstate(over="ignore")
 def tetrahedron_mask(b_rows, tol: float = 1e-12) -> np.ndarray:
     """Row-wise tetrahedron test over an (..., 3) array of semi-axes.
 

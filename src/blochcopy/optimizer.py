@@ -81,15 +81,13 @@ def _positive_beta(b: np.ndarray, tol: float = DEFAULT_TOL, out: np.ndarray | No
     return np.sqrt(beta, out=beta)
 
 
+_TRIPLES = np.array(CYCLIC).T  # column i: the rows q, q', q'' of beta that component i of g reads
+
+
 def _pair_products(beta: np.ndarray):
     """p_q = beta_0 beta_q and s_q = beta_q' beta_q'' for q = 1, 2, 3, over a (4, ...) beta."""
-    s = np.empty((3, *beta.shape[1:]))
-    for i, (_, qp, qpp) in enumerate(CYCLIC):
-        np.multiply(beta[qp], beta[qpp], out=s[i, ...])
-    return beta[0] * beta[1:], s
-
-
-_TRIPLES = np.array(CYCLIC).T  # column i: the rows q, q', q'' of beta that component i of g reads
+    q, qp, qpp = _TRIPLES
+    return beta[0] * beta[q], beta[qp] * beta[qpp]
 
 
 def _g_from_beta(beta: np.ndarray, i: int | slice = slice(None), out=None, s=None) -> np.ndarray:
@@ -105,20 +103,16 @@ def _g_from_beta(beta: np.ndarray, i: int | slice = slice(None), out=None, s=Non
     return c
 
 
-def _g_columns(cols: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
-    """g over the columns of a (3, n) array of semi-axes, as a (3, n) view into work.
-
-    work is a (2, 4, m) float buffer with m >= n (allocated when None) that
-    holds beta, g and a product; the result is valid until work is reused.
-    """
-    n = cols.shape[1]
-    work = np.empty((2, 4, n)) if work is None else work[:, :, :n]
-    beta = _positive_beta(cols, out=work[0])
+def _g_columns(cols: np.ndarray) -> np.ndarray:
+    """g over the columns of a (3, n) array of semi-axes, as a (3, n) array."""
+    beta, c = _positive_beta(cols), np.empty(cols.shape)
     for i in range(3):  # one component at a time: beta's rows are views, not copies
-        _g_from_beta(beta, i, out=work[1, 1 + i], s=work[1, 0])
-    return work[1, 1:]
+        _g_from_beta(beta, i, out=c[i])
+    return c
 
 
+# here and below: a huge finite axis may overflow to inf in a sum or product, which the tests then judge
+@np.errstate(over="ignore")
 def beta_from_b(b, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Positive machine coefficients realizing centered semi-axes b.
 
@@ -148,6 +142,7 @@ def g_map(b, tol: float = DEFAULT_TOL) -> np.ndarray:
     return _g_from_beta(beta_from_b(b, tol=tol))
 
 
+@np.errstate(over="ignore")
 def g_map_many(b_rows: np.ndarray) -> np.ndarray:
     """Vectorized g_map over the rows of an (n, 3) array, bit for bit equal to it and raising its error."""
     b_rows = _checked(b_rows, "b_rows", (..., 3), finite=False).reshape(-1, 3)
@@ -173,6 +168,7 @@ def h_vector(beta) -> np.ndarray:
     return 2.0 * (p - s)
 
 
+@np.errstate(over="ignore")
 def class_p_check(xi, tol: float = 0.0) -> bool:
     """Membership test for class P four-vectors.
 
@@ -199,6 +195,7 @@ def _product_conditions(b: np.ndarray, ok: np.ndarray, tol: float = 0.0) -> np.n
     return ok
 
 
+@np.errstate(over="ignore")
 def positive_optimal_mask(b_rows, tol: float = 0.0) -> np.ndarray:
     """Row-wise positive_optimal_condition over an (..., 3) array of semi-axes.
 

@@ -47,9 +47,10 @@ def random_physical_gram(rng: np.random.Generator) -> np.ndarray:
 
 # Largest quality change that symmetry_check lets time reversal make.
 _SYMMETRY_TOL = 1e-10
-# Candidates drawn per block by the rejection samplers, per region: about 9% of
-# good draws hit, so a 32-row block misses with probability 0.908**32 < 5%.
-_LOOKAHEAD = {"good": 32, "outside": 64}
+# Candidates drawn per block by the rejection samplers: about 9% of good draws
+# hit, so a 32-row block misses with probability 0.908**32 < 5%, and about 25%
+# of outside draws, which miss it with probability ~1e-4.
+_LOOKAHEAD = 32
 # Candidate rows a scan tests per pass of the row kernels: small enough that
 # a tile's buffers stay in a core's L2 cache.  A tile holds several whole
 # outer points, or one segment of a point with more rows than this.
@@ -152,63 +153,57 @@ def _in_sample_region(b: np.ndarray, good: bool) -> np.ndarray:
 def _first_accepted(words: np.ndarray, region: str, tile: np.ndarray) -> tuple:
     """First draw in the 'good' or 'outside' region of each stream, as (3, n) columns, and the generators.
 
-    words holds the streams' PCG64 seed words, one row each, and tile, C-contiguous (n, rows, 3), gets each
-    stream's next rows of uniforms after its first hit: its point's first candidate segment.  A round
-    draws the next _LOOKAHEAD[region] raw rows of up to _TILE_ROWS // _LOOKAHEAD[region] pending streams
-    into the workspace and tests them at once; a block of k rows consumes a stream like k single draws.
+    words holds the seed words of at most _TILE_ROWS // _LOOKAHEAD PCG64 streams, one row each, so that
+    every stream's look-ahead block fits the workspace at once.  tile, C-contiguous (n, rows, 3), gets each
+    stream's next rows of uniforms after its first hit: its point's first candidate segment.  A round draws
+    the next _LOOKAHEAD raw rows of every pending stream and tests them at once; a block of k rows consumes
+    a stream like k single draws.
 
     An outside row is 3 uniforms of one 64-bit word each, so the rows after a hit in its block are the
     stream's next uniforms: one gather a round moves them into the tile, and the stream's one generator,
     already past the block, draws only the rest.  A good row's exponentials take a variable number of
-    words, so a good stream whose first hit is row j of round r is rebuilt from its words, draws
-    r * _LOOKAHEAD["good"] + j + 1 rows into the workspace and then its tile rows.  Each generator ends
-    where its one-draw rejection loop and one draw of the tile rows leave it, unless the tile has fewer
-    rows than an outside hit leaves in its block, which only a one-segment scan asks for.  No generator
-    state is read or written.
+    words, so a good stream whose first hit is row j of round r is rebuilt from its words, skips its
+    r * _LOOKAHEAD + j + 1 rows in one draw and then draws its tile rows.  Each generator ends where its
+    one-draw rejection loop and one draw of the tile rows leave it, unless the tile has fewer rows than an
+    outside hit leaves in its block, which only a one-segment scan asks for.  No generator state is read
+    or written.
     """
-    good, lookahead = region == "good", _LOOKAHEAD[region]
+    good = region == "good"
     # raw rows: 4 exponentials made into a Dirichlet draw, or 3 uniforms that are the semi-axes
     draw, width = ("standard_exponential", 4) if good else ("random", 3)
     flat, work = _tile_buffers()
-    out, rngs = np.empty((3, len(words))), []
+    out, rngs = np.empty((3, len(words))), [_generator(row) for row in words]
     rows = tile.shape[1]
-    # work's first row holds a round's blocks, then a good stream's skipped rows
-    spare = work[0].reshape(-1)
-    per_round = max(1, _TILE_ROWS // lookahead)
-    for lo in range(0, len(words), per_round):
-        rngs += [_generator(row) for row in words[lo : lo + per_round]]
-        pending, drawn = np.arange(lo, len(rngs)), 0
-        while len(pending):
-            n = len(pending) * lookahead
-            blocks = spare[: width * n].reshape(len(pending), lookahead, width)
-            for block, i in zip(blocks, pending):
-                getattr(rngs[i], draw)(out=block)
-            cols = blocks.reshape(n, width).T
-            if good:
-                cols = _simplex_columns(cols, flat[1, : 3 * n].reshape(3, n), work[1, 0, :n])
-            hits = _in_sample_region(cols, good).reshape(len(pending), lookahead)
-            drawn += lookahead
-            first = hits.argmax(axis=1)  # the first hit, if there is one
-            found = hits[np.arange(len(pending)), first]
-            ks, js, done = np.flatnonzero(found), first[found], pending[found]
-            out[:, done] = cols.reshape(3, len(pending), lookahead)[:, ks, js]
-            if good:
-                for i, j in zip(done.tolist(), js.tolist()):
-                    rng = rngs[i] = _generator(words[i])
-                    # the blocks are spent: the skipped rows overwrite them, as many at a time as fit
-                    for left in range(width * (drawn - lookahead + j + 1), 0, -len(spare)):
-                        rng.standard_exponential(out=spare[: min(left, len(spare))])
-                    rng.random(out=tile[i])
-            else:
-                # window s: the span rows from block row s on.  Each stream copies the window
-                # after its hit; rows past its block's end are overwritten as it draws the rest
-                span = min(rows, lookahead - 1)
-                windows = np.ndarray((n + 1, 3 * span), buffer=spare, strides=(3 * spare.itemsize, spare.itemsize))
-                tile.reshape(len(tile), 3 * rows)[done, : 3 * span] = windows[ks * lookahead + js + 1]
-                for i, h in zip(done.tolist(), (lookahead - 1 - js).tolist()):
-                    if h < rows:
-                        rngs[i].random(out=tile[i, h:])
-            pending = pending[~found]
+    spare = work[0].reshape(-1)  # a round's blocks
+    pending, drawn = np.arange(len(words)), 0
+    while len(pending):
+        n = len(pending) * _LOOKAHEAD
+        blocks = spare[: width * n].reshape(len(pending), _LOOKAHEAD, width)
+        for block, i in zip(blocks, pending):
+            getattr(rngs[i], draw)(out=block)
+        cols = blocks.reshape(n, width).T
+        if good:
+            cols = _simplex_columns(cols, flat[1, : 3 * n].reshape(3, n), work[1, 0, :n])
+        hits = _in_sample_region(cols, good).reshape(len(pending), _LOOKAHEAD)
+        first = hits.argmax(axis=1)  # the first hit, if there is one
+        found = hits[np.arange(len(pending)), first]
+        ks, js, done = np.flatnonzero(found), first[found], pending[found]
+        out[:, done] = cols.reshape(3, len(pending), _LOOKAHEAD)[:, ks, js]
+        if good:
+            for i, j in zip(done.tolist(), js.tolist()):
+                rng = rngs[i] = _generator(words[i])
+                rng.standard_exponential(width * (drawn + j + 1))  # the rows up to its hit
+                rng.random(out=tile[i])
+        else:
+            # window s: the span rows from block row s on.  Each stream copies the window
+            # after its hit; rows past its block's end are overwritten as it draws the rest
+            span = min(rows, _LOOKAHEAD - 1)
+            windows = np.ndarray((n + 1, 3 * span), buffer=spare, strides=(3 * spare.itemsize, spare.itemsize))
+            tile.reshape(len(tile), 3 * rows)[done, : 3 * span] = windows[ks * _LOOKAHEAD + js + 1]
+            for i, h in zip(done.tolist(), (_LOOKAHEAD - 1 - js).tolist()):
+                if h < rows:
+                    rngs[i].random(out=tile[i, h:])
+        pending, drawn = pending[~found], drawn + _LOOKAHEAD
     return out, rngs
 
 
@@ -308,8 +303,9 @@ def monotonicity_scan(config: ScanConfig) -> ScanReport:
     point and its candidates from its own child seed, so reports with equal
     config are identical however the points are batched.  Candidates are
     tested in tiles of up to _TILE_ROWS rows, stored column by column in the
-    thread's buffers, reused from tile to tile and from scan to scan.  A tile's
-    base points come as columns from one _first_accepted call on its seed words,
+    thread's buffers, reused from tile to tile and from scan to scan.  A tile
+    holds at most _TILE_ROWS // max(n_inner, _LOOKAHEAD) points, so its base
+    points come as columns from one _first_accepted batch on its seed words,
     which also hands each point's stream straight to its first segment: an
     outside point's look-ahead rows after its hit become its first candidate
     rows, and a good point's rebuilt stream draws them.  The scan itself draws
@@ -317,15 +313,16 @@ def monotonicity_scan(config: ScanConfig) -> ScanReport:
 
     A candidate b + u (1 - b) stays in the box [0, 1]^3, so it is tested only on
     the products (good region) or the tetrahedron edges at tol 0.  g then runs
-    one component at a time over the candidates still at least their g_b.
+    one component at a time over the candidates still at least their g_b, and
+    the kept records take their g from the beta columns left after the third.
     """
     start = time.perf_counter()
     # outside the good region candidates only need to stay attainable
     in_region = _product_conditions if config.region == "good" else _edge_conditions
     n_inner = config.n_inner
-    per_tile = max(1, _TILE_ROWS // n_inner)
+    # a tile holds at most _TILE_ROWS candidate rows, and at most as many rows of look-ahead blocks
+    per_tile = max(1, _TILE_ROWS // max(n_inner, _LOOKAHEAD))
     seg = min(n_inner, _TILE_ROWS)
-    # a tile holds min(per_tile, n_outer) * seg <= _TILE_ROWS rows
     (draws, cols, picked), work = _tile_buffers()
 
     checked = 0
@@ -368,9 +365,9 @@ def monotonicity_scan(config: ScanConfig) -> ScanReport:
             n_violations += len(live)
             keep = live[: config.max_keep - len(kept)]
             if len(keep):
-                # one tolist per field over all kept records
+                # one tolist per field over all kept records; beta's columns are live's
                 at = idx[keep] // rows
-                fields = (b[:, at], sel[:, keep], g_b[:, at], _g_columns(sel[:, keep]))
+                fields = (b[:, at], sel[:, keep], g_b[:, at], _g_from_beta(beta[:, : len(keep)]))
                 kept += [
                     {"b": x, "candidate": c, "g_b": gx, "g_candidate": gc}
                     for x, c, gx, gc in zip(*(f.T.tolist() for f in fields))

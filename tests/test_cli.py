@@ -1,6 +1,9 @@
 """End-to-end runs of the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -43,6 +46,17 @@ def test_gmap_rejects_unattainable_axes(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: tetrahedron violated: b1+b2 > 1+b3\n"
+
+
+def test_gmap_of_huge_finite_axes_prints_only_its_error():
+    # the axes' sums overflow to inf, and a command line shows numpy's warnings on stderr
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "blochcopy.cli", "gmap", "1e308", "1e308", "1e308"]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert run.stderr == "error: tetrahedron violated: b1+b2 > 1+b3; b2+b3 > 1+b1; b3+b1 > 1+b2\n"
 
 
 @pytest.mark.parametrize(

@@ -44,6 +44,11 @@ GOLDEN = [
      "1d3de9735c5213c285ed34f297449c3fbde688f2430511e63043642328530eb5"),
     (["scan", "--n-outer", "2000", "--n-inner", "50", "--seed", "0", "--region", "outside"],
      "caaaba25a62eab1ef496184527206b78e0e89c2bfa89e271b4dce73416a55101"),
+    # points with fewer rows than a look-ahead block, whose blocks set the tile's point count
+    (["scan", "--n-outer", "3000", "--n-inner", "5", "--seed", "0", "--region", "good"],
+     "eba2eee9d7c327defd61df71e7f684a95e7eea7aedb1810a25947ca78873b4c6"),
+    (["scan", "--n-outer", "3000", "--n-inner", "5", "--seed", "0", "--region", "outside"],
+     "06b3b21cdaff5ac260551d99280f5e3259f5bb09c28f1319c4771767960e79d6"),
     (["tomography", "--beta", BETA, "--channel", "B"],
      "acd182a53723baa517c7efaaa9f73d5b6d2d0f0ea3a2ed2e7650ab89b26a3929"),
     (["tomography", "--beta", BETA, "--channel", "C"],

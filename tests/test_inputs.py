@@ -1,5 +1,7 @@
 """Input checking shared by the public functions: shapes, finiteness, unit norms."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,16 +21,25 @@ from blochcopy.channel import (
     map_bloch,
     output_map,
     realize_e_vectors,
+    tetrahedron_check,
     tetrahedron_mask,
+    tetrahedron_violations,
     transfer_from_gram,
 )
 from blochcopy.circuit import beta_from_error_rates, channel_tomography, circuit_a, circuit_b, prepare_ancilla
+from blochcopy.errors import NotPossibleError
 from blochcopy.optimizer import (
     b_from_beta,
+    beta_from_b,
+    class_p_check,
+    classify_pair,
+    g_map,
+    g_map_many,
     gamma_from_beta,
     h_vector,
     isotropic_tradeoff,
     jacobians,
+    positive_optimal_condition,
     same_order,
 )
 from blochcopy.quality import (
@@ -137,6 +148,39 @@ def test_wrong_shapes_name_the_argument(call, message):
 def test_non_string_channel_names_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# each case calls one public function of semi-axes b; the sums and products of
+# these axes overflow, which the suite's warning filter turns into an error
+_HUGE_AXES = [list(b) for b in itertools.product([1e308, -1e308, 1e200, -1e200, 0.5], repeat=3)]
+_OVERFLOW_CASES = {
+    "tetrahedron_violations": tetrahedron_violations,
+    "tetrahedron_check": tetrahedron_check,
+    "positive_optimal_condition": positive_optimal_condition,
+    "class_p_check": lambda b: class_p_check([b[0], *b]),
+    "beta_from_b": beta_from_b,
+    "g_map": g_map,
+    "g_map_many": lambda b: g_map_many([[0.5, 0.5, 0.5], b]),
+    "classify_pair": lambda b: classify_pair(b, b),
+}
+
+
+@pytest.mark.parametrize("call", list(_OVERFLOW_CASES.values()), ids=list(_OVERFLOW_CASES))
+def test_huge_finite_axes_answer_or_raise_their_named_error(call):
+    for b in _HUGE_AXES:
+        try:
+            call(b)
+        except NotPossibleError as err:
+            assert str(err).startswith("tetrahedron violated: b")
+
+
+def test_huge_finite_axes_get_their_answers():
+    huge = [1e308, 1e308, 1e308]
+    assert tetrahedron_violations(huge) == ["b1+b2 > 1+b3", "b2+b3 > 1+b1", "b3+b1 > 1+b2"]
+    assert not tetrahedron_check(huge) and not positive_optimal_condition(huge)
+    assert class_p_check([1e308, *huge]) and not class_p_check([1.0, *huge])
+    pair = classify_pair(huge, [0.5, 0.5, 0.5])
+    assert not pair.possible and pair.residuals == {"b_minus_g_c": 1e308}
 
 
 # each case calls one public function with one argument in [0, 1] set to `bad`

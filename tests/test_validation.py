@@ -148,12 +148,18 @@ def _oracle_streams(seed, n, lo=0):
 def _sample(seed, n, region, rows=64):
     """First hits of children 0 .. n - 1 of seed, as rows, the rows each hands to its tile, and the generators.
 
-    rows is at least the 63 rows an outside hit can leave in its 64-row block,
-    so every generator is left just past its tile rows.
+    The sampler gets at most _TILE_ROWS // _LOOKAHEAD points per call, as a
+    scan tile holds.  rows is at least the 31 rows an outside hit can leave in
+    its 32-row block, so every generator is left just past its tile rows.
     """
-    tile = np.empty((n, rows, 3))
-    points, rngs = validation._first_accepted(validation._spawned_words(seed, 0, n), region, tile)
-    return points.T, tile, rngs
+    tile, per_call = np.empty((n, rows, 3)), _TILE_ROWS // validation._LOOKAHEAD
+    points, rngs = [], []
+    for lo in range(0, n, per_call):
+        words = validation._spawned_words(seed, lo, min(per_call, n - lo))
+        got, more = validation._first_accepted(words, region, tile[lo : lo + per_call])
+        points.append(got.T)
+        rngs += more
+    return np.concatenate(points), tile, rngs
 
 
 def _assert_handed_on(tile, rngs, refs):
@@ -231,7 +237,7 @@ def _mask_rows_per_call(monkeypatch):
 @pytest.mark.parametrize("lookahead", [1, 2])
 def test_short_lookahead_blocks_still_match_the_one_draw_oracles(monkeypatch, lookahead):
     # most points miss their first block or two, so they need several rounds
-    monkeypatch.setattr(validation, "_LOOKAHEAD", dict.fromkeys(("good", "outside"), lookahead))
+    monkeypatch.setattr(validation, "_LOOKAHEAD", lookahead)
     seen = _mask_rows_per_call(monkeypatch)
     for region, oracle in (("good", _oracle_sample_good), ("outside", _oracle_sample_outside)):
         refs = _oracle_streams(11, 300)
@@ -253,11 +259,11 @@ def test_short_lookahead_blocks_still_match_the_one_draw_oracles(monkeypatch, lo
 
 def test_generators_that_miss_their_first_block_take_more_rounds(monkeypatch):
     # 2000 points of seed 0: a few good-region points miss their first block,
-    # so the sampler makes more accept calls than it has rounds of fresh points
+    # so the sampler makes more accept calls than _sample makes sampler calls
     seen = _mask_rows_per_call(monkeypatch)
     got, tile, rngs = _sample(0, 2000, "good")
-    per_round = _TILE_ROWS // validation._LOOKAHEAD["good"]
-    assert len(seen) > -(-len(got) // per_round)
+    per_call = _TILE_ROWS // validation._LOOKAHEAD
+    assert len(seen) > -(-len(got) // per_call)
     refs = _oracle_streams(0, 2000)
     assert np.array_equal(got, np.array([_oracle_sample_good(ref) for ref in refs]))
     _assert_handed_on(tile, rngs, refs)
@@ -265,13 +271,13 @@ def test_generators_that_miss_their_first_block_take_more_rounds(monkeypatch):
 
 @pytest.mark.parametrize("region", ["good", "outside"])
 def test_sampler_rounds_stay_within_a_tile(monkeypatch, region):
-    # n_inner=1 puts _TILE_ROWS points in one tile; their look-ahead blocks
-    # would stack to 32 or 64 times that many rows without the cap on a round
+    # n_inner=1 would put _TILE_ROWS points in one tile; their look-ahead blocks
+    # would stack to 32 times that many rows without the cap on a tile's points
     seen = _mask_rows_per_call(monkeypatch)
     report = monotonicity_scan(ScanConfig(n_outer=20_000, n_inner=1, seed=3, region=region))
     assert report.checked > 0
     assert max(seen) == _TILE_ROWS
-    assert all(rows % validation._LOOKAHEAD[region] == 0 for rows in seen)
+    assert all(rows % validation._LOOKAHEAD == 0 for rows in seen)
 
 
 class _NoStateBitGenerator:
@@ -346,8 +352,8 @@ def test_hits_at_a_blocks_first_and_last_row_hand_on_the_oracle_rows(monkeypatch
     # a hit at row 0 leaves the whole rest of the block to hand on; a hit at the
     # last row of a (3-row) block leaves nothing, so every tile row is drawn
     if lookahead is not None:
-        monkeypatch.setitem(validation._LOOKAHEAD, region, lookahead)
-    block = validation._LOOKAHEAD[region]
+        monkeypatch.setattr(validation, "_LOOKAHEAD", lookahead)
+    block = validation._LOOKAHEAD
     seed = next(s for s in range(1000) if (_oracle_tries(s, 0, region) - 1) % block == hit_row)
     oracle = _oracle_sample_good if region == "good" else _oracle_sample_outside
     for rows in (1, block, 200):
@@ -471,11 +477,19 @@ def test_scan_is_deterministic():
         ScanConfig(n_outer=7, n_inner=140_000, seed=3, region="outside", max_keep=3),
         # max_keep reached inside a later tile (63 violations in all)
         ScanConfig(n_outer=1000, n_inner=50, seed=7, region="outside", max_keep=40),
+        # a point's rows below, at and above one look-ahead block: up to one
+        # block, the blocks and not the rows set a tile's point count
+        *(ScanConfig(n_outer=600, n_inner=n, seed=8, region=r, max_keep=10**6)
+          for n in (31, 32, 33) for r in ("good", "outside")),
+        ScanConfig(n_outer=3000, n_inner=5, seed=9, region="good"),
+        ScanConfig(n_outer=3000, n_inner=5, seed=9, region="outside", max_keep=10**6),
     ],
     ids=["inner1-good", "inner1-outside", "chunks-good", "chunks-outside",
          "keep0", "keep7", "outside-2000x1000", "segments-T+1", "segments-3T-5",
          "tiles-1000x50-good", "tiles-1000x50-outside", "leftover-20000x1",
-         "segments-7x140000-keep3", "tiles-1000x50-keep40"],
+         "segments-7x140000-keep3", "tiles-1000x50-keep40",
+         *(f"inner{n}-{r}" for n in (31, 32, 33) for r in ("good", "outside")),
+         "3000x5-good", "3000x5-outside"],
 )
 def test_scan_report_is_byte_equal_to_the_per_point_oracle(config):
     got = monotonicity_scan(config).to_json()
@@ -610,14 +624,16 @@ def _components_per_tile(monkeypatch):
 
     The returned list gets one entry per tile: the candidate count handed
     to each component in turn, so its length is the number of components
-    the tile computed before no candidate was left.
+    the tile computed before no candidate was left.  The kept records' call
+    for all three components at once is not counted.
     """
     component, tiles = validation._g_from_beta, []
 
-    def counted(beta, i, *args, **kwargs):
-        if i == 0:
-            tiles.append([])
-        tiles[-1].append(beta.shape[1])
+    def counted(beta, i=slice(None), *args, **kwargs):
+        if isinstance(i, int):
+            if i == 0:
+                tiles.append([])
+            tiles[-1].append(beta.shape[1])
         return component(beta, i, *args, **kwargs)
 
     monkeypatch.setattr(validation, "_g_from_beta", counted)
