@@ -255,9 +255,13 @@ def diagonalize(bmap: AffineBlochMap) -> DiagonalForm:
 # Centered machines: attainable axes and explicit isometries
 
 
+# the slack of the tetrahedron's inequalities, for rounding at its faces
+_TETRAHEDRON_TOL = 1e-12
+
+
 # here and below: a huge finite axis may overflow to inf in a sum, which the tests then judge
 @np.errstate(over="ignore")
-def tetrahedron_violations(b, tol: float = 1e-12) -> list[str]:
+def tetrahedron_violations(b, tol: float = _TETRAHEDRON_TOL) -> list[str]:
     """Names of the attainability inequalities violated by semi-axes b."""
     b = _checked(b, "b", (3,), finite=False)
     bad = []
@@ -283,7 +287,7 @@ def _edge_conditions(b: np.ndarray, ok: np.ndarray, tol: float = 0.0) -> np.ndar
 
 
 @np.errstate(over="ignore")
-def tetrahedron_mask(b_rows, tol: float = 1e-12) -> np.ndarray:
+def tetrahedron_mask(b_rows, tol: float = _TETRAHEDRON_TOL) -> np.ndarray:
     """Row-wise tetrahedron test over an (..., 3) array of semi-axes.
 
     The vertices are (1,1,1) and the three permutations of (1,-1,-1).
@@ -297,7 +301,7 @@ def tetrahedron_mask(b_rows, tol: float = 1e-12) -> np.ndarray:
     return _edge_conditions(b.transpose(-1, *range(b.ndim - 1)), ok, tol=tol)
 
 
-def tetrahedron_check(b, tol: float = 1e-12) -> bool:
+def tetrahedron_check(b, tol: float = _TETRAHEDRON_TOL) -> bool:
     """True when b lies in the tetrahedron of attainable centered semi-axes."""
     return bool(tetrahedron_mask(_checked(b, "b", (3,), finite=False), tol=tol))
 

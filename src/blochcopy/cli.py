@@ -1,7 +1,9 @@
 """Command line interface.
 
 Every subcommand prints a JSON document to stdout by default; the ones
-with naturally tabular output also accept --format csv.  Timing goes to
+with naturally tabular output also accept --format csv, whose cells are
+true/false for a flag, an integer as is and the repr of any other float.
+Both formats go through _emit, scan's CSV report aside.  Timing goes to
 stderr so identical inputs give byte-identical stdout.  Exit codes: 0 on
 success, 1 when a constraint is violated or a check fails, 2 on usage
 errors.
@@ -100,23 +102,25 @@ def _unit(v: np.ndarray, what: str) -> np.ndarray:
     return v / np.sqrt(norm_sq)
 
 
+def _numbers(text: str, what: str, n: int, forms: str, **checks) -> np.ndarray:
+    """n comma-separated finite numbers, passed through _checked with checks; forms names them in the count error."""
+    parts = text.split(",")
+    if len(parts) != n:
+        raise ValueError(f"{what} must be {forms} comma-separated numbers")
+    return _checked([float(p) for p in parts], what, (n,), **checks)
+
+
 @_reasoned
 def _parse_mode(text: str) -> np.ndarray:
     named = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
     if text in named:
         return np.array(named[text])
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError("mode must be x, y, z or three comma-separated numbers")
-    return _unit(_checked([float(p) for p in parts], "mode", (3,)), "mode direction")
+    return _unit(_numbers(text, "mode", 3, "x, y, z or three"), "mode direction")
 
 
 @_reasoned
 def _parse_beta(text: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError("beta must be four comma-separated numbers")
-    return _checked([float(p) for p in parts], "beta", (4,), unit_tol=DEFAULT_TOL)
+    return _numbers(text, "beta", 4, "four", unit_tol=DEFAULT_TOL)
 
 
 def _number(cast, test, expected: str):
@@ -163,25 +167,25 @@ def _parse_state(text: str) -> np.ndarray:
     if len(text) == 2 and text[0] in "+-" and text[1] in _AXIS_KETS:
         plus, minus = _AXIS_KETS[text[1]]
         return np.asarray(plus if text[0] == "+" else minus, dtype=complex)
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError("state must be +x..-z or four comma-separated numbers")
-    vals = _checked([float(p) for p in parts], "state", (4,))
+    vals = _numbers(text, "state", 4, "+x..-z or four")
     return _unit(np.array([vals[0] + 1j * vals[1], vals[2] + 1j * vals[3]]), "state")
 
 
-def _complex_pairs(vec: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in vec]
+def _cell(x) -> str:
+    """One CSV cell: a bool as true or false, an int as is, anything else as the repr of its float."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return str(x) if isinstance(x, int) else repr(float(x))
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
-
-
-def _emit_csv(header: list, rows) -> None:
-    print(",".join(header))
-    for row in rows:
-        print(",".join(repr(float(x)) for x in row))
+def _emit(args, doc, header=(), rows=()) -> None:
+    """Print doc as indented JSON, or under --format csv the header and then the rows."""
+    if getattr(args, "format", "json") == "csv":
+        print(",".join(header))
+        for row in rows:
+            print(",".join(map(_cell, row)))
+    else:
+        print(json.dumps(doc, indent=2))
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +195,7 @@ def _emit_csv(header: list, rows) -> None:
 def _cmd_gmap(args) -> int:
     b = np.asarray(args.b, dtype=float)
     c = g_map(b, tol=args.tol)
-    if args.format == "csv":
-        _emit_csv(["c1", "c2", "c3"], [c])
-    else:
-        _emit_json({"b": [float(x) for x in b], "c": [float(x) for x in c]})
+    _emit(args, {"b": b.tolist(), "c": c.tolist()}, ("c1", "c2", "c3"), [c])
     return 0
 
 
@@ -203,35 +204,20 @@ def _cmd_quality(args) -> int:
     q_b = quality_bloch(AffineBlochMap.diagonal(b_from_beta(beta)), mode)
     q_c = quality_bloch(AffineBlochMap.diagonal(b_from_beta(gamma_from_beta(beta))), mode)
     q_e = quality_e_diagonal(beta, mode)
-    if args.format == "csv":
-        _emit_csv(["q_b", "q_c", "q_e"], [[q_b, q_c, q_e]])
-    else:
-        _emit_json(
-            {
-                "beta": [float(x) for x in beta],
-                "mode": [float(x) for x in mode],
-                "q_b": q_b,
-                "q_c": q_c,
-                "q_e": q_e,
-            }
-        )
+    doc = {"beta": beta.tolist(), "mode": mode.tolist(), "q_b": q_b, "q_c": q_c, "q_e": q_e}
+    _emit(args, doc, ("q_b", "q_c", "q_e"), [(q_b, q_c, q_e)])
     return 0
 
 
 def _cmd_classify(args) -> int:
-    pair = classify_pair(args.b, args.c, tol=args.tol)
-    if args.format == "csv":
-        flags = pair.to_json()["flags"]
-        print(",".join(flags))
-        print(",".join("true" if flags[k] else "false" for k in flags))
-    else:
-        _emit_json(pair.to_json())
+    doc = classify_pair(args.b, args.c, tol=args.tol).to_json()
+    _emit(args, doc, doc["flags"].keys(), [doc["flags"].values()])
     return 0
 
 
 def _cmd_fig1(args) -> int:
     # written _FIG1_CHUNK rows at a time, so any count runs in bounded memory; the
-    # bytes are those of _emit_csv and of _emit_json on the whole list of points
+    # bytes are those of _emit on the whole list of points, in either format
     count = args.count
     if args.format == "csv":
         head, row, sep, tail = "r,s\n", "{!r},{!r}", "\n", "\n"
@@ -249,31 +235,21 @@ def _cmd_fig1(args) -> int:
 def _cmd_circuit(args) -> int:
     state = args.input
     out = (circuit_a if args.variant == "a" else circuit_b)(state, args.beta)
-    if args.format == "csv":
-        print("index,re,im")
-        for i, z in enumerate(out):
-            print(f"{i},{float(z.real)!r},{float(z.imag)!r}")
-    else:
-        _emit_json(
-            {
-                "variant": args.variant,
-                "beta": [float(x) for x in args.beta],
-                "input_state": _complex_pairs(state),
-                "output_state": _complex_pairs(out),
-            }
-        )
+    doc = {
+        "variant": args.variant,
+        "beta": args.beta.tolist(),
+        "input_state": np.column_stack([state.real, state.imag]).tolist(),
+        "output_state": np.column_stack([out.real, out.imag]).tolist(),
+    }
+    _emit(args, doc, ("index", "re", "im"), [(i, z.real, z.imag) for i, z in enumerate(out)])
     return 0
 
 
 def _cmd_tomography(args) -> int:
     bmap = channel_tomography(args.beta, args.channel)
-    if args.format == "csv":
-        header = ["d1", "d2", "d3"]
-        header += [f"l{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
-        row = list(bmap.delta) + [x for r in bmap.linear for x in r]
-        _emit_csv(header, [row])
-    else:
-        _emit_json({"channel": args.channel, "beta": [float(x) for x in args.beta], **bmap.to_json()})
+    doc = {"channel": args.channel, "beta": args.beta.tolist(), **bmap.to_json()}
+    header = ["d1", "d2", "d3", *(f"l{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3))]
+    _emit(args, doc, header, [[*bmap.delta, *bmap.linear.ravel()]])
     return 0
 
 
@@ -283,7 +259,7 @@ def _cmd_scan(args) -> int:
     if args.format == "csv":
         sys.stdout.write(report.to_csv())
     else:
-        _emit_json(report.to_json())
+        _emit(args, report.to_json())
     print(f"elapsed: {report.elapsed:.3f}s", file=sys.stderr)
     if args.region == "good" and report.n_violations:
         print(f"error: {report.n_violations} trade-off violations in the good region", file=sys.stderr)
@@ -302,16 +278,8 @@ def _cmd_concavity(args) -> int:
         margins = mixed - averaged
         min_margin = min(min_margin, float(margins.min()))
         bad += int(np.count_nonzero(margins < -args.tol))
-    _emit_json(
-        {
-            "trials": args.trials,
-            "seed": args.seed,
-            "p1": args.p1,
-            "mode": [float(x) for x in args.mode],
-            "min_margin": float(min_margin),
-            "violations": bad,
-        }
-    )
+    doc = {"trials": args.trials, "seed": args.seed, "p1": args.p1, "mode": args.mode.tolist()}
+    _emit(args, {**doc, "min_margin": float(min_margin), "violations": bad})
     return 1 if bad else 0
 
 
@@ -329,15 +297,7 @@ def _cmd_jacobian_check(args) -> int:
     inverse = pair.k / (16.0 * pair.gamma4)
     residual = float(np.max(np.abs(analytic @ inverse - np.eye(3))))
     passed = fd_error <= args.tol and residual <= 1e-8
-    _emit_json(
-        {
-            "b": [float(x) for x in b],
-            "step": step,
-            "fd_error": fd_error,
-            "inverse_residual": residual,
-            "passed": passed,
-        }
-    )
+    _emit(args, {"b": b.tolist(), "step": step, "fd_error": fd_error, "inverse_residual": residual, "passed": passed})
     return 0 if passed else 1
 
 
@@ -352,7 +312,7 @@ def _cmd_check_e(args) -> int:
     except (TypeError, ValueError) as exc:
         raise _UsageError(f"{args.file}: malformed Gram matrix payload ({exc})") from None
     report = check_physical(e_gram, tol=args.tol)
-    _emit_json(report.to_json())
+    _emit(args, report.to_json())
     return 0 if report.passed else 1
 
 

@@ -181,8 +181,13 @@ def class_p_check(xi, tol: float = 0.0) -> bool:
     # bounds the other components, so one comparison rules out infinities
     if not (xi[0] < np.inf and np.all(xi[1:] >= -tol) and np.all(xi[1:] <= xi[0] + tol)):
         return False
+    # the products compare on xi / 2^e, 2^(e-1) <= xi_0 < 2^e, so that those of
+    # components near xi_0 neither overflow nor underflow; a power of two scales
+    # exactly, so a product test that did neither answers as it did on xi
+    e = np.frexp(xi[0])[1]
+    x, tol = np.ldexp(xi, -e), np.ldexp(tol, -2 * e)
     for q, qp, qpp in CYCLIC:
-        if not xi[0] * xi[q] >= xi[qp] * xi[qpp] - tol:
+        if not x[0] * x[q] >= x[qp] * x[qpp] - tol:
             return False
     return True
 
@@ -225,17 +230,12 @@ def same_order(xi, eta, tol: float = 1e-12) -> bool:
     difference within tol is a tie, and a tie on one side agrees with any
     order on the other: ties need not match ties.
     """
-    xi = _checked(xi, "xi", (4,))
-    eta = _checked(eta, "eta", (4,))
-    for p in (1, 2, 3):
-        for q in (1, 2, 3):
-            dx = xi[p] - xi[q]
-            de = eta[p] - eta[q]
-            if dx > tol and de < -tol:
-                return False
-            if dx < -tol and de > tol:
-                return False
-    return True
+    xi = _checked(xi, "xi", (4,))[1:]
+    eta = _checked(eta, "eta", (4,))[1:]
+    # over all pairs p, q, so the clash the other way round is the pair q, p
+    dx = xi[:, None] - xi
+    de = eta[:, None] - eta
+    return not np.any((dx > tol) & (de < -tol))
 
 
 @dataclass(frozen=True, eq=False)

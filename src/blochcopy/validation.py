@@ -23,7 +23,7 @@ from functools import cache
 
 import numpy as np
 
-from .channel import _edge_conditions, extract_e_vectors, gram_matrix, transfer_from_gram
+from .channel import _TETRAHEDRON_TOL, _edge_conditions, extract_e_vectors, gram_matrix, transfer_from_gram
 from .linalg import _checked, _in_unit_interval, random_isometry
 from .optimizer import _g_columns, _g_from_beta, _positive_beta, _product_conditions
 from .quality import quality_e
@@ -147,7 +147,7 @@ def _in_sample_region(b: np.ndarray, good: bool) -> np.ndarray:
     """
     if good:
         return _product_conditions(b, np.all((b >= 0.0) & (b <= 1.0), axis=0))
-    return _edge_conditions(b, ~_product_conditions(b, np.ones(b.shape[1], dtype=bool)), tol=1e-12)
+    return _edge_conditions(b, ~_product_conditions(b, np.ones(b.shape[1], dtype=bool)), tol=_TETRAHEDRON_TOL)
 
 
 def _first_accepted(words: np.ndarray, region: str, tile: np.ndarray) -> tuple:

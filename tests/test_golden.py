@@ -5,13 +5,14 @@ trade-off map g no longer goes through BLAS: it is elementwise, each sum in
 a fixed order.  The other outputs still hold BLAS products (gamma and b
 from beta, the tomography and the Jacobian checks), whose summation order
 differs between machines and numpy builds, so the test skips under any
-other numpy version.  The `circuit` subcommand is left out: its last bits
-may move when the circuit engine changes.
+other numpy version.  `check-e` reads GRAM, a physical Gram matrix that the
+test writes to a file.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 
 import numpy as np
 import pytest
@@ -20,6 +21,15 @@ from blochcopy.cli import main
 
 RECORDED_WITH = "2.4.6"
 BETA = "0.7,0.5,0.4,0.31622776601683794"
+STATE = "0.6,0.2,-0.3,0.7"
+# diag(beta^2) of BETA with Hermitian off-diagonal entries that keep Re E_0q = Im E_q'q''
+GRAM = [
+    [[0.49, 0.0], [0.05, 0.02], [-0.03, 0.01], [0.0, 0.0]],
+    [[0.05, -0.02], [0.25, 0.0], [0.0, 0.0], [0.02, 0.03]],
+    [[-0.03, -0.01], [0.0, 0.0], [0.16, 0.0], [0.01, 0.05]],
+    [[0.0, 0.0], [0.02, -0.03], [0.01, -0.05], [0.1, 0.0]],
+]
+GRAM_FILE = "{gram}"
 
 GOLDEN = [
     (["scan", "--seed", "0", "--region", "good"],
@@ -74,6 +84,29 @@ GOLDEN = [
     # two block boundaries and a last block of one trial
     (["concavity", "--trials", "2049", "--seed", "3", "--p1", "0.2"],
      "3e248a879fddb85e40250db5ddbd86409eeb69e50dcba26637de8f5f6b05efb8"),
+    (["gmap", "0.3", "0.6", "0.45", "--format", "csv"],
+     "ec3462cdf6836aea481d91d6dfdcabf694302f3c9c49b9102194b6033a8f7f4f"),
+    (["quality", "--beta", BETA, "--mode", "0.3,-0.5,0.8", "--format", "csv"],
+     "2efdece28040f8b57d4290d817078bd2fa22fca718327932f8da6101b0f573aa"),
+    (["classify", "0.5", "0.6", "0.7", "0.4", "0.35", "0.3", "--format", "csv"],
+     "d4f78b37383a62de3633eb2c90c2f770e45e1fb5eac7531a3409a80949c558ac"),
+    (["tomography", "--beta", BETA, "--channel", "B", "--format", "csv"],
+     "5774ea3c26e92ed39ffbdb680d7d473e8c975f5b1492521e92216660682c6e03"),
+    (["tomography", "--beta", BETA, "--channel", "D", "--format", "csv"],
+     "847677165d3eb8fa4aa2b37221c211ca8e739996b039eba5d0f0ca30d3b3edc4"),
+    (["circuit", "--beta", BETA, "--variant", "a", "--input", STATE],
+     "347ec8b4234cb5316f39231375fc2f30d740d0495d1358b993818da4e783b93b"),
+    (["circuit", "--beta", BETA, "--variant", "a", "--input", STATE, "--format", "csv"],
+     "c5f6c55f0ee8b7d315baee39b9767db34b36cd42d93a05cbfff6a6fda44e77f3"),
+    (["circuit", "--beta", BETA, "--variant", "b", "--input", STATE],
+     "7946884235b51a65c1ccb19ae64c6256b3c6767343245f863490626c7cdf557a"),
+    # circuit b's output amplitudes are those of circuit a, bit for bit
+    (["circuit", "--beta", BETA, "--variant", "b", "--input", STATE, "--format", "csv"],
+     "c5f6c55f0ee8b7d315baee39b9767db34b36cd42d93a05cbfff6a6fda44e77f3"),
+    (["fig1", "--count", "17", "--format", "json"],
+     "2329eea42a82815e9bc67c50e9a852e49c27d0a7ffceeb4eea6783ad9696cbd4"),
+    (["check-e", GRAM_FILE],
+     "a600636802d3476bdc424a688b239a91c8c7f577d2f9f95ee62d2afecb1bb0bf"),
 ]
 
 
@@ -82,7 +115,10 @@ GOLDEN = [
     reason=f"digests recorded with numpy {RECORDED_WITH}, running {np.__version__}",
 )
 @pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
-def test_stdout_matches_golden_digest(argv, digest):
+def test_stdout_matches_golden_digest(argv, digest, tmp_path):
+    gram = tmp_path / "gram.json"
+    gram.write_text(json.dumps({"e_gram": GRAM}))
+    argv = [str(gram) if a == GRAM_FILE else a for a in argv]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0

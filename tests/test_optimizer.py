@@ -347,6 +347,14 @@ def test_class_p_examples():
         class_p_check([1.0, 0.5, 0.5])
 
 
+@pytest.mark.parametrize("scale", [1e308, 1e-200, 2.0**-1074])
+def test_class_p_answers_as_on_the_unscaled_vector(scale):
+    # xi_0 xi_q and xi_q' xi_q'' overflow to inf or underflow to 0 at these scales,
+    # where they compared equal; the class is closed under positive scaling
+    for xi in ([1.0, 0.5, 1.0, 1.0], [1.0, 1.0, 1.0, 0.5], [1.0, 0.5, 0.5, 0.25], [1.0, 1.0, 1.0, 1.0]):
+        assert class_p_check(np.multiply(xi, scale)) == class_p_check(xi)
+
+
 def test_class_p_closure_operations():
     rng = np.random.default_rng(67)
     lam = lambda_matrix()
