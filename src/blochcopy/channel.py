@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NotHermitianError, NotIsometricError, NotPhysicalError
 from .linalg import DEFAULT_TOL, _checked, _hermiticity_error, dagger
-from .pauli import CYCLIC, CYCLIC_AXES, SIGMA, l_table
+from .pauli import _TRIPLES, CYCLIC, CYCLIC_AXES, SIGMA, l_table
 
 __all__ = [
     "E_HAT",
@@ -109,8 +109,16 @@ class AffineBlochMap:
         }
 
 
+def _affine_map(bmap, name: str) -> AffineBlochMap:
+    """bmap, which must be an AffineBlochMap: anything else raises TypeError naming it."""
+    if not isinstance(bmap, AffineBlochMap):
+        raise TypeError(f"{name} must be an AffineBlochMap, got {type(bmap).__name__}")
+    return bmap
+
+
 def map_bloch(bmap: AffineBlochMap, r) -> np.ndarray:
     """Apply the affine map to an input Bloch vector."""
+    bmap = _affine_map(bmap, "bmap")
     r = _checked(r, "r", (3,))
     return bmap.delta + bmap.linear.T @ r
 
@@ -130,8 +138,12 @@ def transfer_from_gram(e_gram: np.ndarray) -> np.ndarray:
     herm = np.max(_hermiticity_error(e_gram), initial=0.0)
     if herm > DEFAULT_TOL:
         raise NotHermitianError(f"Gram matrix deviates from Hermitian by {herm:.3e}")
-    full = np.einsum("lmjk,...jk->...lm", l_table(), e_gram)
-    return full.real
+    return _transfer(e_gram)
+
+
+def _transfer(e_gram: np.ndarray) -> np.ndarray:
+    """transfer_from_gram of a checked Gram matrix or stack that is Hermitian within DEFAULT_TOL."""
+    return np.einsum("lmjk,...jk->...lm", l_table(), e_gram).real
 
 
 def isometry_residuals(e_gram: np.ndarray) -> tuple:
@@ -141,10 +153,17 @@ def isometry_residuals(e_gram: np.ndarray) -> tuple:
     Re E_0q = Im E_q'q'' over the cyclic triples), as arrays for a stack.
     """
     e_gram = _checked(e_gram, "e_gram", (..., 4, 4), complex)
-    q, qp, qpp = np.transpose(CYCLIC)
-    trace_err = np.abs(np.trace(e_gram, axis1=-2, axis2=-1) - 1.0)
-    reim = np.max(np.abs(e_gram[..., 0, q].real - e_gram[..., qp, qpp].imag), axis=-1)
+    trace_err, reim = _isometry_residuals(e_gram)
     return (float(trace_err), float(reim)) if e_gram.ndim == 2 else (trace_err, reim)
+
+
+def _isometry_residuals(e_gram: np.ndarray) -> tuple:
+    """isometry_residuals of a checked Gram matrix or stack, as arrays."""
+    _, qp, qpp = _TRIPLES
+    trace_err = np.abs(np.trace(e_gram, axis1=-2, axis2=-1) - 1.0)
+    # e_gram[..., 0, 1:] holds E_0q for q = 1, 2, 3
+    reim = np.abs(e_gram[..., 0, 1:].real - e_gram[..., qp, qpp].imag).max(axis=-1)
+    return trace_err, reim
 
 
 def b_from_e(e_gram: np.ndarray, check: bool = True) -> AffineBlochMap:
@@ -157,9 +176,10 @@ def b_from_e(e_gram: np.ndarray, check: bool = True) -> AffineBlochMap:
             transfer matrix, which is only meaningful input when those
             conditions hold.
     """
-    full = transfer_from_gram(_checked(e_gram, "e_gram", (4, 4), complex))
+    e_gram = _checked(e_gram, "e_gram", (4, 4), complex)
+    full = transfer_from_gram(e_gram)
     if check:
-        trace_err, reim = isometry_residuals(e_gram)
+        trace_err, reim = map(float, _isometry_residuals(e_gram))
         if max(trace_err, reim) > DEFAULT_TOL:
             raise NotIsometricError(
                 f"isometry conditions violated (trace {trace_err:.3e}, re/im {reim:.3e})"
@@ -185,8 +205,8 @@ class ConstraintReport:
 def check_physical(e_gram: np.ndarray, tol: float = DEFAULT_TOL) -> ConstraintReport:
     """Check Hermiticity, positivity and the isometry conditions of a Gram matrix."""
     e_gram = _checked(e_gram, "e_gram", (4, 4), complex)
-    herm = _hermiticity_error(e_gram)
-    trace_err, reim = isometry_residuals(e_gram)
+    herm = float(_hermiticity_error(e_gram))
+    trace_err, reim = map(float, _isometry_residuals(e_gram))
     sym = 0.5 * (e_gram + np.conj(e_gram).T)
     min_eig = float(np.linalg.eigvalsh(sym)[0])
     passed = herm <= tol and trace_err <= tol and reim <= tol and min_eig >= -tol
@@ -223,7 +243,7 @@ def diagonalize(bmap: AffineBlochMap) -> DiagonalForm:
     rotated output frame, rot_in @ bmap.delta: writing r' = rot_out^T r and
     s' = rot_in s, the map reads s' = delta' + diag(axes) r'.
     """
-    u, s, vh = np.linalg.svd(bmap.linear)
+    u, s, vh = np.linalg.svd(_affine_map(bmap, "bmap").linear)
     s = s.copy()
     neg_u = np.linalg.det(u) < 0
     neg_v = np.linalg.det(vh) < 0
@@ -332,13 +352,21 @@ def extract_e_vectors(v: np.ndarray) -> np.ndarray:
     Inverts isometry_from_e_vectors via e_l[d] = (1/2) sum_ba conj(sigma_l[b,a]) V[(b,d),a].
     Accepts any even number of rows, and stacks; the E dimension is rows / 2.
     """
-    v = _checked(v, "v", (..., "2d", 2), complex)
+    return _extracted(_checked(v, "v", (..., "2d", 2), complex))
+
+
+def _extracted(v: np.ndarray) -> np.ndarray:
+    """extract_e_vectors of a checked isometry or stack."""
     return 0.5 * np.einsum("lba,...bda->...ld", SIGMA.conj(), v.reshape(*v.shape[:-2], 2, v.shape[-2] // 2, 2))
 
 
 def gram_matrix(e_vectors: np.ndarray) -> np.ndarray:
     """Gram matrix E_lm = <e_l|e_m> of the expansion vectors, or of each set in a stack."""
-    e_vectors = _checked(e_vectors, "e_vectors", (..., 4, "d"), complex)
+    return _gram(_checked(e_vectors, "e_vectors", (..., 4, "d"), complex))
+
+
+def _gram(e_vectors: np.ndarray) -> np.ndarray:
+    """gram_matrix of checked expansion vectors."""
     return e_vectors.conj() @ np.swapaxes(e_vectors, -1, -2)
 
 
@@ -349,9 +377,13 @@ def realize_e_vectors(e_gram: np.ndarray) -> np.ndarray:
     and is unique up to a unitary on E.  Eigenvalues in [-DEFAULT_TOL, 0)
     are clipped to zero; anything lower, anywhere in a stack, raises NotPhysicalError.
     """
-    e_gram = _checked(e_gram, "e_gram", (..., 4, 4), complex)
+    return _realized(_checked(e_gram, "e_gram", (..., 4, 4), complex))
+
+
+def _realized(e_gram: np.ndarray) -> np.ndarray:
+    """realize_e_vectors of a checked Gram matrix or stack."""
     w, u = np.linalg.eigh(0.5 * (e_gram + dagger(e_gram)))
-    lowest = np.min(w[..., 0], initial=np.inf)
+    lowest = w[..., 0].min(initial=np.inf)
     if lowest < -DEFAULT_TOL:
         raise NotPhysicalError(f"Gram matrix has negative eigenvalue {lowest:.3e}")
     return u.conj() * np.sqrt(np.maximum(w, 0.0))[..., None, :]
@@ -369,7 +401,11 @@ def output_map(v: np.ndarray, qubit: str = "B") -> AffineBlochMap:
     qubit "B" works for any E dimension d; "C" and "D" need d = 4, the
     E = C (x) D split.
     """
-    v = _checked(v, "v", ("2d", 2), complex)
+    return _output_map(_checked(v, "v", ("2d", 2), complex), qubit)
+
+
+def _output_map(v: np.ndarray, qubit: str) -> AffineBlochMap:
+    """output_map of a checked isometry."""
     d = len(v) // 2
     key = qubit.upper() if isinstance(qubit, str) else qubit
     # row index = (left, kept qubit, right) with the kept qubit in the middle

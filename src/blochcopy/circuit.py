@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import _RT2, AffineBlochMap, output_map
+from .channel import _RT2, AffineBlochMap, _output_map
 from .linalg import DEFAULT_TOL, _checked, _in_unit_interval
 
 __all__ = [
@@ -128,4 +128,4 @@ def channel_tomography(beta, channel: str = "B") -> AffineBlochMap:
     V = U_a (I (x) |ancilla>), whose output map is read off in the
     Heisenberg picture by output_map.
     """
-    return output_map(_isometry(_UNITARY_A, beta), channel)
+    return _output_map(_isometry(_UNITARY_A, beta), channel)

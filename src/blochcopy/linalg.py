@@ -74,13 +74,12 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(np.conj(m), -1, -2)
 
 
-def _hermiticity_error(m: np.ndarray) -> float | np.ndarray:
-    """Largest entrywise deviation of m from its conjugate transpose: a float, or one per matrix of a stack.
+def _hermiticity_error(m: np.ndarray) -> np.ndarray:
+    """Largest entrywise deviation of m from its conjugate transpose, one per matrix (0-d for one matrix).
 
     Unchecked: every caller has passed m through _checked as square matrices.
     """
-    err = np.max(np.abs(m - dagger(m)), axis=(-2, -1), initial=0.0)
-    return float(err) if err.ndim == 0 else err
+    return np.abs(m - dagger(m)).max(axis=(-2, -1), initial=0.0)
 
 
 def random_isometry(rows: int, cols: int, rng: np.random.Generator, size: tuple = ()) -> np.ndarray:

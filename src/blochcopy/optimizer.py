@@ -25,7 +25,7 @@ import numpy as np
 from .channel import tetrahedron_check, tetrahedron_violations
 from .errors import NotPossibleError, NotPositiveOptimalError
 from .linalg import DEFAULT_TOL, _checked, _in_unit_interval
-from .pauli import CYCLIC, CYCLIC_AXES, lambda_matrix
+from .pauli import _TRIPLES, CYCLIC, CYCLIC_AXES, lambda_matrix
 
 __all__ = [
     "beta_from_b",
@@ -79,9 +79,6 @@ def _positive_beta(b: np.ndarray, tol: float = DEFAULT_TOL, out: np.ndarray | No
     if low < 0.0:  # squares >= 0 need no clamp: each starts at 1.0, so none is -0.0
         np.maximum(beta, 0.0, out=beta)
     return np.sqrt(beta, out=beta)
-
-
-_TRIPLES = np.array(CYCLIC).T  # column i: the rows q, q', q'' of beta that component i of g reads
 
 
 def _pair_products(beta: np.ndarray):

@@ -26,6 +26,8 @@ SIGMA.setflags(write=False)
 CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 # The same triples 0-indexed, for 3-component axis vectors.
 CYCLIC_AXES = tuple((q - 1, qp - 1, qpp - 1) for q, qp, qpp in CYCLIC)
+# The triples as index rows: column i holds the q, q', q'' of triple i.
+_TRIPLES = np.array(CYCLIC).T
 
 _LAMBDA = np.array(
     [

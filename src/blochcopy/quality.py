@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import AffineBlochMap, isometry_residuals, realize_e_vectors
+from .channel import AffineBlochMap, _affine_map, _isometry_residuals, _realized
 from .circuit import channel_tomography
 from .errors import NotHermitianError, NotPhysicalError
 from .linalg import DEFAULT_TOL, _checked, _hermiticity_error, _in_unit_interval
@@ -30,14 +30,23 @@ __all__ = [
 ]
 
 
+# L(jk; q0) for q = 1, 2, 3: the coefficients of the mode operators F_q0
+_MODE_L = l_table()[:, :, 1:, 0]
+
+
 def trace_norm(h: np.ndarray) -> float | np.ndarray:
     """Sum of absolute eigenvalues of a Hermitian matrix, or of each matrix in a stack."""
     h = _checked(h, "h", (..., "n", "n"), complex)
-    err = _hermiticity_error(h)
-    if np.any(err > DEFAULT_TOL * np.maximum(1.0, np.max(np.abs(h), axis=(-2, -1)))):
-        raise NotHermitianError(f"matrix deviates from Hermitian by {np.max(err):.3e}")
-    norms = np.sum(np.abs(np.linalg.eigvalsh(h)), axis=-1)
+    norms = _trace_norms(h)
     return float(norms) if h.ndim == 2 else norms
+
+
+def _trace_norms(h: np.ndarray) -> np.ndarray:
+    """trace_norm of a checked matrix or stack, as an array."""
+    err = _hermiticity_error(h)
+    if (err > DEFAULT_TOL * np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))).any():
+        raise NotHermitianError(f"matrix deviates from Hermitian by {np.max(err):.3e}")
+    return np.abs(np.linalg.eigvalsh(h)).sum(axis=-1)
 
 
 def min_error_rate(rho1: np.ndarray, rho2: np.ndarray, p1: float = 0.5, p2: float = 0.5) -> float:
@@ -56,8 +65,8 @@ def _unit_mode(m) -> np.ndarray:
 
 def quality_bloch(bmap: AffineBlochMap, m) -> float:
     """Quality of a one-qubit output in mode direction m: |m . linear|."""
-    m = _unit_mode(m)
-    return float(np.linalg.norm(m @ bmap.linear))
+    linear = _affine_map(bmap, "bmap").linear
+    return float(np.linalg.norm(_unit_mode(m) @ linear))
 
 
 def omega_e(e_vectors: np.ndarray, m) -> np.ndarray:
@@ -69,25 +78,37 @@ def omega_e(e_vectors: np.ndarray, m) -> np.ndarray:
     included) and stacks.  Equals the partial trace over B of V (m . sigma / 2) V^dag.
     """
     m = _unit_mode(m)
-    e_vectors = _checked(e_vectors, "e_vectors", (..., 4, "d"), complex)
-    return np.einsum("q,jkq,...jd,...ke->...de", m, l_table()[:, :, 1:, 0], e_vectors, e_vectors.conj())
+    return _omega(_checked(e_vectors, "e_vectors", (..., 4, "d"), complex), m)
+
+
+def _omega(e_vectors: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """omega_e of checked expansion vectors and a checked mode."""
+    return np.einsum("q,jkq,...jd,...ke->...de", m, _MODE_L, e_vectors, e_vectors.conj())
 
 
 def quality_e(e_gram: np.ndarray, m) -> float | np.ndarray:
     """Environment quality Tr|Omega_E(m)| of a physical machine Gram matrix, or of each in a stack.
 
     Raises NotPhysicalError on every Gram matrix that check_physical fails:
-    realize_e_vectors runs the one eigendecomposition and rejects negative
-    eigenvalues, the Hermiticity and isometry residuals (worst of a stack) are tested here.
+    the one eigendecomposition of realize_e_vectors rejects negative
+    eigenvalues, then the Hermiticity and isometry residuals are tested
+    (the message gives the worst of a stack).
     """
-    e_vectors = realize_e_vectors(e_gram)
+    e_gram = _checked(e_gram, "e_gram", (..., 4, 4), complex)
+    q = _quality_e(e_gram, m)
+    return float(q) if e_gram.ndim == 2 else q
+
+
+def _quality_e(e_gram: np.ndarray, m) -> np.ndarray:
+    """quality_e of a checked Gram matrix or stack, as an array; m is checked once the Grams pass."""
+    e_vectors = _realized(e_gram)
     herm = _hermiticity_error(e_gram)
-    residual = np.maximum(*isometry_residuals(e_gram))
-    if not np.all(np.maximum(herm, residual) <= DEFAULT_TOL):
+    residual = np.maximum(*_isometry_residuals(e_gram))
+    if not (np.maximum(herm, residual) <= DEFAULT_TOL).all():
         raise NotPhysicalError(
             f"Gram matrix fails physicality: Hermiticity error {np.max(herm):.3e}, isometry residual {np.max(residual):.3e}"
         )
-    return trace_norm(omega_e(e_vectors, m))
+    return _trace_norms(_omega(e_vectors, _unit_mode(m)))
 
 
 def quality_e_diagonal(beta, m) -> float:
@@ -117,7 +138,7 @@ def distinguishability(rep, x1, x2, channel: str = "B") -> float:
     """Residual distinguishability of two Bloch vectors after the channel.
 
     Args:
-        rep: AffineBlochMap for channels "B"/"C", Gram matrix for "E".
+        rep: AffineBlochMap for channels "B"/"C" (TypeError otherwise), Gram matrix for "E".
         x1, x2: input Bloch vectors (length at most 1).
         channel: which output carries the pair.
 
@@ -136,7 +157,7 @@ def distinguishability(rep, x1, x2, channel: str = "B") -> float:
     direction = diff / dist
     ch = channel.upper() if isinstance(channel, str) else channel
     if ch in ("B", "C"):
-        q = quality_bloch(rep, direction)
+        q = quality_bloch(_affine_map(rep, "rep"), direction)
     elif ch == "E":
         q = quality_e(rep, direction)
     else:

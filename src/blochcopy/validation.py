@@ -23,10 +23,10 @@ from functools import cache
 
 import numpy as np
 
-from .channel import _TETRAHEDRON_TOL, _edge_conditions, extract_e_vectors, gram_matrix, transfer_from_gram
+from .channel import _TETRAHEDRON_TOL, _edge_conditions, _extracted, _gram, _transfer
 from .linalg import _checked, _in_unit_interval, random_isometry
 from .optimizer import _g_columns, _g_from_beta, _positive_beta, _product_conditions
-from .quality import quality_e
+from .quality import _quality_e
 
 __all__ = [
     "random_physical_gram",
@@ -42,7 +42,7 @@ __all__ = [
 
 def random_physical_gram(rng: np.random.Generator) -> np.ndarray:
     """Gram matrix of a Haar-random copying machine."""
-    return gram_matrix(extract_e_vectors(random_isometry(8, 2, rng)))
+    return _gram(_extracted(random_isometry(8, 2, rng)))
 
 
 # Largest quality change that symmetry_check lets time reversal make.
@@ -390,7 +390,11 @@ def time_reversed_gram(e_gram: np.ndarray) -> np.ndarray:
     Implemented elementwise so the surviving entries keep their exact
     floating point values.
     """
-    e_gram = _checked(e_gram, "e_gram", (4, 4), complex)
+    return _time_reversed(_checked(e_gram, "e_gram", (4, 4), complex))
+
+
+def _time_reversed(e_gram: np.ndarray) -> np.ndarray:
+    """time_reversed_gram of a checked Gram matrix."""
     signs = np.array([1.0, -1.0, -1.0, -1.0])
     return e_gram.conj() * np.outer(signs, signs)
 
@@ -404,10 +408,12 @@ def symmetry_check(e_gram: np.ndarray, mode) -> tuple[float, float]:
     that fails the physicality checks raises NotPhysicalError (its reversal
     is physical exactly when it is).
     """
-    pair = np.stack([e_gram, time_reversed_gram(e_gram)])
-    q, q_rev = quality_e(pair, mode).tolist()
-    # row 0 of a transfer matrix holds the displacement, the rest the linear part
-    t, t_rev = transfer_from_gram(pair)
+    e_gram = _checked(e_gram, "e_gram", (4, 4), complex)
+    pair = np.stack([e_gram, _time_reversed(e_gram)])
+    q, q_rev = _quality_e(pair, mode).tolist()
+    # row 0 of a transfer matrix holds the displacement, the rest the linear
+    # part; _quality_e has passed both Grams as Hermitian within DEFAULT_TOL
+    t, t_rev = _transfer(pair)
     if not np.array_equal(t_rev[1:, 1:], t[1:, 1:]):
         raise ValueError("reversed machine changed the linear part")
     if not np.array_equal(t_rev[0, 1:], -t[0, 1:]):
@@ -426,12 +432,21 @@ def mixed_isometry(v1: np.ndarray, v2: np.ndarray, p1: float) -> np.ndarray:
     matrix is exactly p1 E1 + (1 - p1) E2.  Row order keeps the B bit most
     significant.  Stacks of machines with equal leading shapes mix pairwise.
     """
+    return _mixed(*_mixture_args(v1, v2, p1))
+
+
+def _mixture_args(v1, v2, p1) -> tuple:
+    """The arguments of mixed_isometry, checked."""
     v1 = _checked(v1, "v1", (..., "2d", 2), complex)
     v2 = _checked(v2, "v2", (..., "2d", 2), complex)
+    if v2.shape[:-2] != v1.shape[:-2]:
+        raise ValueError(f"v1 and v2 must have equal leading shapes, got {v1.shape[:-2]} and {v2.shape[:-2]}")
+    return v1, v2, _in_unit_interval(p1, "p1")
+
+
+def _mixed(v1: np.ndarray, v2: np.ndarray, p1: float) -> np.ndarray:
+    """mixed_isometry of checked arguments."""
     lead = v1.shape[:-2]
-    if v2.shape[:-2] != lead:
-        raise ValueError(f"v1 and v2 must have equal leading shapes, got {lead} and {v2.shape[:-2]}")
-    p1 = _in_unit_interval(p1, "p1")
     w1 = np.sqrt(p1) * v1.reshape(*lead, 2, v1.shape[-2] // 2, 2)
     w2 = np.sqrt(1.0 - p1) * v2.reshape(*lead, 2, v2.shape[-2] // 2, 2)
     return np.concatenate([w1, w2], axis=-2).reshape(*lead, v1.shape[-2] + v2.shape[-2], 2)
@@ -442,7 +457,7 @@ def concavity_check(v1: np.ndarray, v2: np.ndarray, p1: float, mode) -> tuple:
 
     Returns (mixed, averaged), arrays for stacks of machine pairs; concavity is mixed >= averaged.
     """
-    w = mixed_isometry(v1, v2, p1)
-    q = quality_e(np.stack([gram_matrix(extract_e_vectors(v)) for v in (w, v1, v2)]), mode)
+    v1, v2, p1 = _mixture_args(v1, v2, p1)
+    q = _quality_e(np.stack([_gram(_extracted(v)) for v in (_mixed(v1, v2, p1), v1, v2)]), mode)
     mixed, averaged = q[0], p1 * q[1] + (1.0 - p1) * q[2]
     return (float(mixed), float(averaged)) if q.ndim == 1 else (mixed, averaged)

@@ -9,7 +9,9 @@ component is zero; the package takes one pass over all eight patterns.
 concavity_report checks one trial at a time, where the concavity
 subcommand checks a block of trials per call.  gram_from_transfer is the
 inverse of the package's transfer_from_gram, which the round-trip tests
-compare it against.
+compare it against.  quality_e_composed is the environment quality as the
+composition of the public steps, each checking its arguments, which the
+package's quality_e does in one pass over the Gram matrices.
 """
 
 from __future__ import annotations
@@ -166,3 +168,21 @@ def concavity_report(trials: int, seed: int, p1: float, mode, tol: float) -> dic
         if margin < -tol:
             bad += 1
     return {"min_margin": float(min_margin), "violations": bad}
+
+
+def quality_e_composed(e_gram, m):
+    """quality_e as realize_e_vectors, then the physicality test, then trace_norm(omega_e(...))."""
+    from blochcopy.channel import isometry_residuals, realize_e_vectors
+    from blochcopy.errors import NotPhysicalError
+    from blochcopy.linalg import DEFAULT_TOL, _hermiticity_error
+    from blochcopy.quality import omega_e, trace_norm
+
+    e_vectors = realize_e_vectors(e_gram)
+    e_gram = np.asarray(e_gram, dtype=complex)
+    herm = _hermiticity_error(e_gram)
+    residual = np.maximum(*isometry_residuals(e_gram))
+    if not np.all(np.maximum(herm, residual) <= DEFAULT_TOL):
+        raise NotPhysicalError(
+            f"Gram matrix fails physicality: Hermiticity error {np.max(herm):.3e}, isometry residual {np.max(residual):.3e}"
+        )
+    return trace_norm(omega_e(e_vectors, m))

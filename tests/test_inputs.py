@@ -13,6 +13,7 @@ from blochcopy.channel import (
     complex_matrix_from_json,
     complex_matrix_to_json,
     density_from_bloch,
+    diagonalize,
     extract_e_vectors,
     gram_matrix,
     isometry_from_beta,
@@ -47,11 +48,19 @@ from blochcopy.quality import (
     min_error_rate,
     omega_e,
     quality_bloch,
+    quality_c_from_circuit,
     quality_e,
     quality_e_diagonal,
     trace_norm,
 )
-from blochcopy.validation import ScanConfig, mixed_isometry, monotonicity_scan, symmetry_check, time_reversed_gram
+from blochcopy.validation import (
+    ScanConfig,
+    concavity_check,
+    mixed_isometry,
+    monotonicity_scan,
+    symmetry_check,
+    time_reversed_gram,
+)
 
 _BETA = np.array([0.8, 0.1, 0.1, 0.5830951894845301])
 _GRAM = np.diag(_BETA**2).astype(complex)
@@ -103,7 +112,12 @@ _CASES = {
     "prepare_ancilla": lambda bad: prepare_ancilla(_spoil(_BETA, bad)),
     "time_reversed_gram": lambda bad: time_reversed_gram(_spoil(_GRAM, bad)),
     "symmetry_check": lambda bad: symmetry_check(_spoil(_GRAM, bad), _Z),
+    "symmetry_check_mode": lambda bad: symmetry_check(_GRAM, _spoil(_Z, bad)),
     "mixed_isometry": lambda bad: mixed_isometry(_V, _spoil(_V, bad), 0.5),
+    "concavity_check": lambda bad: concavity_check(_V, _spoil(_V, bad), 0.5, _Z),
+    "concavity_check_mode": lambda bad: concavity_check(_V, _V, 0.5, _spoil(_Z, bad)),
+    "quality_c_from_circuit": lambda bad: quality_c_from_circuit(_spoil(_BETA, bad), _Z),
+    "quality_c_from_circuit_mode": lambda bad: quality_c_from_circuit(_BETA, _spoil(_Z, bad)),
 }
 
 
@@ -133,6 +147,37 @@ def test_non_finite_entries_raise_value_error(call, bad):
 )
 def test_wrong_shapes_name_the_argument(call, message):
     with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: quality_bloch(np.eye(4), _Z), "bmap"),
+        (lambda: map_bloch(np.eye(3), _Z), "bmap"),
+        (lambda: diagonalize(np.eye(3)), "bmap"),
+        (lambda: distinguishability(_GRAM, _Z, -_Z, "B"), "rep"),
+        (lambda: distinguishability(_GRAM, _Z, -_Z, "C"), "rep"),
+    ],
+    ids=["quality_bloch", "map_bloch", "diagonalize", "distinguishability-B", "distinguishability-C"],
+)
+def test_arrays_for_an_affine_map_raise_type_error_naming_it(call, name):
+    with pytest.raises(TypeError) as err:
+        call()
+    assert str(err.value) == f"{name} must be an AffineBlochMap, got ndarray"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: output_map(1e200 * np.ones((4, 2))),
+        lambda: output_map(1e200 * np.ones((8, 2)), "C"),
+        lambda: b_from_e(np.full((4, 4), 1e308, dtype=complex), check=False),
+    ],
+    ids=["output_map", "output_map-C", "b_from_e"],
+)
+def test_maps_that_overflow_raise_value_error(call):
+    with pytest.raises(ValueError, match="must have finite entries"):
         call()
 
 

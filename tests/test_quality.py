@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blochcopy import channel, circuit, cli, linalg, optimizer, quality, validation
 from blochcopy.channel import (
     E_HAT,
     AffineBlochMap,
+    b_from_e,
     density_from_bloch,
     extract_e_vectors,
     gram_matrix,
@@ -18,6 +20,7 @@ from blochcopy.channel import (
 )
 from blochcopy.errors import NotHermitianError, NotPhysicalError
 from blochcopy.linalg import dagger, random_isometry
+from blochcopy.optimizer import class_p_check
 from blochcopy.pauli import SIGMA
 from blochcopy.quality import (
     distinguishability,
@@ -29,8 +32,8 @@ from blochcopy.quality import (
     quality_e_diagonal,
     trace_norm,
 )
-from blochcopy.validation import random_physical_gram
-from oracles import partial_trace
+from blochcopy.validation import concavity_check, random_physical_gram, symmetry_check, time_reversed_gram
+from oracles import partial_trace, quality_e_composed
 
 
 def _random_beta(rng):
@@ -207,6 +210,67 @@ def test_stacks_give_the_bits_of_one_call_per_matrix():
     assert _bits(quality_e(grams, m)) == _bits(single)
     # any number of leading axes
     assert _bits(quality_e(grams.reshape(10, 25, 4, 4, 4), m)) == _bits(single)
+
+
+def _oracle_grams() -> dict:
+    rng = np.random.default_rng(2029)
+    haar = np.array([random_physical_gram(rng) for _ in range(40)])
+    displaced = np.array([e for e in haar if np.any(b_from_e(e, check=False).delta != 0.0)])
+    class_p, one_zero = [], []
+    while len(class_p) < 20:  # the tomography machines of the benchmark
+        beta = _random_beta(rng)
+        if class_p_check(beta):
+            class_p.append(beta)
+    for zero in range(4):
+        for _ in range(5):
+            beta = _random_beta(rng)
+            beta[zero] = 0.0
+            one_zero.append(beta / np.linalg.norm(beta))
+    # in class P a zero beta_q forces a second zero: beta_0 beta_q >= beta_q' beta_q''
+    rank_two = [np.array([c, s, 0.0, 0.0]) for c, s in np.sort(rng.dirichlet([1.0, 1.0], 10))[:, ::-1] ** 0.5]
+    return {
+        "haar": haar,
+        "displaced": displaced,
+        "reversed": np.array([time_reversed_gram(e) for e in displaced]),
+        **{kind: np.array([np.diag(beta**2).astype(complex) for beta in betas])
+           for kind, betas in (("class-p", class_p), ("one-beta-zero", one_zero), ("class-p-rank-two", rank_two))},
+        "two-leading-axes": haar[:24].reshape(4, 6, 4, 4),
+        "empty": np.zeros((0, 4, 4), dtype=complex),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_oracle_grams()))
+def test_quality_e_gives_the_bits_of_the_composed_public_steps(kind):
+    grams = _oracle_grams()[kind]
+    rng = np.random.default_rng(2030)
+    for m in (_random_mode(rng), _random_mode(rng), [0.0, 0.0, 1.0]):
+        stacked = quality_e(grams, m)
+        assert type(stacked) is np.ndarray and stacked.shape == grams.shape[:-2]
+        assert _bits(stacked) == _bits(quality_e_composed(grams, m))
+        for e in grams.reshape(-1, 4, 4):
+            single, composed = quality_e(e, m), quality_e_composed(e, m)
+            assert type(single) is float and type(composed) is float
+            assert _bits(single) == _bits(composed)
+
+
+def test_a_machines_op_checks_each_array_once(monkeypatch):
+    # one op of the machines benchmark: a concavity check, a time-reversal
+    # check and a tomography comparison on a diagonal Gram matrix
+    rng = np.random.default_rng(2031)
+    v1, v2 = random_isometry(8, 2, rng), random_isometry(8, 2, rng)
+    e, beta, m = random_physical_gram(rng), _random_beta(rng), _random_mode(rng)
+    calls = []
+    real = linalg._checked
+    for module in (channel, circuit, cli, linalg, optimizer, quality, validation):
+        if hasattr(module, "_checked"):
+            monkeypatch.setattr(module, "_checked", lambda x, name, *a, **k: calls.append(name) or real(x, name, *a, **k))
+    concavity_check(v1, v2, 0.3, m)
+    symmetry_check(e, m)
+    quality_c_from_circuit(beta, m)
+    quality_e(np.diag(beta**2).astype(complex), m)
+    # v1, v2 and the mode; the Gram and the mode; beta, the tomography map's
+    # delta and linear, and the mode; the Gram and the mode
+    assert len(calls) <= 12, calls
 
 
 @pytest.mark.parametrize("kind", ["negative-eigenvalue", "trace", "hermiticity"])

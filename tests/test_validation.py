@@ -788,11 +788,11 @@ def test_symmetry_check_negates_the_displacement():
 def test_symmetry_check_makes_one_transfer_call_on_the_pair(monkeypatch):
     calls = {"validation": [], "channel": []}
     for module, key in ((validation, "validation"), (channel, "channel")):
-        real = module.transfer_from_gram
-        monkeypatch.setattr(module, "transfer_from_gram", lambda e, real=real, key=key: calls[key].append(e.shape) or real(e))
+        real = module._transfer
+        monkeypatch.setattr(module, "_transfer", lambda e, real=real, key=key: calls[key].append(e.shape) or real(e))
     e = random_physical_gram(np.random.default_rng(87))
     symmetry_check(e, [0.0, 0.6, 0.8])
-    # a b_from_e call anywhere would show as a channel.transfer_from_gram call
+    # a b_from_e or transfer_from_gram call anywhere would show as a channel._transfer call
     assert calls == {"validation": [(2, 4, 4)], "channel": []}
 
 
