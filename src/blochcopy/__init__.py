@@ -49,6 +49,7 @@ from .optimizer import (
     b_from_beta,
     beta_from_b,
     class_p_check,
+    class_p_mask,
     classify_pair,
     g_map,
     g_map_many,

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotHermitianError, NotIsometricError, NotPhysicalError
-from .linalg import DEFAULT_TOL, _checked, _hermiticity_error, dagger
+from .linalg import DEFAULT_TOL, _checked, _hermiticity_error, _tolerance, dagger
 from .pauli import _TRIPLES, CYCLIC, CYCLIC_AXES, SIGMA, l_table
 
 __all__ = [
@@ -204,7 +204,7 @@ class ConstraintReport:
 
 def check_physical(e_gram: np.ndarray, tol: float = DEFAULT_TOL) -> ConstraintReport:
     """Check Hermiticity, positivity and the isometry conditions of a Gram matrix."""
-    e_gram = _checked(e_gram, "e_gram", (4, 4), complex)
+    e_gram, tol = _checked(e_gram, "e_gram", (4, 4), complex), _tolerance(tol)
     herm = float(_hermiticity_error(e_gram))
     trace_err, reim = map(float, _isometry_residuals(e_gram))
     sym = 0.5 * (e_gram + np.conj(e_gram).T)
@@ -283,7 +283,7 @@ _TETRAHEDRON_TOL = 1e-12
 @np.errstate(over="ignore")
 def tetrahedron_violations(b, tol: float = _TETRAHEDRON_TOL) -> list[str]:
     """Names of the attainability inequalities violated by semi-axes b."""
-    b = _checked(b, "b", (3,), finite=False)
+    b, tol = _checked(b, "b", (3,), finite=False), _tolerance(tol)
     bad = []
     # every comparison with a NaN is False, so a NaN only gets its own label
     if b.sum() < -1.0 - tol:
@@ -313,7 +313,7 @@ def tetrahedron_mask(b_rows, tol: float = _TETRAHEDRON_TOL) -> np.ndarray:
     The vertices are (1,1,1) and the three permutations of (1,-1,-1).
     Rows with a NaN or infinite component fail.
     """
-    b = _checked(b_rows, "b_rows", (..., 3), finite=False)
+    b, tol = _checked(b_rows, "b_rows", (..., 3), finite=False), _tolerance(tol)
     # column by column: reductions over a length-3 axis are slow in numpy
     finite = np.isfinite(b)
     ok = finite[..., 0] & finite[..., 1] & finite[..., 2]

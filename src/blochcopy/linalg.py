@@ -70,6 +70,14 @@ def _in_unit_interval(x, name: str) -> float:
     return x
 
 
+def _tolerance(tol) -> float:
+    """A tol argument as a float, which must be finite and at least 0; NaN fails too."""
+    tol = float(tol)
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be a nonnegative finite number, got {tol}")
+    return tol
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(np.conj(m), -1, -2)
 

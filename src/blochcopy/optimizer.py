@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import tetrahedron_check, tetrahedron_violations
 from .errors import NotPossibleError, NotPositiveOptimalError
-from .linalg import DEFAULT_TOL, _checked, _in_unit_interval
+from .linalg import DEFAULT_TOL, _checked, _in_unit_interval, _tolerance
 from .pauli import _TRIPLES, CYCLIC, CYCLIC_AXES, lambda_matrix
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "h_vector",
     "positive_optimal_condition",
     "positive_optimal_mask",
+    "class_p_mask",
     "class_p_check",
     "same_order",
     "OptimalPair",
@@ -116,7 +117,7 @@ def beta_from_b(b, tol: float = DEFAULT_TOL) -> np.ndarray:
     beta^2 = (1/4) Lambda (1, b); squared components in [-tol, 0) are
     clamped to zero, anything lower means b is unattainable.
     """
-    return _positive_beta(_checked(b, "b", (3,), finite=False), tol=tol)
+    return _positive_beta(_checked(b, "b", (3,), finite=False), tol=_tolerance(tol))
 
 
 def b_from_beta(beta) -> np.ndarray:
@@ -165,7 +166,19 @@ def h_vector(beta) -> np.ndarray:
     return 2.0 * (p - s)
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")  # rows outside the box may hold NaN or inf, which fail it
+def class_p_mask(xi_rows, tol: float = 0.0) -> np.ndarray:
+    """Row-wise class_p_check over an (..., 4) array of four-vectors; rows with a NaN or infinite component fail."""
+    x, tol = _checked(xi_rows, "xi_rows", (..., 4), finite=False).T, _tolerance(tol)  # x[i]: xi_i of every row
+    # a NaN fails every test; a finite xi_0 bounds the other components, so one comparison rules out infinities
+    ok = (x[0] < np.inf) & ((x[1:] >= -tol) & (x[1:] <= x[0] + tol)).all(0)
+    # the products compare on xi / 2^e, 2^(e-1) <= max(xi_0, tol) < 2^e, where no product of a row inside the
+    # box overflows; a power of two scales exactly, so a test that did not underflow answers as it did on xi
+    e = np.frexp(np.maximum(x[0], tol))[1]
+    p, s = _pair_products(np.ldexp(x, -e))
+    return (ok & (p >= s - np.ldexp(tol, -2 * e)).all(0)).T
+
+
 def class_p_check(xi, tol: float = 0.0) -> bool:
     """Membership test for class P four-vectors.
 
@@ -173,20 +186,7 @@ def class_p_check(xi, tol: float = 0.0) -> bool:
     The class is closed under positive scaling, componentwise powers and
     the Lambda sign matrix.
     """
-    xi = _checked(xi, "xi", (4,), finite=False)
-    # every test is written so that a NaN component fails it; a finite xi_0
-    # bounds the other components, so one comparison rules out infinities
-    if not (xi[0] < np.inf and np.all(xi[1:] >= -tol) and np.all(xi[1:] <= xi[0] + tol)):
-        return False
-    # the products compare on xi / 2^e, 2^(e-1) <= xi_0 < 2^e, so that those of
-    # components near xi_0 neither overflow nor underflow; a power of two scales
-    # exactly, so a product test that did neither answers as it did on xi
-    e = np.frexp(xi[0])[1]
-    x, tol = np.ldexp(xi, -e), np.ldexp(tol, -2 * e)
-    for q, qp, qpp in CYCLIC:
-        if not x[0] * x[q] >= x[qp] * x[qpp] - tol:
-            return False
-    return True
+    return bool(class_p_mask(_checked(xi, "xi", (4,), finite=False), tol=tol))
 
 
 def _product_conditions(b: np.ndarray, ok: np.ndarray, tol: float = 0.0) -> np.ndarray:
@@ -203,7 +203,7 @@ def positive_optimal_mask(b_rows, tol: float = 0.0) -> np.ndarray:
 
     Rows with a NaN or infinite component fail.
     """
-    b = _checked(b_rows, "b_rows", (..., 3), finite=False)
+    b, tol = _checked(b_rows, "b_rows", (..., 3), finite=False), _tolerance(tol)
     # column by column: reductions over a length-3 axis are slow in numpy
     inside = (b >= -tol) & (b <= 1.0 + tol)
     ok = inside[..., 0] & inside[..., 1] & inside[..., 2]
@@ -219,20 +219,20 @@ def positive_optimal_condition(b, tol: float = 0.0) -> bool:
     return bool(positive_optimal_mask(_checked(b, "b", (3,), finite=False), tol=tol))
 
 
-def same_order(xi, eta, tol: float = 1e-12) -> bool:
+def same_order(xi, eta, tol: float = 1e-12) -> bool | np.ndarray:
     """True when components 1..3 of two four-vectors share their ordering.
 
     The orderings clash only when some pair p, q is strictly ordered one way
     in xi and strictly the other way in eta, each by more than tol.  A
     difference within tol is a tie, and a tie on one side agrees with any
-    order on the other: ties need not match ties.
+    order on the other: ties need not match ties.  (..., 4) stacks
+    broadcast against each other and give a bool array.
     """
-    xi = _checked(xi, "xi", (4,))[1:]
-    eta = _checked(eta, "eta", (4,))[1:]
+    xi, eta, tol = _checked(xi, "xi", (..., 4))[..., 1:], _checked(eta, "eta", (..., 4))[..., 1:], _tolerance(tol)
     # over all pairs p, q, so the clash the other way round is the pair q, p
-    dx = xi[:, None] - xi
-    de = eta[:, None] - eta
-    return not np.any((dx > tol) & (de < -tol))
+    clash = (xi[..., :, None] - xi[..., None, :] > tol) & (eta[..., :, None] - eta[..., None, :] < -tol)
+    same = ~np.any(clash, axis=(-2, -1))
+    return bool(same) if same.ndim == 0 else same
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,12 +277,12 @@ class OptimalPair:
 def classify_pair(b, c, tol: float = DEFAULT_TOL) -> OptimalPair:
     """Classify a candidate pair (b, c) of copy semi-axes.
 
-    Never raises: impossible or sign-mixed pairs simply come back with the
-    corresponding flags unset.  The optimality flag is conjectural in the
-    same sense as the mutuality criterion it implements.
+    Raises ValueError only on a wrong shape or a bad tol: impossible,
+    sign-mixed or non-finite pairs come back with the corresponding flags
+    unset.  The optimality flag is conjectural in the same sense as the
+    mutuality criterion it implements.
     """
-    b = _checked(b, "b", (3,), finite=False)
-    c = _checked(c, "c", (3,), finite=False)
+    b, c, tol = _checked(b, "b", (3,), finite=False), _checked(c, "c", (3,), finite=False), _tolerance(tol)
 
     possible_b = tetrahedron_check(b, tol=tol)
     possible_c = tetrahedron_check(c, tol=tol)

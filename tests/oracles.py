@@ -12,11 +12,15 @@ inverse of the package's transfer_from_gram, which the round-trip tests
 compare it against.  quality_e_composed is the environment quality as the
 composition of the public steps, each checking its arguments, which the
 package's quality_e does in one pass over the Gram matrices.
+class_p_margins states the class-P inequalities in exact rational
+arithmetic, where the package compares them in floating point on a scaled
+copy of the vector.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -186,3 +190,19 @@ def quality_e_composed(e_gram, m):
             f"Gram matrix fails physicality: Hermiticity error {np.max(herm):.3e}, isometry residual {np.max(residual):.3e}"
         )
     return trace_norm(omega_e(e_vectors, m))
+
+
+def class_p_margins(xi, tol: float = 0.0) -> list[Fraction] | None:
+    """Exact margins of the class-P inequalities of a float four-vector; None when a component is not finite.
+
+    Floats convert to Fraction exactly, so no margin is rounded: first the
+    box margins xi_q + tol and xi_0 + tol - xi_q for q = 1, 2, 3, then
+    xi_0 xi_q - xi_q' xi_q'' + tol for each cyclic triple.  The vector is in
+    class P exactly when none of them is negative.
+    """
+    if not all(math.isfinite(v) for v in xi):
+        return None
+    x = [Fraction(float(v)) for v in xi]
+    t = Fraction(float(tol))
+    box = [m for q in (1, 2, 3) for m in (x[q] + t, x[0] + t - x[q])]
+    return box + [x[0] * x[q] - x[qp] * x[qpp] + t for q, qp, qpp in ((1, 2, 3), (2, 3, 1), (3, 1, 2))]

@@ -22,6 +22,7 @@ from blochcopy.optimizer import (
     b_from_beta,
     beta_from_b,
     class_p_check,
+    class_p_mask,
     g_map,
     gamma_from_beta,
     isotropic_tradeoff,
@@ -244,18 +245,16 @@ def test_check_11_class_closure_and_weight_signs():
     lam = lambda_matrix()
 
     # closure of the axis-ordering class under the three basic operations
-    bad = 0
-    checked = 0
-    while checked < 10**4:
-        xi = rng.random(4)
-        if not class_p_check(xi):
-            continue
-        checked += 1
-        k = 0.1 + 4.0 * rng.random()
-        a = 0.1 + 4.0 * rng.random()
-        for image in (k * xi, xi**a, lam @ xi):
-            if not class_p_check(image, tol=1e-12) or not same_order(xi, image):
-                bad += 1
+    n = 10**4
+    xi = np.empty((0, 4))
+    while len(xi) < n:
+        draws = rng.random((4 * n, 4))
+        xi = np.concatenate([xi, draws[class_p_mask(draws)]])
+    xi = xi[:n]
+    k = 0.1 + 4.0 * rng.random((n, 1))
+    a = 0.1 + 4.0 * rng.random((n, 1))
+    images = np.stack([k * xi, xi**a, xi @ lam.T])
+    bad = int(np.sum(~(class_p_mask(images, tol=1e-12) & same_order(xi, images))))
 
     # sign pattern of the difference weights for nonnegative partner pairs
     kept = 0

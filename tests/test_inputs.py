@@ -33,6 +33,7 @@ from blochcopy.optimizer import (
     b_from_beta,
     beta_from_b,
     class_p_check,
+    class_p_mask,
     classify_pair,
     g_map,
     g_map_many,
@@ -41,6 +42,7 @@ from blochcopy.optimizer import (
     isotropic_tradeoff,
     jacobians,
     positive_optimal_condition,
+    positive_optimal_mask,
     same_order,
 )
 from blochcopy.quality import (
@@ -243,6 +245,31 @@ def test_values_outside_the_unit_interval_are_named(name, bad):
     with pytest.raises(ValueError) as err:
         _UNIT_INTERVAL_CASES[name](bad)
     assert str(err.value) == f"{name} must lie in [0, 1], got {bad}"
+
+
+# each case calls one public function that takes a tolerance with tol set to `bad`
+_TOL_CASES = {
+    "tetrahedron_violations": lambda bad: tetrahedron_violations([0.5] * 3, tol=bad),
+    "tetrahedron_mask": lambda bad: tetrahedron_mask([[0.5] * 3], tol=bad),
+    "tetrahedron_check": lambda bad: tetrahedron_check([0.5] * 3, tol=bad),
+    "positive_optimal_mask": lambda bad: positive_optimal_mask([[0.5] * 3], tol=bad),
+    "positive_optimal_condition": lambda bad: positive_optimal_condition([0.5] * 3, tol=bad),
+    "class_p_mask": lambda bad: class_p_mask([[1.0, 0.5, 0.5, 0.25]], tol=bad),
+    "class_p_check": lambda bad: class_p_check([1.0, 0.5, 0.5, 0.25], tol=bad),
+    "same_order": lambda bad: same_order([1.0, 3.0, 2.0, 1.0], [9.0, 4.0, 6.0, 1.0], tol=bad),
+    "beta_from_b": lambda bad: beta_from_b([0.5] * 3, tol=bad),
+    "g_map": lambda bad: g_map([0.5] * 3, tol=bad),
+    "classify_pair": lambda bad: classify_pair([0.5] * 3, [0.5] * 3, tol=bad),
+    "check_physical": lambda bad: check_physical(_GRAM, tol=bad),
+}
+
+
+@pytest.mark.parametrize("bad", [-1e-9, np.nan, np.inf, -np.inf], ids=["negative", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", list(_TOL_CASES.values()), ids=list(_TOL_CASES))
+def test_bad_tolerances_are_named(call, bad):
+    with pytest.raises(ValueError) as err:
+        call(bad)
+    assert str(err.value) == f"tol must be a nonnegative finite number, got {bad}"
 
 
 _MIXED = np.eye(2) / 2

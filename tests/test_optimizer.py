@@ -1,6 +1,8 @@
 """Coefficient chain, trade-off map, pair classification, Jacobians."""
 
+import itertools
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from blochcopy.optimizer import (
     b_from_beta,
     beta_from_b,
     class_p_check,
+    class_p_mask,
     classify_pair,
     g_map,
     g_map_many,
@@ -29,7 +32,7 @@ from blochcopy.optimizer import (
     sign_flip_variants,
 )
 from blochcopy.pauli import lambda_matrix
-from oracles import sign_patterns
+from oracles import class_p_margins, sign_patterns
 
 
 def _random_tetra(rng):
@@ -355,49 +358,117 @@ def test_class_p_answers_as_on_the_unscaled_vector(scale):
         assert class_p_check(np.multiply(xi, scale)) == class_p_check(xi)
 
 
+def test_class_p_check_answers_when_its_scaled_tolerance_overflows():
+    # tol / xi_0^2 overflows; the unscaled products and tol do not, and decide these rows
+    assert class_p_check([1e-200, 0.05, 0.05, 0.05], tol=0.1)
+    assert class_p_check([1e-20, 0.05, 0.05, 0.05], tol=0.1)
+    assert class_p_check([0.0, 0.05, 0.05, 0.05], tol=0.1)
+    assert not class_p_check([1e-200, 4.0, 4.0, 4.0], tol=4.0)  # 4e-200 < 16 - 4
+
+
+_QUARTER_GRID = np.array(list(itertools.product(range(-1, 5), repeat=4))) / 4.0
+_POWER_OF_TWO_GRID = np.array(list(itertools.product([0.0, 2.0**-1074, 2.0**-1022, 0.5, 1.0, 2.0**1023], repeat=4)))
+
+
+def _random_rows(rng, n):
+    ordered = rng.random((n, 4))
+    ordered[:, 0] = ordered[:, 1:].max(axis=1) + 0.2 * rng.random(n)
+    scaled = np.ldexp(ordered, rng.integers(-1074, 1024, (n, 1)))
+    tiny_xi0 = 0.1 * rng.random((n, 4))  # tol / xi_0^2 overflows at tol 0.1
+    tiny_xi0[:, 0] = np.ldexp(1.0, rng.integers(-1074, -20, n))
+    return np.concatenate([rng.random((n, 4)), ordered, scaled, tiny_xi0])
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9, 0.1])
+def test_class_p_mask_equals_the_one_row_calls(tol):
+    rows = np.concatenate([_QUARTER_GRID[::3], _POWER_OF_TWO_GRID[::3], _random_rows(np.random.default_rng(72), 75)])
+    rows[:3, 1] = [np.nan, np.inf, -np.inf]
+    mask = class_p_mask(rows.reshape(2, -1, 4), tol=tol).reshape(-1)
+    assert list(mask) == [class_p_check(xi, tol=tol) for xi in rows]
+    eta = rows[::-1]
+    rows[:3, 1] = 0.5  # same_order wants finite entries
+    assert list(same_order(rows, eta, tol=tol)) == [same_order(xi, e, tol=tol) for xi, e in zip(rows, eta)]
+    stacked = same_order(rows.reshape(2, -1, 4), eta[-1], tol=tol).reshape(-1)
+    assert list(stacked) == [same_order(xi, eta[-1], tol=tol) for xi in rows]
+
+
+def _exact_class_p(xi, tol):
+    """Membership from the exact margins, or None when one within its float test's rounding bound of 0 could decide it.
+
+    xi_q >= -tol is exact in floats.  xi_q <= xi_0 + tol rounds the sum, by at
+    most 2^-53 |xi_0 + tol|; the bound is twice that.  A product test rounds two
+    products and a difference, by at most 2^-52 (M^2 + tol) with M the largest
+    of tol and the |xi_i|, and products that fall below the normal range once
+    xi is scaled by a power of two near max(xi_0, tol) lose at most
+    2^-1069 M^2 more; the bound is 8 times their sum.
+    """
+    margins = class_p_margins(xi, tol)
+    if margins is None:
+        return False
+    x, t = [Fraction(float(v)) for v in xi], Fraction(tol)
+    big = max(t, *map(abs, x)) ** 2
+    bounds = [0, abs(x[0] + t) / 2**52] * 3 + [(big + t) / 2**49 + big / 2**1066] * 3
+    decided = [m for m, bound in zip(margins, bounds) if bound == 0 or abs(m) > bound]
+    if any(m < 0 for m in decided):
+        return False
+    return True if len(decided) == len(margins) else None
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9, 0.1])
+def test_class_p_mask_agrees_with_the_exact_oracle(tol):
+    rng = np.random.default_rng(73)
+    rows = np.concatenate([_QUARTER_GRID, _POWER_OF_TWO_GRID, _random_rows(rng, 200)])
+    exact = [_exact_class_p(xi, tol) for xi in rows]
+    mask = class_p_mask(rows, tol=tol)
+    decided = [i for i, e in enumerate(exact) if e is not None]
+    assert [bool(mask[i]) for i in decided] == [exact[i] for i in decided]
+    assert len(decided) > 0.85 * len(rows)  # the undecided rows are mostly exact ties on the grids
+    assert 0 < sum(exact[i] for i in decided) < len(decided)
+
+
+def _class_p_rows(rng, n):
+    """n class-P rows, drawn in blocks of uniform rows whose xi_0 is raised above the other components."""
+    xi = np.empty((0, 4))
+    while len(xi) < n:
+        draws = rng.random((4 * n, 4))
+        draws[:, 0] = draws[:, 1:].max(axis=1) + rng.random(4 * n)
+        xi = np.concatenate([xi, draws[class_p_mask(draws)]])
+    return xi[:n]
+
+
 def test_class_p_closure_operations():
     rng = np.random.default_rng(67)
-    lam = lambda_matrix()
-    checked = 0
-    while checked < 500:
-        xi = rng.random(4)
-        xi[0] = xi[1:].max() + rng.random()
-        if not class_p_check(xi):
-            continue
-        checked += 1
-        k = 0.1 + 3.0 * rng.random()
-        a = 0.1 + 3.0 * rng.random()
-        for image in (k * xi, xi**a, lam @ xi):
-            assert class_p_check(image, tol=1e-12)
-            assert same_order(xi, image)
+    xi = _class_p_rows(rng, 500)
+    k = 0.1 + 3.0 * rng.random((500, 1))
+    a = 0.1 + 3.0 * rng.random((500, 1))
+    images = np.stack([k * xi, xi**a, xi @ lambda_matrix().T])
+    assert class_p_mask(images, tol=1e-12).all()
+    assert same_order(xi, images).all()
 
 
 def test_class_p_closure_under_compositions():
     rng = np.random.default_rng(71)
-    lam = lambda_matrix()
-    checked = 0
-    while checked < 300:
-        xi = rng.random(4)
-        xi[0] = xi[1:].max() + rng.random()
-        if not class_p_check(xi):
-            continue
-        checked += 1
-        image = xi
-        for _ in range(rng.integers(1, 5)):
-            op = rng.integers(3)
-            if op == 0:
-                image = (0.1 + 3.0 * rng.random()) * image
-            elif op == 1:
-                image = image ** (0.1 + 3.0 * rng.random())
-            else:
-                image = lam @ image
-        assert class_p_check(image, tol=1e-9 * max(1.0, image[0] ** 2))
-        assert same_order(xi, image, tol=1e-12 * max(1.0, float(image[0])))
+    lam_t = lambda_matrix().T
+    n = 300
+    xi = _class_p_rows(rng, n)
+    image = xi.copy()
+    steps = rng.integers(1, 5, n)
+    for step in range(4):
+        op = np.where(step < steps, rng.integers(3, size=n), -1)
+        f = 0.1 + 3.0 * rng.random((n, 1))
+        image[op == 0] *= f[op == 0]
+        image[op == 1] **= f[op == 1]
+        image[op == 2] = image[op == 2] @ lam_t
+    # class P and the ordering are scale-free: the tolerances apply to images shrunk to xi_0 <= 1
+    shrunk = image / np.maximum(1.0, image[:, :1])
+    assert class_p_mask(shrunk, tol=1e-9).all()
+    assert same_order(xi, shrunk, tol=1e-12).all()
 
 
 def test_order_comparison():
     assert same_order([1, 3, 2, 1], [9, 6, 4, 1])
     assert not same_order([1, 3, 2, 1], [9, 4, 6, 1])
+    assert same_order([1, 3, 2, 1], [9, 4, 4, 1], tol=0.0)
     # a tie on one side is compatible with either strict order
     assert same_order([1, 2, 2, 1], [9, 6, 4, 1])
     assert same_order([1, 2, 2, 1], [9, 4, 6, 1])
@@ -431,9 +502,8 @@ def test_positive_optimal_mask_matches_the_scalar_condition():
     rows = 1.2 * rng.random((4000, 3)) - 0.1
     rows[:4] = [[np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5], [1.0, 1.0, 1.0], [0.9, 0.9, 0.5]]
     for tol in (0.0, 1e-9, 0.05):
-        mask = positive_optimal_mask(rows, tol=tol)
         lifted = np.column_stack([np.ones(len(rows)), rows])
-        assert list(mask) == [class_p_check(xi, tol=tol) for xi in lifted]
+        assert np.array_equal(positive_optimal_mask(rows, tol=tol), class_p_mask(lifted, tol=tol))
     assert list(positive_optimal_mask(rows[:4])) == [False, False, True, False]
     assert positive_optimal_mask(rows.reshape(4, -1, 3)).shape == (4, len(rows) // 4)
     with pytest.raises(ValueError):
