@@ -43,6 +43,7 @@ from .errors import (
     NotPossibleError,
     NotPositiveOptimalError,
 )
+from .linalg import DEFAULT_TOL, dagger, random_isometry
 from .optimizer import (
     JacobianPair,
     OptimalPair,

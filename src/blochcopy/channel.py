@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotHermitianError, NotIsometricError, NotPhysicalError
-from .linalg import DEFAULT_TOL, _checked, _hermiticity_error, _tolerance, dagger
+from .linalg import DEFAULT_TOL, _checked, _hermiticity_error, _in_unit_ball, _tolerance, dagger
 from .pauli import _TRIPLES, CYCLIC, CYCLIC_AXES, SIGMA, l_table
 
 __all__ = [
@@ -75,8 +75,8 @@ E_HAT.setflags(write=False)
 
 
 def density_from_bloch(r) -> np.ndarray:
-    """2 x 2 density matrix (1/2)(I + r . sigma) for a Bloch vector r."""
-    r = _checked(r, "r", (3,))
+    """2 x 2 density matrix (1/2)(I + r . sigma) for a Bloch vector r, which must lie in the unit ball."""
+    r = _in_unit_ball(r, "r")
     return 0.5 * (SIGMA[0] + r[0] * SIGMA[1] + r[1] * SIGMA[2] + r[2] * SIGMA[3])
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import _RT2, AffineBlochMap, _output_map
-from .linalg import DEFAULT_TOL, _checked, _in_unit_interval
+from .linalg import DEFAULT_TOL, _checked, _in_unit_interval, _integer
 
 __all__ = [
     "CIRCUIT_A",
@@ -45,6 +45,7 @@ CIRCUIT_B = (("phase", 0, 1), ("xor", 2, 0), ("h", 1), ("xor", 1, 2))
 def _gate_matrix(gate: tuple) -> np.ndarray:
     """8 x 8 matrix of one gate tuple."""
     kind, *qubits = gate
+    qubits = [_integer(q, f"a qubit index of {gate!r}") for q in qubits]
     if any(q not in (0, 1, 2) for q in qubits):
         raise ValueError(f"qubit indices must be 0, 1 or 2, got {gate!r}")
     if len(set(qubits)) != len(qubits):

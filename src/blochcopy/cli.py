@@ -3,7 +3,7 @@
 Every subcommand prints a JSON document to stdout by default; the ones
 with naturally tabular output also accept --format csv, whose cells are
 true/false for a flag, an integer as is and the repr of any other float.
-Both formats go through _emit, scan's CSV report aside.  Timing goes to
+Both formats go through _emit, fig1's chunked points aside.  Timing goes to
 stderr so identical inputs give byte-identical stdout.  Exit codes: 0 on
 success, 1 when a constraint is violated or a check fails, 2 on usage
 errors.
@@ -256,10 +256,9 @@ def _cmd_tomography(args) -> int:
 def _cmd_scan(args) -> int:
     fields = ("n_outer", "n_inner", "seed", "region", "max_keep")
     report = monotonicity_scan(ScanConfig(**{name: getattr(args, name) for name in fields}))
-    if args.format == "csv":
-        sys.stdout.write(report.to_csv())
-    else:
-        _emit(args, report.to_json())
+    header = [f"{name}{q}" for name in ("b", "cand", "gb", "gcand") for q in (1, 2, 3)]
+    rows = [rec["b"] + rec["candidate"] + rec["g_b"] + rec["g_candidate"] for rec in report.violations]
+    _emit(args, report.to_json(), header, rows)
     print(f"elapsed: {report.elapsed:.3f}s", file=sys.stderr)
     if args.region == "good" and report.n_violations:
         print(f"error: {report.n_violations} trade-off violations in the good region", file=sys.stderr)

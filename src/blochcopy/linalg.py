@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -70,6 +71,23 @@ def _in_unit_interval(x, name: str) -> float:
     return x
 
 
+def _in_unit_ball(x, name: str) -> np.ndarray:
+    """x as a checked (3,) array, whose squared norm must be at most 1 + DEFAULT_TOL."""
+    x = _checked(x, name, (3,))
+    norm_sq = float(x @ x)
+    if norm_sq > 1.0 + DEFAULT_TOL:
+        raise ValueError(f"{name} must lie inside the unit ball, got squared norm {norm_sq}")
+    return x
+
+
+def _integer(value, name: str) -> int:
+    """value as an int; numpy integers pass, while bools, floats and anything else raise ValueError naming it."""
+    try:
+        return operator.index(value if not isinstance(value, bool) else None)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _tolerance(tol) -> float:
     """A tol argument as a float, which must be finite and at least 0; NaN fails too."""
     tol = float(tol)
@@ -79,6 +97,7 @@ def _tolerance(tol) -> float:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
     return np.swapaxes(np.conj(m), -1, -2)
 
 
@@ -97,8 +116,9 @@ def random_isometry(rows: int, cols: int, rng: np.random.Generator, size: tuple 
     equals one call per matrix in order, bit for bit, and leaves rng where
     those calls do.
     """
-    if cols > rows:
-        raise ValueError("an isometry needs at least as many rows as columns")
+    rows, cols = _integer(rows, "rows"), _integer(cols, "cols")
+    if not 1 <= cols <= rows:
+        raise ValueError(f"an isometry needs 1 <= cols <= rows, got rows={rows} and cols={cols}")
     z = rng.standard_normal((*size, 2, rows, cols))
     q, _ = np.linalg.qr(z[..., 0, :, :] + 1j * z[..., 1, :, :])
     return q[..., :cols]

@@ -25,7 +25,7 @@ import numpy as np
 from .channel import tetrahedron_check, tetrahedron_violations
 from .errors import NotPossibleError, NotPositiveOptimalError
 from .linalg import DEFAULT_TOL, _checked, _in_unit_interval, _tolerance
-from .pauli import _TRIPLES, CYCLIC, CYCLIC_AXES, lambda_matrix
+from .pauli import _TRIPLES, CYCLIC_AXES, lambda_matrix
 
 __all__ = [
     "beta_from_b",
@@ -172,9 +172,10 @@ def class_p_mask(xi_rows, tol: float = 0.0) -> np.ndarray:
     x, tol = _checked(xi_rows, "xi_rows", (..., 4), finite=False).T, _tolerance(tol)  # x[i]: xi_i of every row
     # a NaN fails every test; a finite xi_0 bounds the other components, so one comparison rules out infinities
     ok = (x[0] < np.inf) & ((x[1:] >= -tol) & (x[1:] <= x[0] + tol)).all(0)
-    # the products compare on xi / 2^e, 2^(e-1) <= max(xi_0, tol) < 2^e, where no product of a row inside the
-    # box overflows; a power of two scales exactly, so a test that did not underflow answers as it did on xi
-    e = np.frexp(np.maximum(x[0], tol))[1]
+    # the products compare on xi / 2^e, 2^e <= max(xi_0, tol / 2) < 2^(e+1), where a row inside the box has
+    # products below 36; a power of two scales exactly, so a test that did not underflow answers as it did on
+    # xi, and a lifted row (1, b) with tol < 4 compares unscaled
+    e = np.frexp(np.maximum(x[0], 0.5 * tol))[1] - 1
     p, s = _pair_products(np.ldexp(x, -e))
     return (ok & (p >= s - np.ldexp(tol, -2 * e)).all(0)).T
 
@@ -189,25 +190,20 @@ def class_p_check(xi, tol: float = 0.0) -> bool:
     return bool(class_p_mask(_checked(xi, "xi", (4,), finite=False), tol=tol))
 
 
-def _product_conditions(b: np.ndarray, ok: np.ndarray, tol: float = 0.0) -> np.ndarray:
-    """AND b_q >= b_q' b_q'' - tol, for each cyclic triple, into the mask ok; b holds one component per row."""
+def _product_conditions(b: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """AND b_q >= b_q' b_q'', for each cyclic triple, into the mask ok; b holds one component per row."""
     for q, qp, qpp in CYCLIC_AXES:
-        prod = b[qp] * b[qpp]
-        ok &= b[q] >= (prod - tol if tol else prod)  # the scan's tol 0 skips a pass
+        ok &= b[q] >= b[qp] * b[qpp]
     return ok
 
 
-@np.errstate(over="ignore")
 def positive_optimal_mask(b_rows, tol: float = 0.0) -> np.ndarray:
-    """Row-wise positive_optimal_condition over an (..., 3) array of semi-axes.
+    """Row-wise positive_optimal_condition over an (..., 3) array of semi-axes: class_p_mask of the rows (1, b).
 
     Rows with a NaN or infinite component fail.
     """
-    b, tol = _checked(b_rows, "b_rows", (..., 3), finite=False), _tolerance(tol)
-    # column by column: reductions over a length-3 axis are slow in numpy
-    inside = (b >= -tol) & (b <= 1.0 + tol)
-    ok = inside[..., 0] & inside[..., 1] & inside[..., 2]
-    return _product_conditions(b.transpose(-1, *range(b.ndim - 1)), ok, tol=tol)
+    b = _checked(b_rows, "b_rows", (..., 3), finite=False)
+    return class_p_mask(np.concatenate([np.ones((*b.shape[:-1], 1)), b], axis=-1), tol=tol)
 
 
 def positive_optimal_condition(b, tol: float = 0.0) -> bool:
@@ -345,8 +341,11 @@ def sign_flip_variants(pair: OptimalPair) -> list[tuple[np.ndarray, np.ndarray]]
     """All distinct sign-flipped versions of a positive optimal pair.
 
     Every emitted side has a nonnegative component product, so each variant
-    is again realizable by a machine.
+    is again realizable by a machine.  Anything but an OptimalPair raises
+    TypeError naming pair.
     """
+    if not isinstance(pair, OptimalPair):
+        raise TypeError(f"pair must be an OptimalPair, got {type(pair).__name__}")
     if not (pair.positive and pair.conjecturally_optimal):
         raise NotPositiveOptimalError("sign variants require a positive optimal pair")
     return [

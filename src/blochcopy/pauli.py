@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SIGMA", "CYCLIC", "CYCLIC_AXES", "l_table", "lambda_matrix"]
+__all__ = ["SIGMA", "l_table", "lambda_matrix"]
 
 SIGMA = np.array(
     [

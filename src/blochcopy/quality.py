@@ -14,7 +14,7 @@ import numpy as np
 from .channel import AffineBlochMap, _affine_map, _isometry_residuals, _realized
 from .circuit import channel_tomography
 from .errors import NotHermitianError, NotPhysicalError
-from .linalg import DEFAULT_TOL, _checked, _hermiticity_error, _in_unit_interval
+from .linalg import DEFAULT_TOL, _checked, _hermiticity_error, _in_unit_ball, _in_unit_interval
 from .optimizer import _pair_products
 from .pauli import l_table
 
@@ -144,13 +144,7 @@ def distinguishability(rep, x1, x2, channel: str = "B") -> float:
 
     Returns (|x1 - x2| / 2) * Q(unit direction); 0 for identical inputs.
     """
-    x1 = _checked(x1, "x1", (3,))
-    x2 = _checked(x2, "x2", (3,))
-    for name, x in (("x1", x1), ("x2", x2)):
-        norm_sq = float(x @ x)
-        if norm_sq > 1.0 + DEFAULT_TOL:
-            raise ValueError(f"{name} must lie inside the unit ball, got squared norm {norm_sq}")
-    diff = x1 - x2
+    diff = _in_unit_ball(x1, "x1") - _in_unit_ball(x2, "x2")
     dist = float(np.linalg.norm(diff))
     if dist == 0.0:
         return 0.0

@@ -15,7 +15,6 @@ Three families of checks live here:
 
 from __future__ import annotations
 
-import operator
 import threading
 import time
 from dataclasses import dataclass, field
@@ -24,7 +23,7 @@ from functools import cache
 import numpy as np
 
 from .channel import _TETRAHEDRON_TOL, _edge_conditions, _extracted, _gram, _transfer
-from .linalg import _checked, _in_unit_interval, random_isometry
+from .linalg import _checked, _in_unit_interval, _integer, random_isometry
 from .optimizer import _g_columns, _g_from_beta, _positive_beta, _product_conditions
 from .quality import _quality_e
 
@@ -244,11 +243,7 @@ class ScanConfig:
     def __post_init__(self):
         # each integer field with its least value; numpy integers become ints, bools fail
         for name, least in (("n_outer", 1), ("n_inner", 1), ("seed", 0), ("max_keep", 0)):
-            value = getattr(self, name)
-            try:
-                number = operator.index(value if not isinstance(value, bool) else None)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            number = _integer(getattr(self, name), name)
             if number < least:
                 raise ValueError(f"{name} must be at least {least}, got {number}")
             object.__setattr__(self, name, number)
@@ -282,16 +277,6 @@ class ScanReport:
             "n_violations": self.n_violations,
             "violations": self.violations,
         }
-
-    def to_csv(self) -> str:
-        """Counterexample records, one row per violation."""
-        cols = ["b1", "b2", "b3", "cand1", "cand2", "cand3"]
-        cols += ["gb1", "gb2", "gb3", "gcand1", "gcand2", "gcand3"]
-        lines = [",".join(cols)]
-        for rec in self.violations:
-            row = rec["b"] + rec["candidate"] + rec["g_b"] + rec["g_candidate"]
-            lines.append(",".join(repr(float(x)) for x in row))
-        return "\n".join(lines) + "\n"
 
 
 def monotonicity_scan(config: ScanConfig) -> ScanReport:

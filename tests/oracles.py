@@ -14,7 +14,12 @@ composition of the public steps, each checking its arguments, which the
 package's quality_e does in one pass over the Gram matrices.
 class_p_margins states the class-P inequalities in exact rational
 arithmetic, where the package compares them in floating point on a scaled
-copy of the vector.
+copy of the vector, and unscaled_positive_optimal tests the box and products
+of b unscaled, where the package tests the lifted vector (1, b).
+sequential_g writes g out component by component, where the package runs
+one kernel over index rows.  state_push_map pushes the six Bloch-axis
+states through a machine and reads one output's Bloch vectors, where the
+package reads the affine map off in the Heisenberg picture.
 """
 
 from __future__ import annotations
@@ -64,6 +69,7 @@ def apply_gate(state: np.ndarray, gate: tuple) -> np.ndarray:
 
 
 def apply_circuit(state: np.ndarray, gates) -> np.ndarray:
+    """Run a gate sequence on an 8-amplitude state, one apply_gate per gate, the first gate first."""
     for gate in gates:
         state = apply_gate(state, gate)
     return state
@@ -206,3 +212,55 @@ def class_p_margins(xi, tol: float = 0.0) -> list[Fraction] | None:
     t = Fraction(float(tol))
     box = [m for q in (1, 2, 3) for m in (x[q] + t, x[0] + t - x[q])]
     return box + [x[0] * x[q] - x[qp] * x[qpp] + t for q, qp, qpp in ((1, 2, 3), (2, 3, 1), (3, 1, 2))]
+
+
+def unscaled_positive_optimal(b_rows, tol: float = 0.0) -> np.ndarray:
+    """0 <= b_q <= 1 and b_q >= b_q' b_q'' within tol, tested on the rows of an (..., 3) array as they are."""
+    b = np.asarray(b_rows, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = np.all((b >= -tol) & (b <= 1.0 + tol), axis=-1)
+        for q, qp, qpp in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            ok &= b[..., q] >= b[..., qp] * b[..., qpp] - tol
+    return ok
+
+
+def sequential_g(b_rows) -> np.ndarray:
+    """g in closed form over the rows of an (n, 3) array (or one b), each component written out, as (n, 3).
+
+    beta_j^2 = 1/4 (1 +- b1 +- b2 +- b3) summed left to right, then
+    c_q = 2 (beta_0 beta_q + beta_q' beta_q'').
+    """
+    b1, b2, b3 = np.asarray(b_rows, dtype=float).reshape(-1, 3).T
+    beta0, beta1, beta2, beta3 = (
+        np.sqrt(np.maximum(0.25 * v, 0.0))
+        for v in (((1.0 + b1) + b2) + b3, ((1.0 + b1) - b2) - b3, ((1.0 - b1) + b2) - b3, ((1.0 - b1) - b2) + b3)
+    )
+    return np.stack(
+        [
+            2.0 * (beta0 * beta1 + beta2 * beta3),
+            2.0 * (beta0 * beta2 + beta3 * beta1),
+            2.0 * (beta0 * beta3 + beta1 * beta2),
+        ],
+        axis=1,
+    )
+
+
+# (+axis, -axis) eigenkets of sigma_x, sigma_y and sigma_z
+_AXIS_KETS = (
+    (np.array([1, 1]) * _RT2, np.array([1, -1]) * _RT2),
+    (np.array([1, 1j]) * _RT2, np.array([1, -1j]) * _RT2),
+    (np.array([1, 0]), np.array([0, 1])),
+)
+
+
+def state_push_map(push, qubit: str):
+    """The AffineBlochMap of output qubit "B", "C" or "D", read off six pushed states.
+
+    push takes a one-qubit ket to the machine's 8 output amplitudes.  The
+    +-axis states give s(+-e_q) = delta +- linear[q], so linear[q] is half
+    their difference and delta the mean of their half sums.
+    """
+    from blochcopy.channel import AffineBlochMap, bloch_vector
+
+    s = np.array([[bloch_vector(reduced_state(push(ket), qubit)) for ket in pair] for pair in _AXIS_KETS])
+    return AffineBlochMap(0.5 * (s[:, 0] + s[:, 1]).mean(axis=0), 0.5 * (s[:, 0] - s[:, 1]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blochcopy import circuit
-from blochcopy.channel import AffineBlochMap, bloch_vector, density_from_bloch, isometry_from_beta
+from blochcopy.channel import bloch_vector, density_from_bloch, isometry_from_beta
 from blochcopy.circuit import (
     CIRCUIT_A,
     CIRCUIT_B,
@@ -18,19 +18,13 @@ from blochcopy.circuit import (
 from blochcopy.errors import NotNormalizedError
 from blochcopy.optimizer import b_from_beta, gamma_from_beta
 from blochcopy.pauli import SIGMA
-from oracles import column_unitary, partial_trace, reduced_state
+from oracles import apply_circuit, column_unitary, partial_trace, reduced_state, state_push_map
 
 _RT2 = 1.0 / np.sqrt(2.0)
 
 # Opening section of circuit "b": the middle qubit flips the phase of the
 # top qubit, then the bottom qubit flips its amplitude.  Order matters.
 CIRCUIT_B_FIRST = CIRCUIT_B[:2]
-
-_AXIS_KETS = {
-    1: (np.array([1, 1]) * _RT2, np.array([1, -1]) * _RT2),
-    2: (np.array([1, 1j]) * _RT2, np.array([1, -1j]) * _RT2),
-    3: (np.array([1, 0]), np.array([0, 1])),
-}
 
 
 def circuit_to_json(gates) -> list:
@@ -47,19 +41,6 @@ def pauli_mixture_check(beta, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lhs = partial_trace(full, (2, 2, 2), (0,))
     rhs = sum(beta[l] ** 2 * SIGMA[l] @ rho @ SIGMA[l] for l in range(4))
     return lhs, rhs
-
-
-def state_push_tomography(beta, channel: str) -> AffineBlochMap:
-    """Oracle: run the six Bloch-axis states through circuit "a" gate by gate."""
-    linear = np.zeros((3, 3))
-    offsets = np.zeros((3, 3))
-    for q in (1, 2, 3):
-        ket_plus, ket_minus = _AXIS_KETS[q]
-        s_plus = bloch_vector(reduced_state(circuit_a(ket_plus, beta), channel))
-        s_minus = bloch_vector(reduced_state(circuit_a(ket_minus, beta), channel))
-        linear[q - 1] = 0.5 * (s_plus - s_minus)
-        offsets[q - 1] = 0.5 * (s_plus + s_minus)
-    return AffineBlochMap(offsets.mean(axis=0), linear)
 
 
 def _basis(index: int) -> np.ndarray:
@@ -257,7 +238,8 @@ def test_tomography_matches_the_state_push_oracle():
         beta /= np.linalg.norm(beta)
         for channel in "BCD":
             got = channel_tomography(beta, channel)
-            want = state_push_tomography(beta, channel)
+            # gate by gate on the state |a> (x) |ancilla>, qubit 0 most significant
+            want = state_push_map(lambda ket: apply_circuit(np.kron(ket, prepare_ancilla(beta)), CIRCUIT_A), channel)
             assert np.max(np.abs(got.delta - want.delta)) < 1e-12
             assert np.max(np.abs(got.linear - want.linear)) < 1e-12
 

@@ -369,6 +369,34 @@ def test_scan_csv_format(capsys):
     assert out.startswith("b1,b2,b3,cand1")
 
 
+_SCAN_CSV_HEADER = "b1,b2,b3,cand1,cand2,cand3,gb1,gb2,gb3,gcand1,gcand2,gcand3"
+
+
+def test_scan_csv_rows_are_the_kept_records(capsys):
+    argv = ["scan", "--region", "outside", "--n-outer", "50", "--n-inner", "200", "--seed", "2", "--max-keep", "4"]
+    _, doc, _ = _run(capsys, argv)
+    code, out, _ = _run(capsys, [*argv, "--format", "csv"])
+    assert code == 0
+    lines = out.strip().split("\n")
+    records = json.loads(doc)["violations"]
+    assert lines[0] == _SCAN_CSV_HEADER
+    assert len(lines) == 1 + len(records) == 5
+    for line, rec in zip(lines[1:], records):
+        cells = line.split(",")
+        assert len(cells) == 12
+        assert cells == [repr(x) for x in rec["b"] + rec["candidate"] + rec["g_b"] + rec["g_candidate"]]
+
+
+def test_scan_csv_without_violations_is_header_only(capsys, monkeypatch):
+    from blochcopy.validation import ScanReport
+
+    empty = ScanReport(region="good", seed=0, n_outer=1, n_inner=1, checked=0, n_violations=0)
+    monkeypatch.setattr(cli, "monotonicity_scan", lambda config: empty)
+    code, out, _ = _run(capsys, ["scan", "--format", "csv"])
+    assert code == 0
+    assert out == _SCAN_CSV_HEADER + "\n"
+
+
 def test_scan_full_preset_sets_the_inner_count(capsys):
     code, out, _ = _run(capsys, ["scan", "--full", "--n-outer", "1", "--seed", "1"])
     assert code == 0

@@ -27,8 +27,16 @@ from blochcopy.channel import (
     tetrahedron_violations,
     transfer_from_gram,
 )
-from blochcopy.circuit import beta_from_error_rates, channel_tomography, circuit_a, circuit_b, prepare_ancilla
+from blochcopy.circuit import (
+    beta_from_error_rates,
+    channel_tomography,
+    circuit_a,
+    circuit_b,
+    circuit_unitary,
+    prepare_ancilla,
+)
 from blochcopy.errors import NotPossibleError
+from blochcopy.linalg import random_isometry
 from blochcopy.optimizer import (
     b_from_beta,
     beta_from_b,
@@ -44,6 +52,7 @@ from blochcopy.optimizer import (
     positive_optimal_condition,
     positive_optimal_mask,
     same_order,
+    sign_flip_variants,
 )
 from blochcopy.quality import (
     distinguishability,
@@ -296,6 +305,64 @@ def test_distinguishability_names_the_vector_outside_the_unit_ball(name):
     with pytest.raises(ValueError) as err:
         distinguishability(_IDENTITY, **vectors)
     assert str(err.value) == f"{name} must lie inside the unit ball, got squared norm 4.0"
+
+
+def test_density_from_bloch_names_a_vector_outside_the_unit_ball():
+    with pytest.raises(ValueError) as err:
+        density_from_bloch([2.0, 0.0, 0.0])
+    assert str(err.value) == "r must lie inside the unit ball, got squared norm 4.0"
+    assert np.allclose(np.linalg.eigvalsh(density_from_bloch([1.0, 0.0, 0.0])), [0.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "rows, cols, message",
+    [
+        (8, -1, "an isometry needs 1 <= cols <= rows, got rows=8 and cols=-1"),
+        (0, 0, "an isometry needs 1 <= cols <= rows, got rows=0 and cols=0"),
+        (2, 3, "an isometry needs 1 <= cols <= rows, got rows=2 and cols=3"),
+        (8.5, 2, "rows must be an integer, got 8.5"),
+        (8, 2.0, "cols must be an integer, got 2.0"),
+        (True, 1, "rows must be an integer, got True"),
+        (8, "2", "cols must be an integer, got '2'"),
+    ],
+    ids=["negative-cols", "empty", "wide", "float-rows", "float-cols", "bool-rows", "str-cols"],
+)
+def test_random_isometry_names_its_bad_size(rows, cols, message):
+    with pytest.raises(ValueError) as err:
+        random_isometry(rows, cols, np.random.default_rng(0))
+    assert str(err.value) == message
+
+
+def test_random_isometry_takes_numpy_integer_sizes():
+    got = random_isometry(np.int64(8), np.uint8(2), np.random.default_rng(5))
+    assert np.array_equal(got, random_isometry(8, 2, np.random.default_rng(5)))
+
+
+@pytest.mark.parametrize(
+    "gate, message",
+    [
+        (("h", 1.0), "a qubit index of ('h', 1.0) must be an integer, got 1.0"),
+        (("h", True), "a qubit index of ('h', True) must be an integer, got True"),
+        (("xor", 0, np.float64(2.0)), "a qubit index of ('xor', 0, np.float64(2.0)) must be an integer, got np.float64(2.0)"),
+        (("phase", "0", 1), "a qubit index of ('phase', '0', 1) must be an integer, got '0'"),
+    ],
+    ids=["h-float", "h-bool", "xor-numpy-float", "phase-str"],
+)
+def test_circuit_unitary_names_a_qubit_index_that_is_not_an_integer(gate, message):
+    with pytest.raises(ValueError) as err:
+        circuit_unitary([gate])
+    assert str(err.value) == message
+
+
+def test_circuit_unitary_takes_numpy_integer_qubits():
+    assert np.array_equal(circuit_unitary([("xor", np.int64(0), np.uint8(1))]), circuit_unitary([("xor", 0, 1)]))
+
+
+@pytest.mark.parametrize("pair", [None, (np.ones(3), np.ones(3)), {"b": np.ones(3)}], ids=["none", "tuple", "dict"])
+def test_sign_flip_variants_names_a_pair_that_is_not_an_optimal_pair(pair):
+    with pytest.raises(TypeError) as err:
+        sign_flip_variants(pair)
+    assert str(err.value) == f"pair must be an OptimalPair, got {type(pair).__name__}"
 
 
 @pytest.mark.parametrize(

@@ -32,7 +32,7 @@ from blochcopy.optimizer import (
     sign_flip_variants,
 )
 from blochcopy.pauli import lambda_matrix
-from oracles import class_p_margins, sign_patterns
+from oracles import class_p_margins, sequential_g, sign_patterns, unscaled_positive_optimal
 
 
 def _random_tetra(rng):
@@ -129,27 +129,6 @@ def _matmul_g(b_rows):
     return (gamma**2 @ lam)[:, 1:]
 
 
-def _sequential_g(b_rows):
-    """g in closed form, each component written out.
-
-    beta_j^2 = 1/4 (1 +- b1 +- b2 +- b3) summed left to right, then
-    c_q = 2 (beta_0 beta_q + beta_q' beta_q'').
-    """
-    b1, b2, b3 = np.asarray(b_rows, dtype=float).T
-    beta0, beta1, beta2, beta3 = (
-        np.sqrt(np.maximum(0.25 * v, 0.0))
-        for v in (((1.0 + b1) + b2) + b3, ((1.0 + b1) - b2) - b3, ((1.0 - b1) + b2) - b3, ((1.0 - b1) - b2) + b3)
-    )
-    return np.stack(
-        [
-            2.0 * (beta0 * beta1 + beta2 * beta3),
-            2.0 * (beta0 * beta2 + beta3 * beta1),
-            2.0 * (beta0 * beta3 + beta1 * beta2),
-        ],
-        axis=1,
-    )
-
-
 def test_g_columns_equals_the_sequential_sum_oracle():
     # 1.1e6 rows: attainable axes Lambda p for points p of the simplex, and
     # draws in the unit cube kept when they lie in the good region (a quarter)
@@ -161,7 +140,7 @@ def test_g_columns_equals_the_sequential_sum_oracle():
         good = cube[positive_optimal_mask(cube)]
         for rows in (tetra, good):
             got = g_map_many(rows)
-            assert np.array_equal(got, _sequential_g(rows))
+            assert np.array_equal(got, sequential_g(rows))
             assert np.array_equal(_g_columns(rows.T).T, got)
             # the chain rounds differently, and its summation order is the BLAS's
             # choice, so only a tolerance is gated
@@ -497,25 +476,61 @@ def test_nan_axes_are_named_in_the_error():
         g_map([np.nan, 0.0, 0.0])
 
 
-def test_positive_optimal_mask_matches_the_scalar_condition():
+def test_positive_optimal_mask_agrees_with_the_exact_oracle():
     rng = np.random.default_rng(69)
     rows = 1.2 * rng.random((4000, 3)) - 0.1
     rows[:4] = [[np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5], [1.0, 1.0, 1.0], [0.9, 0.9, 0.5]]
     for tol in (0.0, 1e-9, 0.05):
-        lifted = np.column_stack([np.ones(len(rows)), rows])
-        assert np.array_equal(positive_optimal_mask(rows, tol=tol), class_p_mask(lifted, tol=tol))
+        exact = [_exact_class_p([1.0, *b], tol) for b in rows]
+        mask = positive_optimal_mask(rows, tol=tol)
+        decided = [i for i, e in enumerate(exact) if e is not None]
+        assert [bool(mask[i]) for i in decided] == [exact[i] for i in decided]
+        assert len(decided) > 0.99 * len(rows)
     assert list(positive_optimal_mask(rows[:4])) == [False, False, True, False]
     assert positive_optimal_mask(rows.reshape(4, -1, 3)).shape == (4, len(rows) // 4)
     with pytest.raises(ValueError):
         positive_optimal_mask(np.zeros((5, 2)))
 
 
+def _near_tie_rows(rng, n):
+    """Rows b with one component within 3 ulps of the product of the other two, a product from normal to below 2^-1074."""
+    b = rng.random((n, 3))
+    b[:, 1:] = np.ldexp(b[:, 1:], rng.integers(-600, 1, (n, 2)))
+    b[:, 0] = b[:, 1] * b[:, 2]
+    b[:, 0] += rng.integers(-3, 4, n) * np.spacing(b[:, 0])
+    return rng.permuted(b, axis=1)
+
+
+# 0, subnormals, normals near 1 and 2 and huge values, both signs
+_AXIS_GRID = np.array(
+    list(
+        itertools.product(
+            [0.0, 2.0**-1074, 2.0**-1022, 2.0**-537, 0.25, 0.5, 1.0, 1.5, 2.0, 2.0**1023, -0.5, -(2.0**-1074)], repeat=3
+        )
+    )
+)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9, 0.1, 1.0, 2.0, 3.0])
+def test_positive_optimal_mask_is_the_unscaled_box_and_product_test(tol):
+    # a lifted row (1, b) has max(xi_0, tol / 2) in [1, 2) for tol < 4, where class_p_mask scales by 2^0; at
+    # tol 2 a scale of 1/2 would round b_3 / 4 of (2, 1, -2^-1074) to -0 and pass the row
+    rng = np.random.default_rng(75)
+    rows = np.concatenate([_AXIS_GRID, _near_tie_rows(rng, 50_000), 1.2 * rng.random((20_000, 3)) - 0.1])
+    rows[:3, 1] = [np.nan, np.inf, -np.inf]
+    assert np.array_equal(positive_optimal_mask(rows, tol=tol), unscaled_positive_optimal(rows, tol))
+
+
 def test_positive_optimal_condition_is_lifted_class_p():
     rng = np.random.default_rng(68)
+    decided = 0
     for _ in range(500):
         b = rng.random(3)
-        lifted = np.concatenate(([1.0], b))
-        assert positive_optimal_condition(b) == class_p_check(lifted)
+        exact = _exact_class_p([1.0, *b], 0.0)
+        if exact is not None:
+            assert positive_optimal_condition(b) == exact
+            decided += 1
+    assert decided > 490
     assert not positive_optimal_condition([0.9, 0.9, 0.5])  # 0.5 < 0.81
 
 

@@ -39,3 +39,15 @@ def test_every_reexported_name_is_in_its_modules_all():
     }
     assert reexported
     assert [name for name, obj in reexported.items() if not _listed_where_defined(name, obj)] == []
+
+
+def test_every_name_in_a_library_submodule_all_is_bound_on_the_package():
+    # the command line module is the one submodule that importing the package leaves out
+    unbound = [
+        f"{name}.{attr}"
+        for name, mod in _SUBMODULES.items()
+        if name != "cli"
+        for attr in mod.__all__
+        if getattr(blochcopy, attr, None) is not getattr(mod, attr)
+    ]
+    assert unbound == []

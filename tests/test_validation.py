@@ -37,6 +37,7 @@ from blochcopy.validation import (
     symmetry_check,
     time_reversed_gram,
 )
+from oracles import sequential_g
 
 
 def _random_mode(rng):
@@ -85,20 +86,6 @@ def _oracle_region_mask(cand, region):
     return ok
 
 
-def _oracle_g_map_many(b_rows):
-    # g in closed form, component by component: beta_j^2 = 1/4 (1 +- b1 +- b2 +- b3)
-    # summed left to right, c_q = 2 (beta_0 beta_q + beta_q' beta_q'')
-    b1, b2, b3 = np.asarray(b_rows, dtype=float).reshape(-1, 3).T
-    beta0 = np.sqrt(np.maximum(0.25 * (((1.0 + b1) + b2) + b3), 0.0))
-    beta1 = np.sqrt(np.maximum(0.25 * (((1.0 + b1) - b2) - b3), 0.0))
-    beta2 = np.sqrt(np.maximum(0.25 * (((1.0 - b1) + b2) - b3), 0.0))
-    beta3 = np.sqrt(np.maximum(0.25 * (((1.0 - b1) - b2) + b3), 0.0))
-    c1 = 2.0 * (beta0 * beta1 + beta2 * beta3)
-    c2 = 2.0 * (beta0 * beta2 + beta3 * beta1)
-    c3 = 2.0 * (beta0 * beta3 + beta1 * beta2)
-    return np.stack([c1, c2, c3], axis=1)
-
-
 def _oracle_scan(config):
     sampler = _oracle_sample_good if config.region == "good" else _oracle_sample_outside
     checked = 0
@@ -107,13 +94,13 @@ def _oracle_scan(config):
     for child in np.random.SeedSequence(config.seed).spawn(config.n_outer):
         rng = np.random.default_rng(child)
         b = sampler(rng)
-        g_b = _oracle_g_map_many(b)[0]
+        g_b = sequential_g(b)[0]
         cand = b + rng.random((config.n_inner, 3)) * (1.0 - b)
         cand = cand[np.any(cand > b, axis=1) & _oracle_region_mask(cand, config.region)]
         if not len(cand):
             continue
         checked += len(cand)
-        g_cand = _oracle_g_map_many(cand)
+        g_cand = sequential_g(cand)
         bad = np.flatnonzero(np.all(g_cand >= g_b, axis=1))
         n_violations += len(bad)
         for i in bad[: max(0, config.max_keep - len(kept))]:
@@ -719,25 +706,6 @@ def test_scan_honors_max_keep():
     )
     assert report.n_violations > 5
     assert len(report.violations) == 5
-
-
-def test_scan_csv_layout():
-    report = monotonicity_scan(
-        ScanConfig(n_outer=50, n_inner=200, seed=2, region="outside", max_keep=4)
-    )
-    lines = report.to_csv().strip().split("\n")
-    assert lines[0].startswith("b1,b2,b3,cand1")
-    assert len(lines) == 1 + len(report.violations)
-    assert all(len(line.split(",")) == 12 for line in lines[1:])
-
-
-def test_empty_report_csv_is_header_only():
-    report = ScanReport(
-        region="good", seed=0, n_outer=1, n_inner=1, checked=0, n_violations=0
-    )
-    assert report.to_csv() == (
-        "b1,b2,b3,cand1,cand2,cand3,gb1,gb2,gb3,gcand1,gcand2,gcand3\n"
-    )
 
 
 # ---------------------------------------------------------------------------
