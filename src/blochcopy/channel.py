@@ -119,7 +119,7 @@ def _affine_map(bmap, name: str) -> AffineBlochMap:
 def map_bloch(bmap: AffineBlochMap, r) -> np.ndarray:
     """Apply the affine map to an input Bloch vector."""
     bmap = _affine_map(bmap, "bmap")
-    r = _checked(r, "r", (3,))
+    r = _in_unit_ball(r, "r")
     return bmap.delta + bmap.linear.T @ r
 
 

@@ -9,11 +9,12 @@ success, 1 when a constraint is violated or a check fails, 2 on usage
 errors.
 
 Each option's type, choices and default are declared once, in
-_build_parser.  A config file of key=value lines (--config) supplies
-values through the same declarations; one its flag would reject exits 1
-with the flag's message after its file, line and key.  A key that names
-an option of another subcommand is ignored, one that names no option at
-all exits 1.  Precedence: flag, scan --full preset, config file, default.
+_build_parser; scan's defaults and regions are ScanConfig's.  A config
+file of key=value lines (--config) supplies values through the same
+declarations; one its flag would reject exits 1 with the flag's message
+after its file, line and key.  A key that names an option of another
+subcommand is ignored, one that names no option at all exits 1.
+Precedence: flag, scan --full preset, config file, default.
 `circuit --input -x` takes -x as a value.
 """
 
@@ -41,7 +42,7 @@ from .optimizer import (
     jacobians,
 )
 from .quality import quality_bloch, quality_e_diagonal
-from .validation import _MAX_OUTER, ScanConfig, concavity_check, monotonicity_scan
+from .validation import _MAX_OUTER, _REGIONS, ScanConfig, concavity_check, monotonicity_scan
 
 __all__ = ["main"]
 
@@ -380,11 +381,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(func=_cmd_tomography)
 
     p = _add_common(subs.add_parser("scan", help="randomized monotonicity scan of the trade-off"))
-    p.add_argument("--region", choices=("good", "outside"), default="good")
-    p.add_argument("--n-outer", dest="n_outer", type=_outer_count, default=100)
-    p.add_argument("--n-inner", dest="n_inner", type=_positive_int, default=1000)
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--max-keep", dest="max_keep", type=_nonnegative_int, default=256)
+    p.add_argument("--region", choices=_REGIONS, default=ScanConfig.region)
+    p.add_argument("--n-outer", dest="n_outer", type=_outer_count, default=ScanConfig.n_outer)
+    p.add_argument("--n-inner", dest="n_inner", type=_positive_int, default=ScanConfig.n_inner)
+    p.add_argument("--seed", type=_nonnegative_int, default=ScanConfig.seed)
+    p.add_argument("--max-keep", dest="max_keep", type=_nonnegative_int, default=ScanConfig.max_keep)
     p.add_argument("--full", action="store_true", help="4000 x 100000 preset")
     p.set_defaults(func=_cmd_scan)
 

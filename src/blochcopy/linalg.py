@@ -109,7 +109,7 @@ def _hermiticity_error(m: np.ndarray) -> np.ndarray:
     return np.abs(m - dagger(m)).max(axis=(-2, -1), initial=0.0)
 
 
-def random_isometry(rows: int, cols: int, rng: np.random.Generator, size: tuple = ()) -> np.ndarray:
+def random_isometry(rows: int, cols: int, rng: np.random.Generator, size: int | tuple = ()) -> np.ndarray:
     """Random rows x cols matrix with orthonormal columns, or a size-shaped stack of them.
 
     Each matrix draws its real parts, then its imaginary parts, so a stack
@@ -119,6 +119,9 @@ def random_isometry(rows: int, cols: int, rng: np.random.Generator, size: tuple 
     rows, cols = _integer(rows, "rows"), _integer(cols, "cols")
     if not 1 <= cols <= rows:
         raise ValueError(f"an isometry needs 1 <= cols <= rows, got rows={rows} and cols={cols}")
+    size = tuple(_integer(n, "size") for n in (size if np.iterable(size) else (size,)))
+    if min(size, default=0) < 0:
+        raise ValueError(f"size must have nonnegative entries, got {size}")
     z = rng.standard_normal((*size, 2, rows, cols))
     q, _ = np.linalg.qr(z[..., 0, :, :] + 1j * z[..., 1, :, :])
     return q[..., :cols]

@@ -270,6 +270,17 @@ class OptimalPair:
         }
 
 
+def _attainable(fn, v: np.ndarray, tol: float) -> np.ndarray | None:
+    """fn(v, tol=tol) for semi-axes v in the tetrahedron, else None; also None where fn raises
+    NotPossibleError, as on a face, where its squares (1/4) Lambda (1, v) and the summed test round apart."""
+    if not tetrahedron_check(v, tol=tol):
+        return None
+    try:
+        return fn(v, tol=tol)
+    except NotPossibleError:
+        return None
+
+
 def classify_pair(b, c, tol: float = DEFAULT_TOL) -> OptimalPair:
     """Classify a candidate pair (b, c) of copy semi-axes.
 
@@ -280,17 +291,15 @@ def classify_pair(b, c, tol: float = DEFAULT_TOL) -> OptimalPair:
     """
     b, c, tol = _checked(b, "b", (3,), finite=False), _checked(c, "c", (3,), finite=False), _tolerance(tol)
 
-    possible_b = tetrahedron_check(b, tol=tol)
-    possible_c = tetrahedron_check(c, tol=tol)
-    possible = possible_b and possible_c
+    beta, g_c = _attainable(beta_from_b, b, tol), _attainable(g_map, c, tol)
+    possible = beta is not None and g_c is not None
     positive = bool(np.all(b >= -tol) and np.all(c >= -tol))
 
-    beta = gamma = h = None
+    gamma = h = None
     h_nonneg = gamma4_nonneg = False
     mutual = False
     residuals: dict[str, float] = {}
-    if possible_b:
-        beta = beta_from_b(b, tol=tol)
+    if beta is not None:
         gamma = gamma_from_beta(beta)
         h = h_vector(beta)
         h_nonneg = bool(np.all(h >= -tol))
@@ -298,8 +307,8 @@ def classify_pair(b, c, tol: float = DEFAULT_TOL) -> OptimalPair:
         gamma4_nonneg = gamma4 >= -tol
         residuals["gamma4"] = gamma4
         residuals["c_minus_g_b"] = float(np.max(np.abs(_g_from_beta(beta) - c)))
-    if possible_c:
-        residuals["b_minus_g_c"] = float(np.max(np.abs(g_map(c, tol=tol) - b)))
+    if g_c is not None:
+        residuals["b_minus_g_c"] = float(np.max(np.abs(g_c - b)))
     if possible:
         mutual = residuals["c_minus_g_b"] <= tol and residuals["b_minus_g_c"] <= tol
 

@@ -67,6 +67,8 @@ _STATE_HASH = np.array([_INIT_B * pow(_MULT_B, i, 2**32) % 2**32 for i in range(
 _STATE_XOR, _STATE_MUL = _STATE_HASH[:8].reshape(2, 4), _STATE_HASH[1:].reshape(2, 4)
 # most outer points of a scan: spawn keys below it are one uint32 word each
 _MAX_OUTER = 2**32
+# the regions a scan draws its base points from
+_REGIONS = ("good", "outside")
 
 
 @cache
@@ -249,8 +251,8 @@ class ScanConfig:
             object.__setattr__(self, name, number)
         if self.n_outer > _MAX_OUTER:
             raise ValueError(f"n_outer must be at most {_MAX_OUTER}, got {self.n_outer}")
-        if self.region not in ("good", "outside"):
-            raise ValueError("region must be 'good' or 'outside'")
+        if self.region not in _REGIONS:
+            raise ValueError(f"region must be {' or '.join(map(repr, _REGIONS))}")
 
 
 @dataclass(frozen=True)

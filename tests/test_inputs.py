@@ -307,6 +307,13 @@ def test_distinguishability_names_the_vector_outside_the_unit_ball(name):
     assert str(err.value) == f"{name} must lie inside the unit ball, got squared norm 4.0"
 
 
+def test_map_bloch_names_a_vector_outside_the_unit_ball():
+    with pytest.raises(ValueError) as err:
+        map_bloch(_IDENTITY, [5.0, 0.0, 0.0])
+    assert str(err.value) == "r must lie inside the unit ball, got squared norm 25.0"
+    assert np.array_equal(map_bloch(_IDENTITY, [1.0, 0.0, 0.0]), [1.0, 0.0, 0.0])
+
+
 def test_density_from_bloch_names_a_vector_outside_the_unit_ball():
     with pytest.raises(ValueError) as err:
         density_from_bloch([2.0, 0.0, 0.0])
@@ -333,9 +340,28 @@ def test_random_isometry_names_its_bad_size(rows, cols, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "size, message",
+    [
+        ((-1,), "size must have nonnegative entries, got (-1,)"),
+        ((2, -3), "size must have nonnegative entries, got (2, -3)"),
+        (2.5, "size must be an integer, got 2.5"),
+        ((True,), "size must be an integer, got True"),
+        ((2, 1.0), "size must be an integer, got 1.0"),
+    ],
+    ids=["negative", "negative-second", "float", "bool-entry", "float-entry"],
+)
+def test_random_isometry_names_its_bad_stack_size(size, message):
+    with pytest.raises(ValueError) as err:
+        random_isometry(8, 2, np.random.default_rng(0), size)
+    assert str(err.value) == message
+
+
 def test_random_isometry_takes_numpy_integer_sizes():
     got = random_isometry(np.int64(8), np.uint8(2), np.random.default_rng(5))
     assert np.array_equal(got, random_isometry(8, 2, np.random.default_rng(5)))
+    stack = random_isometry(8, 2, np.random.default_rng(5), (np.int64(3), np.uint8(0)))
+    assert stack.shape == (3, 0, 8, 2)
 
 
 @pytest.mark.parametrize(

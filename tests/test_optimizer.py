@@ -559,6 +559,26 @@ def test_classify_impossible_pair():
     assert "c_minus_g_b" not in pair.residuals
 
 
+def test_classify_pair_flags_face_points_whose_squares_round_below_zero():
+    # at tol 0 the summed tetrahedron test and beta_from_b's squares (1/4) Lambda (1, b) round
+    # apart on some face points: a side either rejects is not possible, and nothing raises
+    rng = np.random.default_rng(1)
+    # b = Lambda beta^2 on a face: a Dirichlet beta^2 with a 0 put in at a random place
+    squares = [np.insert(w, at, 0.0) for w, at in zip(rng.dirichlet(np.ones(3), 500), rng.integers(0, 4, 500))]
+    rounded_out = 0
+    for b in (np.array(squares) @ lambda_matrix().T)[:, 1:]:
+        try:
+            beta_from_b(b, tol=0.0)
+            attainable = tetrahedron_check(b, tol=0.0)
+        except NotPossibleError:
+            attainable = False
+            rounded_out += tetrahedron_check(b, tol=0.0)
+        as_b, as_c = classify_pair(b, [0.1, 0.1, 0.1], tol=0.0), classify_pair([0.1, 0.1, 0.1], b, tol=0.0)
+        assert as_b.possible == as_c.possible == classify_pair(b, b, tol=0.0).possible == attainable
+        assert (as_b.beta is not None) == ("b_minus_g_c" in as_c.residuals) == attainable
+    assert rounded_out > 0
+
+
 def test_classify_non_mutual_pair():
     pair = classify_pair([0.9, 0.9, 0.9], [0.9, 0.9, 0.9])
     assert pair.possible and pair.positive
