@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NotHermitianError, NotIsometricError, NotPhysicalError
 from .linalg import DEFAULT_TOL, _checked, _hermiticity_error, _in_unit_ball, _tolerance, dagger
-from .pauli import _TRIPLES, CYCLIC, CYCLIC_AXES, SIGMA, l_table
+from .pauli import _TRIPLES, CYCLIC, SIGMA, _lambda_row, _lambda_rows, l_table
 
 __all__ = [
     "E_HAT",
@@ -279,18 +279,15 @@ def diagonalize(bmap: AffineBlochMap) -> DiagonalForm:
 _TETRAHEDRON_TOL = 1e-12
 
 
-# here and below: a huge finite axis may overflow to inf in a sum, which the tests then judge
-@np.errstate(over="ignore")
+# here and below: a row may overflow to inf, or be inf - inf for an infinite axis, which the tests then judge
+@np.errstate(over="ignore", invalid="ignore")
 def tetrahedron_violations(b, tol: float = _TETRAHEDRON_TOL) -> list[str]:
     """Names of the attainability inequalities violated by semi-axes b."""
     b, tol = _checked(b, "b", (3,), finite=False), _tolerance(tol)
-    bad = []
-    # every comparison with a NaN is False, so a NaN only gets its own label
-    if b.sum() < -1.0 - tol:
-        bad.append("b1+b2+b3 < -1")
-    for q, qp, qpp in CYCLIC:
-        if b[q - 1] + b[qp - 1] > 1.0 + b[qpp - 1] + tol:
-            bad.append(f"b{q}+b{qp} > 1+b{qpp}")
+    rows = _lambda_rows(b, np.empty(4))
+    # row 0 is the sum's face, row q'' that of b_q + b_q' <= 1 + b_q''; a NaN row breaks none of them
+    bad = ["b1+b2+b3 < -1"] if rows[0] < -tol else []
+    bad += [f"b{q}+b{qp} > 1+b{qpp}" for q, qp, qpp in CYCLIC if rows[qpp] < -tol]
     if np.any(np.isinf(b)):
         bad.append("infinite component")
     if np.any(np.isnan(b)):
@@ -299,26 +296,24 @@ def tetrahedron_violations(b, tol: float = _TETRAHEDRON_TOL) -> list[str]:
 
 
 def _edge_conditions(b: np.ndarray, ok: np.ndarray, tol: float = 0.0) -> np.ndarray:
-    """AND b_q + b_q' <= 1 + b_q'' + tol, for each cyclic triple, into the mask ok; b holds one component per row."""
-    for q, qp, qpp in CYCLIC_AXES:
-        rhs = 1.0 + b[qpp]
-        ok &= b[q] + b[qp] <= (rhs + tol if tol else rhs)  # the scan's tol 0 skips a pass
+    """AND the faces b_q + b_q' <= 1 + b_q'' (rows 1..3 of Lambda (1, b) >= -tol) into ok, over (3, ...) b."""
+    row = np.empty(b.shape[1:])
+    for j in (1, 2, 3):
+        ok &= _lambda_row(j, b, row) >= -tol
     return ok
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def tetrahedron_mask(b_rows, tol: float = _TETRAHEDRON_TOL) -> np.ndarray:
-    """Row-wise tetrahedron test over an (..., 3) array of semi-axes.
+    """Row-wise tetrahedron test over an (..., 3) array of semi-axes: every row of Lambda (1, b) >= -tol.
 
     The vertices are (1,1,1) and the three permutations of (1,-1,-1).
-    Rows with a NaN or infinite component fail.
+    Rows with a NaN or infinite component fail, as some row is then -inf or
+    NaN: +inf enters a row with a minus sign, -inf row 0 with a plus.
     """
     b, tol = _checked(b_rows, "b_rows", (..., 3), finite=False), _tolerance(tol)
-    # column by column: reductions over a length-3 axis are slow in numpy
-    finite = np.isfinite(b)
-    ok = finite[..., 0] & finite[..., 1] & finite[..., 2]
-    ok &= b[..., 0] + b[..., 1] + b[..., 2] >= -1.0 - tol
-    return _edge_conditions(b.transpose(-1, *range(b.ndim - 1)), ok, tol=tol)
+    b = b.transpose(-1, *range(b.ndim - 1))
+    return _edge_conditions(b, _lambda_row(0, b, np.empty(b.shape[1:])) >= -tol, tol=tol)
 
 
 def tetrahedron_check(b, tol: float = _TETRAHEDRON_TOL) -> bool:

@@ -25,7 +25,7 @@ import numpy as np
 from .channel import tetrahedron_check, tetrahedron_violations
 from .errors import NotPossibleError, NotPositiveOptimalError
 from .linalg import DEFAULT_TOL, _checked, _in_unit_interval, _tolerance
-from .pauli import _TRIPLES, CYCLIC_AXES, lambda_matrix
+from .pauli import _TRIPLES, CYCLIC_AXES, _lambda_rows, lambda_matrix
 
 __all__ = [
     "beta_from_b",
@@ -48,19 +48,6 @@ __all__ = [
 ]
 
 
-# the ufuncs that add terms k = 1, 2, 3 into component j of a Lambda product (its entries are +-1)
-_LAMBDA_OPS = [[np.add if lambda_matrix()[k, j] > 0 else np.subtract for k in (1, 2, 3)] for j in range(4)]
-
-
-def _lambda_rows(terms, out) -> None:
-    """out[j] = sum_k Lambda[k, j] terms[k] for j = 0..3, summed in the order k = 0..3."""
-    for j, (op1, op2, op3) in enumerate(_LAMBDA_OPS):
-        row = out[j, ...]  # a view, also when out is one-dimensional
-        op1(terms[0], terms[1], out=row)
-        op2(row, terms[2], out=row)
-        op3(row, terms[3], out=row)
-
-
 def _positive_beta(b: np.ndarray, tol: float = DEFAULT_TOL, out: np.ndarray | None = None) -> np.ndarray:
     """Positive coefficients of a (3, ...) array of semi-axes, as a (4, ...) array (into out if given).
 
@@ -68,17 +55,16 @@ def _positive_beta(b: np.ndarray, tol: float = DEFAULT_TOL, out: np.ndarray | No
     NotPossibleError naming the inequalities that the first such b violates,
     the others are clamped to zero before the root.
     """
-    beta = np.empty((4, *b.shape[1:])) if out is None else out
-    _lambda_rows((1.0, *b), beta)
-    beta *= 0.25
-    low = beta.min() if beta.size else 0.0
-    if not low >= -tol:  # NaN fails too
-        first = np.argmin(np.all(beta >= -tol, axis=0).reshape(-1))
-        names = tetrahedron_violations(b.reshape(3, -1)[:, first], tol=4.0 * tol)
-        detail = "; ".join(names) if names else "axes outside the attainable tetrahedron"
-        raise NotPossibleError(f"tetrahedron violated: {detail}")
-    if low < 0.0:  # squares >= 0 need no clamp: each starts at 1.0, so none is -0.0
+    beta = _lambda_rows(b, np.empty((4, *b.shape[1:])) if out is None else out)
+    # compare the rows, 4 beta^2, as the tetrahedron test does: a quarter of a negative subnormal rounds to -0
+    low, row_tol = (beta.min() if beta.size else 0.0), 4.0 * tol
+    if not low >= -row_tol:  # NaN fails too
+        first = np.argmin(np.all(beta >= -row_tol, axis=0).reshape(-1))
+        names = tetrahedron_violations(b.reshape(3, -1)[:, first], tol=row_tol)
+        raise NotPossibleError(f"tetrahedron violated: {'; '.join(names)}")
+    if low < 0.0:  # rows >= 0 need no clamp: each starts at 1.0, so none is -0.0
         np.maximum(beta, 0.0, out=beta)
+    beta *= 0.25
     return np.sqrt(beta, out=beta)
 
 
@@ -270,17 +256,6 @@ class OptimalPair:
         }
 
 
-def _attainable(fn, v: np.ndarray, tol: float) -> np.ndarray | None:
-    """fn(v, tol=tol) for semi-axes v in the tetrahedron, else None; also None where fn raises
-    NotPossibleError, as on a face, where its squares (1/4) Lambda (1, v) and the summed test round apart."""
-    if not tetrahedron_check(v, tol=tol):
-        return None
-    try:
-        return fn(v, tol=tol)
-    except NotPossibleError:
-        return None
-
-
 def classify_pair(b, c, tol: float = DEFAULT_TOL) -> OptimalPair:
     """Classify a candidate pair (b, c) of copy semi-axes.
 
@@ -291,7 +266,9 @@ def classify_pair(b, c, tol: float = DEFAULT_TOL) -> OptimalPair:
     """
     b, c, tol = _checked(b, "b", (3,), finite=False), _checked(c, "c", (3,), finite=False), _tolerance(tol)
 
-    beta, g_c = _attainable(beta_from_b, b, tol), _attainable(g_map, c, tol)
+    # tetrahedron_check(v, tol) bounds the rows of Lambda (1, v) by tol, 4 times stricter than g's gate
+    beta = beta_from_b(b, tol=tol) if tetrahedron_check(b, tol=tol) else None
+    g_c = g_map(c, tol=tol) if tetrahedron_check(c, tol=tol) else None
     possible = beta is not None and g_c is not None
     positive = bool(np.all(b >= -tol) and np.all(c >= -tol))
 

@@ -14,8 +14,10 @@ composition of the public steps, each checking its arguments, which the
 package's quality_e does in one pass over the Gram matrices.
 class_p_margins states the class-P inequalities in exact rational
 arithmetic, where the package compares them in floating point on a scaled
-copy of the vector, and unscaled_positive_optimal tests the box and products
-of b unscaled, where the package tests the lifted vector (1, b).
+copy of the vector, and tetrahedron_rows the rows of Lambda (1, b), which
+the package sums in floating point; unscaled_positive_optimal tests the
+box and products of b unscaled, where the package tests the lifted vector
+(1, b).
 sequential_g writes g out component by component, where the package runs
 one kernel over index rows.  state_push_map pushes the six Bloch-axis
 states through a machine and reads one output's Bloch vectors, where the
@@ -212,6 +214,18 @@ def class_p_margins(xi, tol: float = 0.0) -> list[Fraction] | None:
     t = Fraction(float(tol))
     box = [m for q in (1, 2, 3) for m in (x[q] + t, x[0] + t - x[q])]
     return box + [x[0] * x[q] - x[qp] * x[qpp] + t for q, qp, qpp in ((1, 2, 3), (2, 3, 1), (3, 1, 2))]
+
+
+def tetrahedron_rows(b) -> list[Fraction] | None:
+    """Exact rows of Lambda (1, b) of a float b, each sign written out; None when a component is not finite.
+
+    Row 0 is 1 + b1 + b2 + b3, and row q'' is 1 + b_q'' - b_q - b_q' for the
+    cyclic triples (q, q', q''); b is attainable exactly when none is negative.
+    """
+    if not all(math.isfinite(v) for v in b):
+        return None
+    b1, b2, b3 = (Fraction(float(v)) for v in b)
+    return [1 + b1 + b2 + b3, 1 + b1 - b2 - b3, 1 + b2 - b3 - b1, 1 + b3 - b1 - b2]
 
 
 def unscaled_positive_optimal(b_rows, tol: float = 0.0) -> np.ndarray:

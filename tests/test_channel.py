@@ -1,5 +1,7 @@
 """Gram matrices, transfer matrices, affine maps and explicit isometries."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,7 +37,8 @@ from blochcopy.errors import (
     NotPhysicalError,
 )
 from blochcopy.linalg import dagger, random_isometry
-from oracles import gram_from_transfer, state_push_map
+from blochcopy.pauli import lambda_matrix
+from oracles import gram_from_transfer, state_push_map, tetrahedron_rows
 
 
 def _random_machine_gram(rng):
@@ -225,6 +228,8 @@ def test_tetrahedron_membership():
     assert tetrahedron_check((1, 1, 1))
     assert tetrahedron_check((1, -1, -1))
     assert tetrahedron_check((0, 0, 0))
+    # a face point whose rows of Lambda (1, b) are all >= 0, though b3 + b1 rounds above 1 + b2
+    assert tetrahedron_check((0.4556438356163038, -0.26701684648899165, 0.2773393178947046), tol=0.0)
     assert not tetrahedron_check((0.9, 0.9, 0.5))
     assert tetrahedron_violations((0.9, 0.9, 0.5)) == ["b1+b2 > 1+b3"]
     assert tetrahedron_violations((-0.5, -0.4, -0.3)) == ["b1+b2+b3 < -1"]
@@ -250,10 +255,31 @@ def test_tetrahedron_mask_matches_the_scalar_check():
     rows = 2.4 * rng.random((4000, 3)) - 1.2
     rows[:3] = [[1, 1, 1], [1, -1, -1], [0.9, 0.9, 0.5]]
     rows[3:6] = [[np.nan, 0, 0], [np.inf] * 3, [0, -np.inf, 0]]
+    # face points b = Lambda beta^2: a Dirichlet beta^2 with a 0 put in at a random place
+    rng = np.random.default_rng(1)
+    squares = [np.insert(w, at, 0.0) for w, at in zip(rng.dirichlet(np.ones(3), 500), rng.integers(0, 4, 500))]
+    rows = np.concatenate([rows, (np.array(squares) @ lambda_matrix().T)[:, 1:]])
+    # tetrahedron_violations runs the mask's kernel; the exact rows of Lambda (1, b) are an independent check
+    exact = [tetrahedron_rows(b) for b in rows]
     for tol in (0.0, 1e-12, 0.1):
         mask = tetrahedron_mask(rows, tol=tol)
         assert mask.shape == (len(rows),)
         assert list(mask) == [not tetrahedron_violations(b, tol=tol) for b in rows]
+        if tol == 0.1:
+            continue
+        decided = 0
+        for b, ok, rows_b in zip(rows, mask, exact):
+            if rows_b is None:  # a NaN or infinite component
+                assert not ok
+                continue
+            # three sums each round by at most 2^-53 of a partial sum, itself at most 1 + |b1| + |b2| + |b3|
+            bound = Fraction(1, 2**51) * (1 + sum(abs(Fraction(v)) for v in b))
+            margins = [r + Fraction(tol) for r in rows_b]
+            if any(m < -bound for m in margins) or all(m > bound for m in margins):
+                decided += 1
+                assert ok == all(m >= 0 for m in margins)
+        # at tol 0 the vertices' and face points' margins are within rounding of 0; at 1e-12 no finite row's is
+        assert decided >= 3995 if tol == 0.0 else decided == 4497
     assert list(mask[:6]) == [True, True, False, False, False, False]
     assert tetrahedron_mask(rows.reshape(2, -1, 3)).shape == (2, len(rows) // 2)
     with pytest.raises(ValueError):

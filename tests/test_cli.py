@@ -244,7 +244,7 @@ def test_classify_csv(capsys):
 
 
 def test_classify_a_face_point_whose_squares_round_below_zero(capsys):
-    # in the tetrahedron by its summed test at tol 0, but one square (1/4) Lambda (1, b) rounds below 0
+    # on a face, where one row of Lambda (1, b) rounds below 0 at tol 0: not possible, and no error
     b = ["0.4819727898195105", "-0.5284020369017679", "-0.010374826721278402"]
     code, out, _ = _run(capsys, ["classify", *b, "0.1", "0.1", "0.1", "--tol", "0"])
     assert code == 0

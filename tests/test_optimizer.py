@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from blochcopy import validation
 from blochcopy.channel import tetrahedron_check
 from blochcopy.errors import NotPossibleError, NotPositiveOptimalError
+from blochcopy.linalg import DEFAULT_TOL
 from blochcopy.optimizer import (
     _g_columns,
     _sign_patterns,
@@ -62,10 +63,22 @@ def test_identity_machine_chain():
     assert g_map([1.0, 1.0, 1.0]) == pytest.approx([0.0, 0.0, 0.0], abs=1e-15)
 
 
-def test_unattainable_axes_raise_with_the_failed_face():
+# a face point b = Lambda beta^2 (beta_2 = 0) whose row 2 of Lambda (1, b) rounds below 0
+_ROUNDED_OUT = [0.4819727898195105, -0.5284020369017679, -0.010374826721278402]
+# a face point b = Lambda beta^2 (beta_2 = 0) whose rows all round to >= 0, though b3 + b1 rounds above 1 + b2
+_ROUNDED_IN = [0.4556438356163038, -0.26701684648899165, 0.2773393178947046]
+
+
+@pytest.mark.parametrize(
+    "bad, tol, name",
+    [([0.9, 0.9, 0.5], DEFAULT_TOL, "b1+b2 > 1+b3"), (_ROUNDED_OUT, 0.0, "b3+b1 > 1+b2")],
+    ids=["outside", "face-point-rounded-out"],
+)
+def test_unattainable_axes_raise_with_the_failed_face(bad, tol, name):
+    assert not tetrahedron_check(bad, tol=tol)
     with pytest.raises(NotPossibleError) as err:
-        beta_from_b([0.9, 0.9, 0.5])
-    assert str(err.value) == "tetrahedron violated: b1+b2 > 1+b3"
+        beta_from_b(bad, tol=tol)
+    assert str(err.value) == f"tetrahedron violated: {name}"
 
 
 @pytest.mark.parametrize(
@@ -559,24 +572,24 @@ def test_classify_impossible_pair():
     assert "c_minus_g_b" not in pair.residuals
 
 
-def test_classify_pair_flags_face_points_whose_squares_round_below_zero():
-    # at tol 0 the summed tetrahedron test and beta_from_b's squares (1/4) Lambda (1, b) round
-    # apart on some face points: a side either rejects is not possible, and nothing raises
+@pytest.mark.parametrize("tol", [0.0, 1e-12, DEFAULT_TOL])
+def test_classify_pair_flags_face_points_whose_squares_round_below_zero(tol):
+    # the tetrahedron test and beta_from_b read the same rows of Lambda (1, b), so on face points, where
+    # a row may round below 0, they agree: a side either rejects is not possible, and nothing raises
     rng = np.random.default_rng(1)
     # b = Lambda beta^2 on a face: a Dirichlet beta^2 with a 0 put in at a random place
     squares = [np.insert(w, at, 0.0) for w, at in zip(rng.dirichlet(np.ones(3), 500), rng.integers(0, 4, 500))]
-    rounded_out = 0
-    for b in (np.array(squares) @ lambda_matrix().T)[:, 1:]:
+    for b in [*(np.array(squares) @ lambda_matrix().T)[:, 1:], _ROUNDED_OUT, _ROUNDED_IN]:
+        attainable = tetrahedron_check(b, tol=tol)
         try:
-            beta_from_b(b, tol=0.0)
-            attainable = tetrahedron_check(b, tol=0.0)
+            beta_from_b(b, tol=tol)
         except NotPossibleError:
-            attainable = False
-            rounded_out += tetrahedron_check(b, tol=0.0)
-        as_b, as_c = classify_pair(b, [0.1, 0.1, 0.1], tol=0.0), classify_pair([0.1, 0.1, 0.1], b, tol=0.0)
-        assert as_b.possible == as_c.possible == classify_pair(b, b, tol=0.0).possible == attainable
+            assert not attainable
+        else:
+            assert attainable
+        as_b, as_c = classify_pair(b, [0.1, 0.1, 0.1], tol=tol), classify_pair([0.1, 0.1, 0.1], b, tol=tol)
+        assert as_b.possible == as_c.possible == classify_pair(b, b, tol=tol).possible == attainable
         assert (as_b.beta is not None) == ("b_minus_g_c" in as_c.residuals) == attainable
-    assert rounded_out > 0
 
 
 def test_classify_non_mutual_pair():
