@@ -37,7 +37,6 @@ __all__ = [
     "bloch_vector",
     "transfer_from_gram",
     "b_from_e",
-    "isometry_residuals",
     "check_physical",
     "diagonalize",
     "tetrahedron_check",
@@ -55,6 +54,7 @@ __all__ = [
 ]
 
 _RT2 = 1.0 / np.sqrt(2.0)
+_SIGMA_CONJ = SIGMA.conj()
 
 # Orthonormal magic basis of the 4-dimensional E space, rows indexed like the
 # Pauli label they pair with, components in the |cd> basis.
@@ -146,19 +146,12 @@ def _transfer(e_gram: np.ndarray) -> np.ndarray:
     return np.einsum("lmjk,...jk->...lm", l_table(), e_gram).real
 
 
-def isometry_residuals(e_gram: np.ndarray) -> tuple:
-    """Residuals of the two isometry conditions on a Gram matrix.
+def _isometry_residuals(e_gram: np.ndarray) -> tuple:
+    """Residuals of the two isometry conditions on a checked Gram matrix or stack, as arrays.
 
     Returns (trace residual |sum_l E_ll - 1|, largest residual of
-    Re E_0q = Im E_q'q'' over the cyclic triples), as arrays for a stack.
+    Re E_0q = Im E_q'q'' over the cyclic triples).
     """
-    e_gram = _checked(e_gram, "e_gram", (..., 4, 4), complex)
-    trace_err, reim = _isometry_residuals(e_gram)
-    return (float(trace_err), float(reim)) if e_gram.ndim == 2 else (trace_err, reim)
-
-
-def _isometry_residuals(e_gram: np.ndarray) -> tuple:
-    """isometry_residuals of a checked Gram matrix or stack, as arrays."""
     _, qp, qpp = _TRIPLES
     trace_err = np.abs(np.trace(e_gram, axis1=-2, axis2=-1) - 1.0)
     # e_gram[..., 0, 1:] holds E_0q for q = 1, 2, 3
@@ -352,7 +345,7 @@ def extract_e_vectors(v: np.ndarray) -> np.ndarray:
 
 def _extracted(v: np.ndarray) -> np.ndarray:
     """extract_e_vectors of a checked isometry or stack."""
-    return 0.5 * np.einsum("lba,...bda->...ld", SIGMA.conj(), v.reshape(*v.shape[:-2], 2, v.shape[-2] // 2, 2))
+    return 0.5 * np.einsum("lba,...bda->...ld", _SIGMA_CONJ, v.reshape(*v.shape[:-2], 2, v.shape[-2] // 2, 2))
 
 
 def gram_matrix(e_vectors: np.ndarray) -> np.ndarray:

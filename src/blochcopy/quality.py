@@ -22,7 +22,6 @@ __all__ = [
     "trace_norm",
     "min_error_rate",
     "quality_bloch",
-    "omega_e",
     "quality_e",
     "quality_e_diagonal",
     "quality_c_from_circuit",
@@ -69,21 +68,17 @@ def quality_bloch(bmap: AffineBlochMap, m) -> float:
     return float(np.linalg.norm(_unit_mode(m) @ linear))
 
 
-def omega_e(e_vectors: np.ndarray, m) -> np.ndarray:
-    """Mode operator of the environment, sum_q m_q F_q0.
+def _omega(e_vectors: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Mode operator of the environment, sum_q m_q F_q0, of checked expansion vectors and a checked mode.
 
     F_lm = sum_jk L(jk;lm) |e_j><e_k| is an operator on the E space.
 
     Works for expansion vectors of any dimension (the block-embedded case
     included) and stacks.  Equals the partial trace over B of V (m . sigma / 2) V^dag.
+    m is folded into the L table first: each (j, k) has at most one nonzero
+    L(jk; q0), so this gives the bits of the four-operand einsum.
     """
-    m = _unit_mode(m)
-    return _omega(_checked(e_vectors, "e_vectors", (..., 4, "d"), complex), m)
-
-
-def _omega(e_vectors: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """omega_e of checked expansion vectors and a checked mode."""
-    return np.einsum("q,jkq,...jd,...ke->...de", m, _MODE_L, e_vectors, e_vectors.conj())
+    return np.einsum("jk,...jd,...ke->...de", np.einsum("q,jkq->jk", m, _MODE_L), e_vectors, e_vectors.conj())
 
 
 def quality_e(e_gram: np.ndarray, m) -> float | np.ndarray:

@@ -10,8 +10,10 @@ concavity_report checks one trial at a time, where the concavity
 subcommand checks a block of trials per call.  gram_from_transfer is the
 inverse of the package's transfer_from_gram, which the round-trip tests
 compare it against.  quality_e_composed is the environment quality as the
-composition of the public steps, each checking its arguments, which the
-package's quality_e does in one pass over the Gram matrices.
+composition of its steps, realize_e_vectors checking the Gram matrices,
+which the package's quality_e does in one pass over them; omega_einsum is
+the mode operator as one four-operand einsum, where the package folds the
+mode into the L table first.
 class_p_margins states the class-P inequalities in exact rational
 arithmetic, where the package compares them in floating point on a scaled
 copy of the vector, and tetrahedron_rows the rows of Lambda (1, b), which
@@ -183,21 +185,31 @@ def concavity_report(trials: int, seed: int, p1: float, mode, tol: float) -> dic
 
 
 def quality_e_composed(e_gram, m):
-    """quality_e as realize_e_vectors, then the physicality test, then trace_norm(omega_e(...))."""
-    from blochcopy.channel import isometry_residuals, realize_e_vectors
+    """quality_e as realize_e_vectors, then the physicality test, then trace_norm of the mode operator."""
+    from blochcopy.channel import _isometry_residuals, realize_e_vectors
     from blochcopy.errors import NotPhysicalError
     from blochcopy.linalg import DEFAULT_TOL, _hermiticity_error
-    from blochcopy.quality import omega_e, trace_norm
+    from blochcopy.quality import _omega, _unit_mode, trace_norm
 
     e_vectors = realize_e_vectors(e_gram)
     e_gram = np.asarray(e_gram, dtype=complex)
     herm = _hermiticity_error(e_gram)
-    residual = np.maximum(*isometry_residuals(e_gram))
+    residual = np.maximum(*_isometry_residuals(e_gram))
     if not np.all(np.maximum(herm, residual) <= DEFAULT_TOL):
         raise NotPhysicalError(
             f"Gram matrix fails physicality: Hermiticity error {np.max(herm):.3e}, isometry residual {np.max(residual):.3e}"
         )
-    return trace_norm(omega_e(e_vectors, m))
+    return trace_norm(_omega(e_vectors, _unit_mode(m)))
+
+
+def omega_einsum(e_vectors, m):
+    """The mode operator sum_q m_q F_q0 as one four-operand einsum over m, the L table and the vectors.
+
+    The package folds m into the table first, with the same bits.
+    """
+    from blochcopy.pauli import l_table
+
+    return np.einsum("q,jkq,...jd,...ke->...de", m, l_table()[:, :, 1:, 0], e_vectors, e_vectors.conj())
 
 
 def class_p_margins(xi, tol: float = 0.0) -> list[Fraction] | None:

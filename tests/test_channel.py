@@ -21,7 +21,6 @@ from blochcopy.channel import (
     gram_matrix,
     isometry_from_beta,
     isometry_from_e_vectors,
-    isometry_residuals,
     map_bloch,
     output_map,
     realize_e_vectors,
@@ -150,9 +149,9 @@ def test_b_from_e_checks_isometry():
 def test_isometry_residuals_on_machine_grams():
     rng = np.random.default_rng(23)
     for _ in range(20):
-        trace_err, reim = isometry_residuals(_random_machine_gram(rng))
-        assert trace_err < 1e-12
-        assert reim < 1e-12
+        report = check_physical(_random_machine_gram(rng))
+        assert report.trace_error < 1e-12
+        assert report.isometry_error < 1e-12
 
 
 def test_machine_image_stays_in_bloch_ball():

@@ -18,7 +18,6 @@ from blochcopy.channel import (
     gram_matrix,
     isometry_from_beta,
     isometry_from_e_vectors,
-    isometry_residuals,
     map_bloch,
     output_map,
     realize_e_vectors,
@@ -57,7 +56,6 @@ from blochcopy.optimizer import (
 from blochcopy.quality import (
     distinguishability,
     min_error_rate,
-    omega_e,
     quality_bloch,
     quality_c_from_circuit,
     quality_e,
@@ -110,12 +108,10 @@ _CASES = {
     "b_from_e": lambda bad: b_from_e(_spoil(_GRAM, bad), check=False),
     "complex_matrix_to_json": lambda bad: complex_matrix_to_json(_spoil(_GRAM, bad)),
     "complex_matrix_from_json": lambda bad: complex_matrix_from_json(_spoil(np.zeros((4, 4, 2)), bad).tolist()),
-    "isometry_residuals": lambda bad: isometry_residuals(_spoil(_GRAM, bad)),
     "isometry_from_beta": lambda bad: isometry_from_beta(_spoil(_BETA, bad)),
     "isometry_from_e_vectors": lambda bad: isometry_from_e_vectors(_spoil(np.eye(4), bad)),
     "extract_e_vectors": lambda bad: extract_e_vectors(_spoil(_V, bad)),
     "gram_matrix": lambda bad: gram_matrix(_spoil(np.eye(4), bad)),
-    "omega_e": lambda bad: omega_e(_spoil(np.eye(4), bad), _Z),
     "quality_e": lambda bad: quality_e(_spoil(_GRAM, bad), _Z),
     "quality_e_mode": lambda bad: quality_e(_GRAM, _spoil(_Z, bad)),
     "quality_e_diagonal": lambda bad: quality_e_diagonal(_spoil(_BETA, bad), _Z),
@@ -146,14 +142,13 @@ def test_non_finite_entries_raise_value_error(call, bad):
         (lambda: trace_norm(np.zeros((2, 3))), r"h must have shape \(\.\.\., n, n\)"),
         (lambda: tetrahedron_mask(np.zeros((5, 4))), r"b_rows must have shape \(\.\.\., 3\)"),
         (lambda: quality_e(np.eye(3), _Z), r"e_gram must have shape \(\.\.\., 4, 4\)"),
-        (lambda: isometry_residuals(np.eye(3)), r"e_gram must have shape \(\.\.\., 4, 4\)"),
         (lambda: mixed_isometry(_V, np.zeros((4, 3)), 0.5), r"v2 must have shape \(\.\.\., 2d, 2\)"),
         (lambda: b_from_beta([1.0, 0.0, 0.0]), r"beta must have shape \(4,\), got \(3,\)"),
         (lambda: complex_matrix_to_json(np.zeros(3)), r"m must have shape \(r, c\), got \(3,\)"),
         (lambda: complex_matrix_from_json([[1, 2]]), r"obj must be a list of rows of \[re, im\] number pairs"),
         (lambda: AffineBlochMap.diagonal([1, 2]), r"axes must have shape \(3,\), got \(2,\)"),
     ],
-    ids=["isometry", "square", "rows", "gram", "residuals", "second-machine", "beta", "json-matrix", "json-pairs",
+    ids=["isometry", "square", "rows", "gram", "second-machine", "beta", "json-matrix", "json-pairs",
          "diagonal-axes"],
 )
 def test_wrong_shapes_name_the_argument(call, message):

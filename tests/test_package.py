@@ -1,8 +1,12 @@
-"""The package surface: submodules bound as modules, and __all__ lists that match what each module binds."""
+"""The package surface: submodules bound as modules, __all__ lists that match what each module binds,
+and a caller or a stated reason for every public name."""
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
+import re
 
 import blochcopy
 
@@ -51,3 +55,34 @@ def test_every_name_in_a_library_submodule_all_is_bound_on_the_package():
         if getattr(blochcopy, attr, None) is not getattr(mod, attr)
     ]
     assert unbound == []
+
+
+def _used_in_the_package() -> set:
+    """Names the package's source loads, as a name or an attribute, or imports by name.
+
+    A name's def and its __all__ string are not uses.
+    """
+    used = set()
+    for path in pathlib.Path(blochcopy.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return used
+
+
+def _kept_for_a_stated_reason() -> set:
+    """Names that open a code span in the bullets of README's Public API; its table of removed wrappers gives none."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^\* .*(?:\n  .*)*", section, re.MULTILINE)
+    return set(re.findall(r"`([A-Za-z_]\w*)[^`]*`", "\n".join(bullets)))
+
+
+def test_every_public_name_has_a_caller_in_the_package_or_a_stated_reason():
+    public = {name for name, obj in vars(blochcopy).items() if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert public
+    assert sorted(public - _used_in_the_package() - _kept_for_a_stated_reason()) == []

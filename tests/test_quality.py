@@ -14,7 +14,6 @@ from blochcopy.channel import (
     extract_e_vectors,
     gram_matrix,
     isometry_from_beta,
-    isometry_residuals,
     output_map,
     realize_e_vectors,
 )
@@ -25,15 +24,20 @@ from blochcopy.pauli import SIGMA
 from blochcopy.quality import (
     distinguishability,
     min_error_rate,
-    omega_e,
     quality_bloch,
     quality_c_from_circuit,
     quality_e,
     quality_e_diagonal,
     trace_norm,
 )
-from blochcopy.validation import concavity_check, random_physical_gram, symmetry_check, time_reversed_gram
-from oracles import partial_trace, quality_e_composed
+from blochcopy.validation import (
+    concavity_check,
+    mixed_isometry,
+    random_physical_gram,
+    symmetry_check,
+    time_reversed_gram,
+)
+from oracles import omega_einsum, partial_trace, quality_e_composed
 
 
 def _random_beta(rng):
@@ -115,7 +119,7 @@ def test_omega_matches_partial_trace_oracle():
     for _ in range(50):
         v = random_isometry(8, 2, rng)
         m = _random_mode(rng)
-        got = omega_e(extract_e_vectors(v), m)
+        got = quality._omega(extract_e_vectors(v), m)
         assert np.max(np.abs(got - _oracle_omega(v, m))) < 1e-13
 
 
@@ -124,7 +128,7 @@ def test_omega_mode_z_structure_in_magic_basis():
     # 1,2; the latter carry the -i/+i phases
     rng = np.random.default_rng(53)
     beta = _random_beta(rng)
-    om = omega_e(beta[:, None] * E_HAT, [0.0, 0.0, 1.0])
+    om = quality._omega(beta[:, None] * E_HAT, [0.0, 0.0, 1.0])
     magic = E_HAT.conj() @ om @ E_HAT.T
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 3] = expected[3, 0] = beta[0] * beta[3]
@@ -137,8 +141,26 @@ def test_omega_is_hermitian():
     rng = np.random.default_rng(54)
     for _ in range(20):
         v = random_isometry(8, 2, rng)
-        om = omega_e(extract_e_vectors(v), _random_mode(rng))
+        om = quality._omega(extract_e_vectors(v), _random_mode(rng))
         assert np.max(np.abs(om - dagger(om))) < 1e-13
+
+
+def test_omega_folds_the_mode_into_the_table_with_the_bits_of_the_four_operand_einsum():
+    # each (j, k) pairs with at most one q, so the folded table holds the exact products m_q L(jk; q0)
+    assert np.count_nonzero(quality._MODE_L, axis=2).max() == 1
+    rng = np.random.default_rng(56)
+    v1, v2 = random_isometry(8, 2, rng, size=(2, 300))
+    mixed = extract_e_vectors(mixed_isometry(v1, v2, 0.3))
+    stacks = {
+        "realized": realize_e_vectors(gram_matrix(extract_e_vectors(v1))),
+        "mixed": mixed,
+        "mixed-realized": realize_e_vectors(gram_matrix(mixed)),
+        "diagonal": np.array([_random_beta(rng) for _ in range(300)])[:, :, None] * E_HAT,
+    }
+    modes = [_random_mode(rng) for _ in range(4)] + [sign * axis for axis in np.eye(3) for sign in (1.0, -1.0)]
+    for kind, e_vectors in stacks.items():
+        for m in modes:
+            assert _bits(quality._omega(e_vectors, m)) == _bits(omega_einsum(e_vectors, m)), (kind, m)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +185,7 @@ def test_closed_form_matches_eigensolve():
         beta = _random_beta(rng)
         m = _random_mode(rng)
         via_gram = quality_e(np.diag(beta**2).astype(complex), m)
-        via_vectors = trace_norm(omega_e(beta[:, None] * E_HAT, m))
+        via_vectors = trace_norm(quality._omega(beta[:, None] * E_HAT, m))
         closed = quality_e_diagonal(beta, m)
         assert abs(via_gram - closed) < 1e-12
         assert abs(via_vectors - closed) < 1e-12
@@ -202,8 +224,9 @@ def test_stacks_give_the_bits_of_one_call_per_matrix():
     m = _random_mode(rng)
     vectors = realize_e_vectors(grams)
     assert _bits(vectors) == _bits([realize_e_vectors(e) for e in grams])
-    assert _bits(isometry_residuals(grams)) == _bits(np.transpose([isometry_residuals(e) for e in grams]))
-    omegas = omega_e(vectors, m)
+    residuals = channel._isometry_residuals
+    assert _bits(residuals(grams)) == _bits(np.transpose([residuals(e) for e in grams]))
+    omegas = quality._omega(vectors, m)
     assert _bits(trace_norm(omegas)) == _bits([trace_norm(h) for h in omegas])
     single = [quality_e(e, m) for e in grams]
     assert all(type(q) is float for q in single)
