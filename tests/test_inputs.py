@@ -142,14 +142,17 @@ def test_non_finite_entries_raise_value_error(call, bad):
         (lambda: trace_norm(np.zeros((2, 3))), r"h must have shape \(\.\.\., n, n\)"),
         (lambda: tetrahedron_mask(np.zeros((5, 4))), r"b_rows must have shape \(\.\.\., 3\)"),
         (lambda: quality_e(np.eye(3), _Z), r"e_gram must have shape \(\.\.\., 4, 4\)"),
+        (lambda: quality_e(_GRAM, [0.0, 1.0]), r"mode direction m must have shape \(3,\), got \(2,\)"),
+        (lambda: check_physical(np.eye(3)), r"e_gram must have shape \(4, 4\), got \(3, 3\)"),
+        (lambda: check_physical(np.stack([_GRAM, _GRAM])), r"e_gram must have shape \(4, 4\), got \(2, 4, 4\)"),
         (lambda: mixed_isometry(_V, np.zeros((4, 3)), 0.5), r"v2 must have shape \(\.\.\., 2d, 2\)"),
         (lambda: b_from_beta([1.0, 0.0, 0.0]), r"beta must have shape \(4,\), got \(3,\)"),
         (lambda: complex_matrix_to_json(np.zeros(3)), r"m must have shape \(r, c\), got \(3,\)"),
         (lambda: complex_matrix_from_json([[1, 2]]), r"obj must be a list of rows of \[re, im\] number pairs"),
         (lambda: AffineBlochMap.diagonal([1, 2]), r"axes must have shape \(3,\), got \(2,\)"),
     ],
-    ids=["isometry", "square", "rows", "gram", "second-machine", "beta", "json-matrix", "json-pairs",
-         "diagonal-axes"],
+    ids=["isometry", "square", "rows", "gram", "mode", "residuals", "physical-stack", "second-machine", "beta",
+         "json-matrix", "json-pairs", "diagonal-axes"],
 )
 def test_wrong_shapes_name_the_argument(call, message):
     with pytest.raises(ValueError, match=message):
