@@ -54,7 +54,6 @@ __all__ = [
 ]
 
 _RT2 = 1.0 / np.sqrt(2.0)
-_SIGMA_CONJ = SIGMA.conj()
 
 # Orthonormal magic basis of the 4-dimensional E space, rows indexed like the
 # Pauli label they pair with, components in the |cd> basis.
@@ -345,7 +344,7 @@ def extract_e_vectors(v: np.ndarray) -> np.ndarray:
 
 def _extracted(v: np.ndarray) -> np.ndarray:
     """extract_e_vectors of a checked isometry or stack."""
-    return 0.5 * np.einsum("lba,...bda->...ld", _SIGMA_CONJ, v.reshape(*v.shape[:-2], 2, v.shape[-2] // 2, 2))
+    return 0.5 * np.einsum("lba,...bda->...ld", SIGMA.conj(), v.reshape(*v.shape[:-2], 2, v.shape[-2] // 2, 2))
 
 
 def gram_matrix(e_vectors: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ Precedence: flag, scan --full preset, config file, default.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import re
@@ -342,7 +341,6 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-@functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The parser and its subparsers by name; every option's type, choices and default are here."""
     parser = _Parser(
@@ -443,8 +441,7 @@ def main(argv=None) -> int:
     try:
         full = getattr(args, "full", False)
         if args.config or full:
-            # config values and the --full preset become defaults of a fresh parser; flags win on reparse
-            parser, subparsers = _build_parser.__wrapped__()
+            # config values and the --full preset become defaults; flags win on reparse
             sub = subparsers[args.command]
             values = _config_defaults(subparsers, args.command, args.config) if args.config else {}
             if full or values.get("full"):

@@ -46,8 +46,6 @@ def random_physical_gram(rng: np.random.Generator) -> np.ndarray:
 
 # Largest quality change that symmetry_check lets time reversal make.
 _SYMMETRY_TOL = 1e-10
-# The signs time reversal puts on E_lm: -1 on the 0q and q0 entries.
-_REVERSAL_SIGNS = np.outer([1.0, -1.0, -1.0, -1.0], [1.0, -1.0, -1.0, -1.0])
 # Candidates drawn per block by the rejection samplers: about 9% of good draws
 # hit, so a 32-row block misses with probability 0.908**32 < 5%, and about 25%
 # of outside draws, which miss it with probability ~1e-4.
@@ -384,7 +382,8 @@ def time_reversed_gram(e_gram: np.ndarray) -> np.ndarray:
 
 def _time_reversed(e_gram: np.ndarray) -> np.ndarray:
     """time_reversed_gram of a checked Gram matrix."""
-    return e_gram.conj() * _REVERSAL_SIGNS
+    signs = np.array([1.0, -1.0, -1.0, -1.0])
+    return e_gram.conj() * np.outer(signs, signs)
 
 
 def symmetry_check(e_gram: np.ndarray, mode) -> tuple[float, float]:

@@ -684,15 +684,6 @@ def test_config_supplies_defaults(capsys, tmp_path):
     assert doc["seed"] == 1
 
 
-def test_config_values_stay_defaults_of_their_own_call(capsys, tmp_path):
-    # main reuses one parser, and sets a file's values as defaults on a fresh one
-    config = tmp_path / "fig1.cfg"
-    config.write_text("count=3\n")
-    assert _run(capsys, ["fig1", "--config", str(config)])[1].count("\n") == 4
-    code, out, _ = _run(capsys, ["fig1"])
-    assert (code, out.count("\n")) == (0, 102)
-
-
 def test_flags_beat_the_config(capsys, tmp_path):
     config = tmp_path / "scan.cfg"
     config.write_text("n_outer=3\nn_inner=40\nseed=1\n")

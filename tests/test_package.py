@@ -58,16 +58,24 @@ def test_every_name_in_a_library_submodule_all_is_bound_on_the_package():
 
 
 def _used_in_the_package() -> set:
-    """Names the package's source loads, as a name or an attribute, or imports by name.
+    """Names the package's source loads, by name or as an attribute of a package module, or imports by name.
 
-    A name's def and its __all__ string are not uses.
+    A name's def and its __all__ string are not uses, and neither is an
+    attribute of anything but a package module, self or cls.
     """
+    sources = list(pathlib.Path(blochcopy.__file__).parent.glob("*.py"))
+    bases = {path.stem for path in sources} | {"self", "cls"}
     used = set()
-    for path in pathlib.Path(blochcopy.__file__).parent.glob("*.py"):
+    for path in sources:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in bases
+            ):
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
@@ -75,11 +83,19 @@ def _used_in_the_package() -> set:
 
 
 def _kept_for_a_stated_reason() -> set:
-    """Names that open a code span in the bullets of README's Public API; its table of removed wrappers gives none."""
+    """Names that README's Public API bullets list right after their colon.
+
+    The reason before the colon, prose after the list and the table of
+    removed wrappers give none.
+    """
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
-    bullets = re.findall(r"^\* .*(?:\n  .*)*", section, re.MULTILINE)
-    return set(re.findall(r"`([A-Za-z_]\w*)[^`]*`", "\n".join(bullets)))
+    kept = set()
+    for bullet in re.findall(r"^\* .*(?:\n  .*)*", section, re.MULTILINE):
+        listed = re.match(r"\* [^:`]*:\s*((?:`[^`]*`[,\s]*)+)", bullet)
+        if listed:
+            kept.update(re.findall(r"`([A-Za-z_]\w*)", listed.group(1)))
+    return kept
 
 
 def test_every_public_name_has_a_caller_in_the_package_or_a_stated_reason():
