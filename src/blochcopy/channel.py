@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NotHermitianError, NotIsometricError, NotPhysicalError
 from .linalg import DEFAULT_TOL, _checked, _hermiticity_error, _in_unit_ball, _tolerance, dagger
-from .pauli import _TRIPLES, CYCLIC, SIGMA, _lambda_row, _lambda_rows, l_table
+from .pauli import _TRIPLES, SIGMA, l_table
 
 __all__ = [
     "E_HAT",
@@ -39,9 +39,6 @@ __all__ = [
     "b_from_e",
     "check_physical",
     "diagonalize",
-    "tetrahedron_check",
-    "tetrahedron_mask",
-    "tetrahedron_violations",
     "isometry_from_beta",
     "isometry_from_e_vectors",
     "extract_e_vectors",
@@ -264,53 +261,7 @@ def diagonalize(bmap: AffineBlochMap) -> DiagonalForm:
 
 
 # ---------------------------------------------------------------------------
-# Centered machines: attainable axes and explicit isometries
-
-
-# the slack of the tetrahedron's inequalities, for rounding at its faces
-_TETRAHEDRON_TOL = 1e-12
-
-
-# here and below: a row may overflow to inf, or be inf - inf for an infinite axis, which the tests then judge
-@np.errstate(over="ignore", invalid="ignore")
-def tetrahedron_violations(b, tol: float = _TETRAHEDRON_TOL) -> list[str]:
-    """Names of the attainability inequalities violated by semi-axes b."""
-    b, tol = _checked(b, "b", (3,), finite=False), _tolerance(tol)
-    rows = _lambda_rows(b, np.empty(4))
-    # row 0 is the sum's face, row q'' that of b_q + b_q' <= 1 + b_q''; a NaN row breaks none of them
-    bad = ["b1+b2+b3 < -1"] if rows[0] < -tol else []
-    bad += [f"b{q}+b{qp} > 1+b{qpp}" for q, qp, qpp in CYCLIC if rows[qpp] < -tol]
-    if np.any(np.isinf(b)):
-        bad.append("infinite component")
-    if np.any(np.isnan(b)):
-        bad.append("NaN component")
-    return bad
-
-
-def _edge_conditions(b: np.ndarray, ok: np.ndarray, tol: float = 0.0) -> np.ndarray:
-    """AND the faces b_q + b_q' <= 1 + b_q'' (rows 1..3 of Lambda (1, b) >= -tol) into ok, over (3, ...) b."""
-    row = np.empty(b.shape[1:])
-    for j in (1, 2, 3):
-        ok &= _lambda_row(j, b, row) >= -tol
-    return ok
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def tetrahedron_mask(b_rows, tol: float = _TETRAHEDRON_TOL) -> np.ndarray:
-    """Row-wise tetrahedron test over an (..., 3) array of semi-axes: every row of Lambda (1, b) >= -tol.
-
-    The vertices are (1,1,1) and the three permutations of (1,-1,-1).
-    Rows with a NaN or infinite component fail, as some row is then -inf or
-    NaN: +inf enters a row with a minus sign, -inf row 0 with a plus.
-    """
-    b, tol = _checked(b_rows, "b_rows", (..., 3), finite=False), _tolerance(tol)
-    b = b.transpose(-1, *range(b.ndim - 1))
-    return _edge_conditions(b, _lambda_row(0, b, np.empty(b.shape[1:])) >= -tol, tol=tol)
-
-
-def tetrahedron_check(b, tol: float = _TETRAHEDRON_TOL) -> bool:
-    """True when b lies in the tetrahedron of attainable centered semi-axes."""
-    return bool(tetrahedron_mask(_checked(b, "b", (3,), finite=False), tol=tol))
+# Centered machines: explicit isometries
 
 
 def isometry_from_beta(beta) -> np.ndarray:

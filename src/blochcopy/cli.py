@@ -21,6 +21,7 @@ Precedence: flag, scan --full preset, config file, default.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -58,15 +59,19 @@ class _UsageError(ValueError):
 def _load_config(path: str) -> dict:
     """Read key=value lines into {key: (line number, value)}; blank lines and # comments are skipped."""
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            out[key.strip()] = (lineno, value.strip())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        out[key.strip()] = (lineno, value.strip())
     return out
 
 
@@ -149,6 +154,8 @@ _tolerance = _number(float, lambda x: 0.0 <= x < math.inf, "a nonnegative finite
 _probability = _number(float, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]")
 
 
+# The scan sizes that scan --full sets.
+_FULL_SCAN = {"n_outer": 4000, "n_inner": 100000}
 # Trials that concavity draws and checks per concavity_check call.
 _CONCAVITY_BLOCK = 1024
 # Rows that fig1 formats and writes at once.
@@ -255,8 +262,8 @@ def _cmd_tomography(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    fields = ("n_outer", "n_inner", "seed", "region", "max_keep")
-    report = monotonicity_scan(ScanConfig(**{name: getattr(args, name) for name in fields}))
+    config = ScanConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ScanConfig)})
+    report = monotonicity_scan(config)
     header = [f"{name}{q}" for name in ("b", "cand", "gb", "gcand") for q in (1, 2, 3)]
     rows = [rec["b"] + rec["candidate"] + rec["g_b"] + rec["g_candidate"] for rec in report.violations]
     _emit(args, report.to_json(), header, rows)
@@ -302,10 +309,10 @@ def _cmd_jacobian_check(args) -> int:
 
 
 def _cmd_check_e(args) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        text = fh.read()
+    with open(args.file, "rb") as fh:
+        data = fh.read()
     try:
-        payload = json.loads(text)
+        payload = json.loads(data.decode("utf-8"))
         if isinstance(payload, dict):
             payload = payload.get("e_gram", payload)
         e_gram = _checked(complex_matrix_from_json(payload), "Gram matrix", (4, 4), complex)
@@ -386,7 +393,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--n-inner", dest="n_inner", type=_positive_int, default=ScanConfig.n_inner)
     p.add_argument("--seed", type=_nonnegative_int, default=ScanConfig.seed)
     p.add_argument("--max-keep", dest="max_keep", type=_nonnegative_int, default=ScanConfig.max_keep)
-    p.add_argument("--full", action="store_true", help="4000 x 100000 preset")
+    p.add_argument("--full", action="store_true", help="{n_outer} x {n_inner} preset".format(**_FULL_SCAN))
     p.set_defaults(func=_cmd_scan)
 
     p = _add_common(subs.add_parser("concavity", help="random mixing checks of the eavesdropper quality"), fmt=None)
@@ -445,7 +452,7 @@ def main(argv=None) -> int:
             sub = subparsers[args.command]
             values = _config_defaults(subparsers, args.command, args.config) if args.config else {}
             if full or values.get("full"):
-                values.update(n_outer=4000, n_inner=100000)
+                values.update(_FULL_SCAN)
             sub.set_defaults(**values)
             args = parser.parse_args(argv)
         if getattr(args, "beta", ...) is None:

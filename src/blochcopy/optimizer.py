@@ -4,7 +4,10 @@ A centered machine shrinks the Bloch sphere along the principal axes by
 b (first copy) and c (second copy).  The two sets of semi-axes are linked
 through the machine coefficients: beta^2 = (1/4) Lambda (1, b), with the
 sign matrix Lambda, and beta is always taken as the componentwise positive
-square root.  The trade-off map g is then the closed form
+square root.  So b is attainable exactly when every row of Lambda (1, b) is
+nonnegative, inside the tetrahedron with vertices (1, 1, 1) and the
+permutations of (1, -1, -1); the tetrahedron test and g read those rows from
+one kernel.  The trade-off map g is then the closed form
 
     c_q = g(b)_q = 2 (beta_0 beta_q + beta_q' beta_q'')
 
@@ -22,12 +25,14 @@ from itertools import product
 
 import numpy as np
 
-from .channel import tetrahedron_check, tetrahedron_violations
 from .errors import NotPossibleError, NotPositiveOptimalError
 from .linalg import DEFAULT_TOL, _checked, _in_unit_interval, _tolerance
-from .pauli import _TRIPLES, CYCLIC_AXES, _lambda_rows, lambda_matrix
+from .pauli import _TRIPLES, CYCLIC, CYCLIC_AXES, lambda_matrix
 
 __all__ = [
+    "tetrahedron_check",
+    "tetrahedron_mask",
+    "tetrahedron_violations",
     "beta_from_b",
     "b_from_beta",
     "gamma_from_beta",
@@ -46,6 +51,72 @@ __all__ = [
     "JacobianPair",
     "jacobians",
 ]
+
+
+# b is attainable when every row of Lambda (1, b), 4 beta^2, is >= 0: the tetrahedron test and g's gate
+# both read the rows here.  The ufuncs that add b_1, b_2, b_3 into row j (Lambda's entries are +-1):
+_LAMBDA_OPS = [[np.add if lambda_matrix()[k, j] > 0 else np.subtract for k in (1, 2, 3)] for j in range(4)]
+
+
+def _lambda_row(j: int, b, out: np.ndarray) -> np.ndarray:
+    """Row j of Lambda (1, b) into out, summed ((1 +- b_1) +- b_2) +- b_3; b holds one component per row."""
+    op1, op2, op3 = _LAMBDA_OPS[j]
+    op1(1.0, b[0], out=out)
+    op2(out, b[1], out=out)
+    return op3(out, b[2], out=out)
+
+
+def _lambda_rows(b, out: np.ndarray) -> np.ndarray:
+    """The four rows of Lambda (1, b) into out[0..3], each as _lambda_row sums it."""
+    for j in range(4):
+        _lambda_row(j, b, out[j, ...])  # a view, also when out is one-dimensional
+    return out
+
+
+# the slack of the tetrahedron's inequalities, for rounding at its faces
+_TETRAHEDRON_TOL = 1e-12
+
+
+# here and below: a row may overflow to inf, or be inf - inf for an infinite axis, which the tests then judge
+@np.errstate(over="ignore", invalid="ignore")
+def tetrahedron_violations(b, tol: float = _TETRAHEDRON_TOL) -> list[str]:
+    """Names of the attainability inequalities violated by semi-axes b."""
+    b, tol = _checked(b, "b", (3,), finite=False), _tolerance(tol)
+    rows = _lambda_rows(b, np.empty(4))
+    # row 0 is the sum's face, row q'' that of b_q + b_q' <= 1 + b_q''; a NaN row breaks none of them
+    bad = ["b1+b2+b3 < -1"] if rows[0] < -tol else []
+    bad += [f"b{q}+b{qp} > 1+b{qpp}" for q, qp, qpp in CYCLIC if rows[qpp] < -tol]
+    if np.any(np.isinf(b)):
+        bad.append("infinite component")
+    if np.any(np.isnan(b)):
+        bad.append("NaN component")
+    return bad
+
+
+def _edge_conditions(b: np.ndarray, ok: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    """AND the faces b_q + b_q' <= 1 + b_q'' (rows 1..3 of Lambda (1, b) >= -tol) into ok, over (3, ...) b."""
+    row = np.empty(b.shape[1:])
+    for j in (1, 2, 3):
+        ok &= _lambda_row(j, b, row) >= -tol
+    return ok
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def tetrahedron_mask(b_rows, tol: float = _TETRAHEDRON_TOL) -> np.ndarray:
+    """Row-wise tetrahedron test over an (..., 3) array of semi-axes: every row of Lambda (1, b) >= -tol.
+
+    The vertices are (1,1,1) and the three permutations of (1,-1,-1).
+    Rows with a NaN or infinite component fail, as some row is then -inf or
+    NaN: +inf enters a row with a minus sign, -inf row 0 with a plus.
+    """
+    b, tol = _checked(b_rows, "b_rows", (..., 3), finite=False), _tolerance(tol)
+    b = b.transpose(-1, *range(b.ndim - 1))
+    return _edge_conditions(b, _lambda_row(0, b, np.empty(b.shape[1:])) >= -tol, tol=tol)
+
+
+def tetrahedron_check(b, tol: float = _TETRAHEDRON_TOL) -> bool:
+    """True when b lies in the tetrahedron of attainable centered semi-axes."""
+    return bool(tetrahedron_mask(_checked(b, "b", (3,), finite=False), tol=tol))
 
 
 def _positive_beta(b: np.ndarray, tol: float = DEFAULT_TOL, out: np.ndarray | None = None) -> np.ndarray:

@@ -39,24 +39,6 @@ _LAMBDA = np.array(
     dtype=float,
 )
 _LAMBDA.setflags(write=False)
-# b is attainable when every row of Lambda (1, b), 4 beta^2, is >= 0: the tetrahedron test and g's gate
-# both read the rows here.  The ufuncs that add b_1, b_2, b_3 into row j (Lambda's entries are +-1):
-_LAMBDA_OPS = [[np.add if _LAMBDA[k, j] > 0 else np.subtract for k in (1, 2, 3)] for j in range(4)]
-
-
-def _lambda_row(j: int, b, out: np.ndarray) -> np.ndarray:
-    """Row j of Lambda (1, b) into out, summed ((1 +- b_1) +- b_2) +- b_3; b holds one component per row."""
-    op1, op2, op3 = _LAMBDA_OPS[j]
-    op1(1.0, b[0], out=out)
-    op2(out, b[1], out=out)
-    return op3(out, b[2], out=out)
-
-
-def _lambda_rows(b, out: np.ndarray) -> np.ndarray:
-    """The four rows of Lambda (1, b) into out[0..3], each as _lambda_row sums it."""
-    for j in range(4):
-        _lambda_row(j, b, out[j, ...])  # a view, also when out is one-dimensional
-    return out
 
 
 def _build_l_table() -> np.ndarray:

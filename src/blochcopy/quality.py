@@ -48,14 +48,12 @@ def _trace_norms(h: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(h)).sum(axis=-1)
 
 
-def min_error_rate(rho1: np.ndarray, rho2: np.ndarray, p1: float = 0.5, p2: float = 0.5) -> float:
-    """Minimum error probability for distinguishing two states with priors p1, p2."""
-    p1, p2 = _in_unit_interval(p1, "p1"), _in_unit_interval(p2, "p2")
-    if not abs(p1 + p2 - 1.0) <= 1e-12:
-        raise ValueError(f"priors p1 and p2 must sum to 1, got {p1} and {p2}")
+def min_error_rate(rho1: np.ndarray, rho2: np.ndarray, p1: float = 0.5) -> float:
+    """Minimum error probability for distinguishing two states with priors p1 and 1 - p1."""
+    p1 = _in_unit_interval(p1, "p1")
     rho1 = _checked(rho1, "rho1", ("n", "n"), complex)
     rho2 = _checked(rho2, "rho2", rho1.shape, complex)
-    return 0.5 * (1.0 - trace_norm(p1 * rho1 - p2 * rho2))
+    return 0.5 * (1.0 - trace_norm(p1 * rho1 - (1.0 - p1) * rho2))
 
 
 def _unit_mode(m) -> np.ndarray:
@@ -129,13 +127,13 @@ def quality_c_from_circuit(beta, m) -> float:
     return quality_bloch(channel_tomography(beta, "C"), m)
 
 
-def distinguishability(rep, x1, x2, channel: str = "B") -> float:
+def distinguishability(rep, x1, x2) -> float:
     """Residual distinguishability of two Bloch vectors after the channel.
 
     Args:
-        rep: AffineBlochMap for channels "B"/"C" (TypeError otherwise), Gram matrix for "E".
+        rep: the AffineBlochMap of a one-qubit output (B or C), or else the
+            4 x 4 Gram matrix of the environment E.
         x1, x2: input Bloch vectors (length at most 1).
-        channel: which output carries the pair.
 
     Returns (|x1 - x2| / 2) * Q(unit direction); 0 for identical inputs.
     """
@@ -144,11 +142,8 @@ def distinguishability(rep, x1, x2, channel: str = "B") -> float:
     if dist == 0.0:
         return 0.0
     direction = diff / dist
-    ch = channel.upper() if isinstance(channel, str) else channel
-    if ch in ("B", "C"):
-        q = quality_bloch(_affine_map(rep, "rep"), direction)
-    elif ch == "E":
-        q = quality_e(rep, direction)
+    if isinstance(rep, AffineBlochMap):
+        q = quality_bloch(rep, direction)
     else:
-        raise ValueError("channel must be 'B', 'C' or 'E'")
+        q = quality_e(_checked(rep, "rep", (4, 4), complex), direction)
     return 0.5 * dist * q

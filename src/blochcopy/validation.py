@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache
 
 import numpy as np
 
-from .channel import _TETRAHEDRON_TOL, _edge_conditions, _extracted, _gram, _transfer
+from .channel import _extracted, _gram, _transfer
 from .linalg import _checked, _in_unit_interval, _integer, random_isometry
-from .optimizer import _g_columns, _g_from_beta, _positive_beta, _product_conditions
+from .optimizer import _TETRAHEDRON_TOL, _edge_conditions, _g_columns, _g_from_beta, _positive_beta, _product_conditions
 from .quality import _quality_e
 
 __all__ = [
@@ -270,15 +270,7 @@ class ScanReport:
 
     def to_json(self) -> dict:
         """Every field but elapsed, which stays out so equal configs give equal payloads."""
-        return {
-            "region": self.region,
-            "seed": self.seed,
-            "n_outer": self.n_outer,
-            "n_inner": self.n_inner,
-            "checked": self.checked,
-            "n_violations": self.n_violations,
-            "violations": self.violations,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "elapsed"}
 
 
 def monotonicity_scan(config: ScanConfig) -> ScanReport:
@@ -354,10 +346,10 @@ def monotonicity_scan(config: ScanConfig) -> ScanReport:
             if len(keep):
                 # one tolist per field over all kept records; beta's columns are live's
                 at = idx[keep] // rows
-                fields = (b[:, at], sel[:, keep], g_b[:, at], _g_from_beta(beta[:, : len(keep)]))
+                columns = (b[:, at], sel[:, keep], g_b[:, at], _g_from_beta(beta[:, : len(keep)]))
                 kept += [
                     {"b": x, "candidate": c, "g_b": gx, "g_candidate": gc}
-                    for x, c, gx, gc in zip(*(f.T.tolist() for f in fields))
+                    for x, c, gx, gc in zip(*(f.T.tolist() for f in columns))
                 ]
     return ScanReport(
         region=config.region,

@@ -24,9 +24,6 @@ from blochcopy.channel import (
     map_bloch,
     output_map,
     realize_e_vectors,
-    tetrahedron_check,
-    tetrahedron_mask,
-    tetrahedron_violations,
     transfer_from_gram,
 )
 from blochcopy.errors import (
@@ -36,6 +33,7 @@ from blochcopy.errors import (
     NotPhysicalError,
 )
 from blochcopy.linalg import dagger, random_isometry
+from blochcopy.optimizer import tetrahedron_check, tetrahedron_mask, tetrahedron_violations
 from blochcopy.pauli import lambda_matrix
 from oracles import gram_from_transfer, state_push_map, tetrahedron_rows
 

@@ -651,15 +651,16 @@ _NAN_GRAM = "[" + ", ".join(["[[NaN, 0], [0, 0], [0, 0], [0, 0]]"] * 4) + "]"
         "[[[1, 0], [0, 0]]]",
         _NAN_GRAM,
         _NAN_GRAM.replace("NaN", "-Infinity"),
+        pytest.param("[[1, 2]]".encode("utf-16"), id="not-utf-8"),
     ],
 )
 def test_check_e_malformed_payload_is_a_usage_error(capsys, tmp_path, payload):
     path = tmp_path / "malformed.json"
-    path.write_text(payload)
+    path.write_bytes(payload if isinstance(payload, bytes) else payload.encode())
     code, out, err = _run(capsys, ["check-e", str(path)])
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: {path}: ")
+    assert err.startswith(f"error: {path}: malformed Gram matrix payload (")
     assert err.count("\n") == 1
 
 
@@ -710,6 +711,16 @@ def test_malformed_config_line(capsys, tmp_path):
     code, _, err = _run(capsys, ["scan", "--config", str(config)])
     assert code == 1
     assert err.startswith(f"error: {config}:2: expected key=value")
+
+
+def test_config_file_that_is_not_utf8_names_its_path(capsys, tmp_path):
+    config = tmp_path / "scan.cfg"
+    config.write_bytes("n_outer=3\n".encode("utf-16"))
+    code, out, err = _run(capsys, ["scan", "--config", str(config)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {config}: 'utf-8' codec can't decode byte 0xff in position 0")
+    assert err.count("\n") == 1
 
 
 def test_config_keys_of_other_subcommands_are_ignored(capsys, tmp_path):

@@ -21,9 +21,6 @@ from blochcopy.channel import (
     map_bloch,
     output_map,
     realize_e_vectors,
-    tetrahedron_check,
-    tetrahedron_mask,
-    tetrahedron_violations,
     transfer_from_gram,
 )
 from blochcopy.circuit import (
@@ -52,6 +49,9 @@ from blochcopy.optimizer import (
     positive_optimal_mask,
     same_order,
     sign_flip_variants,
+    tetrahedron_check,
+    tetrahedron_mask,
+    tetrahedron_violations,
 )
 from blochcopy.quality import (
     distinguishability,
@@ -150,9 +150,10 @@ def test_non_finite_entries_raise_value_error(call, bad):
         (lambda: complex_matrix_to_json(np.zeros(3)), r"m must have shape \(r, c\), got \(3,\)"),
         (lambda: complex_matrix_from_json([[1, 2]]), r"obj must be a list of rows of \[re, im\] number pairs"),
         (lambda: AffineBlochMap.diagonal([1, 2]), r"axes must have shape \(3,\), got \(2,\)"),
+        (lambda: distinguishability(np.eye(3), _Z, -_Z), r"rep must have shape \(4, 4\), got \(3, 3\)"),
     ],
     ids=["isometry", "square", "rows", "gram", "mode", "residuals", "physical-stack", "second-machine", "beta",
-         "json-matrix", "json-pairs", "diagonal-axes"],
+         "json-matrix", "json-pairs", "diagonal-axes", "distinguishability-rep"],
 )
 def test_wrong_shapes_name_the_argument(call, message):
     with pytest.raises(ValueError, match=message):
@@ -165,10 +166,8 @@ def test_wrong_shapes_name_the_argument(call, message):
         (lambda: quality_bloch(np.eye(4), _Z), "bmap"),
         (lambda: map_bloch(np.eye(3), _Z), "bmap"),
         (lambda: diagonalize(np.eye(3)), "bmap"),
-        (lambda: distinguishability(_GRAM, _Z, -_Z, "B"), "rep"),
-        (lambda: distinguishability(_GRAM, _Z, -_Z, "C"), "rep"),
     ],
-    ids=["quality_bloch", "map_bloch", "diagonalize", "distinguishability-B", "distinguishability-C"],
+    ids=["quality_bloch", "map_bloch", "diagonalize"],
 )
 def test_arrays_for_an_affine_map_raise_type_error_naming_it(call, name):
     with pytest.raises(TypeError) as err:
@@ -195,9 +194,8 @@ def test_maps_that_overflow_raise_value_error(call):
     [
         (lambda: channel_tomography(_BETA, 3), "output qubit must be 'B', 'C' or 'D'"),
         (lambda: output_map(_V, 3), "output qubit must be 'B', 'C' or 'D'"),
-        (lambda: distinguishability(_IDENTITY, _Z, -_Z, channel=3), "channel must be 'B', 'C' or 'E'"),
     ],
-    ids=["channel_tomography", "output_map", "distinguishability"],
+    ids=["channel_tomography", "output_map"],
 )
 def test_non_string_channel_names_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):
@@ -283,18 +281,10 @@ _MIXED = np.eye(2) / 2
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan, np.inf], ids=["below", "above", "nan", "inf"])
-@pytest.mark.parametrize("name", ["p1", "p2"])
-def test_min_error_rate_names_its_bad_prior(name, bad):
-    priors = {"p1": 0.5, "p2": 0.5, name: bad}
+def test_min_error_rate_names_its_bad_prior(bad):
     with pytest.raises(ValueError) as err:
-        min_error_rate(_MIXED, _MIXED, **priors)
-    assert str(err.value) == f"{name} must lie in [0, 1], got {bad}"
-
-
-def test_min_error_rate_priors_must_sum_to_one():
-    with pytest.raises(ValueError) as err:
-        min_error_rate(_MIXED, _MIXED, 0.3, 0.3)
-    assert str(err.value) == "priors p1 and p2 must sum to 1, got 0.3 and 0.3"
+        min_error_rate(_MIXED, _MIXED, p1=bad)
+    assert str(err.value) == f"p1 must lie in [0, 1], got {bad}"
 
 
 @pytest.mark.parametrize("name", ["x1", "x2"])

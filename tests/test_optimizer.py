@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochcopy import validation
-from blochcopy.channel import tetrahedron_check
 from blochcopy.errors import NotPossibleError, NotPositiveOptimalError
 from blochcopy.linalg import DEFAULT_TOL
 from blochcopy.optimizer import (
@@ -31,6 +30,7 @@ from blochcopy.optimizer import (
     positive_optimal_mask,
     same_order,
     sign_flip_variants,
+    tetrahedron_check,
 )
 from blochcopy.pauli import lambda_matrix
 from oracles import class_p_margins, sequential_g, sign_patterns, unscaled_positive_optimal

@@ -1,5 +1,5 @@
 """The package surface: submodules bound as modules, __all__ lists that match what each module binds,
-and a caller or a stated reason for every public name."""
+a caller or a stated reason for every public name, and the layers the submodules import along."""
 
 import ast
 import importlib
@@ -102,3 +102,44 @@ def test_every_public_name_has_a_caller_in_the_package_or_a_stated_reason():
     public = {name for name, obj in vars(blochcopy).items() if not name.startswith("_") and not inspect.ismodule(obj)}
     assert public
     assert sorted(public - _used_in_the_package() - _kept_for_a_stated_reason()) == []
+
+
+def _package_imports() -> dict:
+    """The package modules that each submodule's `from .x import` statements name."""
+    return {
+        name: {
+            node.module
+            for node in ast.walk(ast.parse(pathlib.Path(mod.__file__).read_text()))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+        }
+        for name, mod in _SUBMODULES.items()
+    }
+
+
+def test_the_trade_off_and_the_pauli_tables_sit_below_the_machine_descriptions():
+    imports = _package_imports()
+    # attainability, g and the class tests need the tables, not the Gram matrices and maps of channel
+    assert imports["optimizer"] <= {"errors", "linalg", "pauli"}
+    assert imports["pauli"] == imports["errors"] == set()
+
+
+def _defined_names(mod) -> set:
+    """The names that a submodule's top-level def, class and assignment statements bind."""
+    names = set()
+    for node in ast.parse(pathlib.Path(mod.__file__).read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_attainability_is_defined_in_optimizer_alone():
+    # the rows of Lambda (1, b), the tetrahedron test and its tolerance sit next to g's gate
+    attainability = {
+        "_LAMBDA_OPS", "_lambda_row", "_lambda_rows", "_TETRAHEDRON_TOL",
+        "tetrahedron_violations", "_edge_conditions", "tetrahedron_mask", "tetrahedron_check",
+    }
+    owners = {name: attainability & _defined_names(mod) for name, mod in _SUBMODULES.items()}
+    assert {name: found for name, found in owners.items() if found} == {"optimizer": attainability}

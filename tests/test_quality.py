@@ -85,20 +85,31 @@ def test_min_error_rate_closed_form():
         assert got == pytest.approx(expected, abs=1e-12)
 
 
+def test_min_error_rate_closed_form_at_any_prior():
+    # p1 rho1 - (1 - p1) rho2 has eigenvalues (2 p1 - 1 +- |p1 r1 - (1 - p1) r2|) / 2
+    rng = np.random.default_rng(52)
+    for _ in range(20):
+        r1, r2 = rng.standard_normal((2, 3))
+        r1 *= rng.random() / np.linalg.norm(r1)
+        r2 *= rng.random() / np.linalg.norm(r2)
+        p1 = rng.random()
+        got = min_error_rate(density_from_bloch(r1), density_from_bloch(r2), p1)
+        expected = 0.5 * (1.0 - max(abs(2.0 * p1 - 1.0), np.linalg.norm(p1 * r1 - (1.0 - p1) * r2)))
+        assert got == pytest.approx(expected, abs=1e-12)
+
+
 def test_min_error_rate_extremes():
     up = density_from_bloch([0, 0, 1])
     down = density_from_bloch([0, 0, -1])
     assert min_error_rate(up, down) == pytest.approx(0.0, abs=1e-12)
     assert min_error_rate(up, up) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        min_error_rate(up, down, 0.7, 0.7)
 
 
 def test_biased_priors_shift_the_error():
     up = density_from_bloch([0, 0, 1])
     mixed = density_from_bloch([0, 0, 0])
-    # guessing the likelier state alone already achieves p2
-    assert min_error_rate(up, mixed, 0.8, 0.2) <= 0.2 + 1e-12
+    # guessing the likelier state alone already achieves the other prior
+    assert min_error_rate(up, mixed, 0.8) <= 0.2 + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +380,25 @@ def test_distinguishability_of_antipodal_inputs():
 def test_distinguishability_through_environment():
     beta = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
     e_gram = np.diag(beta**2).astype(complex)
-    got = distinguishability(e_gram, [0, 0, 1], [0, 0, -1], channel="E")
+    got = distinguishability(e_gram, [0, 0, 1], [0, 0, -1])
     assert got == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("output", ["B", "C", "E"])
+def test_distinguishability_reads_the_channel_off_rep(output):
+    # an AffineBlochMap is a one-qubit output; anything else, a nested list too, is E's Gram matrix
+    beta = np.array([0.7, 0.5, 0.4, 0.3]) / np.linalg.norm([0.7, 0.5, 0.4, 0.3])
+    x1, x2 = np.array([0.6, 0.0, 0.8]), np.array([0.0, -0.6, 0.0])
+    direction = (x1 - x2) / np.linalg.norm(x1 - x2)
+    if output == "E":
+        rep, q = np.diag(beta**2).tolist(), quality_e(np.diag(beta**2), direction)
+    else:
+        rep = output_map(isometry_from_beta(beta), output)
+        q = quality_bloch(rep, direction)
+    assert distinguishability(rep, x1, x2) == pytest.approx(0.5 * np.linalg.norm(x1 - x2) * q, rel=1e-15)
 
 
 def test_distinguishability_validates_inputs():
     bmap = AffineBlochMap.diagonal(np.ones(3))
     with pytest.raises(ValueError):
         distinguishability(bmap, [0, 0, 2], [0, 0, -1])
-    with pytest.raises(ValueError):
-        distinguishability(bmap, [0, 0, 1], [0, 0, -1], channel="Q")

@@ -18,11 +18,10 @@ from blochcopy.channel import (
     check_physical,
     extract_e_vectors,
     gram_matrix,
-    tetrahedron_check,
 )
 from blochcopy.errors import NotPhysicalError
 from blochcopy.linalg import random_isometry
-from blochcopy.optimizer import positive_optimal_condition
+from blochcopy.optimizer import positive_optimal_condition, tetrahedron_check
 from blochcopy.pauli import CYCLIC_AXES, lambda_matrix
 from blochcopy.quality import quality_e
 from blochcopy.validation import (
@@ -514,8 +513,7 @@ def _adversarial_tile():
 def test_region_helpers_match_the_public_masks_on_candidate_tiles():
     # a candidate lies in the box, so it is finite with a sum above -1, and
     # only the product (good region) or edge (outside) inequalities can fail
-    from blochcopy.channel import _edge_conditions, tetrahedron_mask
-    from blochcopy.optimizer import _product_conditions, positive_optimal_mask
+    from blochcopy.optimizer import _edge_conditions, _product_conditions, positive_optimal_mask, tetrahedron_mask
 
     cand = _adversarial_tile()
     assert np.all((cand >= 0.0) & (cand <= 1.0))
