@@ -19,14 +19,14 @@ and the E-space computational basis is |cd> (index 2c + d).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NotHermitianError, NotIsometricError, NotPhysicalError
 from .linalg import DEFAULT_TOL, _checked, _hermiticity_error, _in_unit_ball, _tolerance, dagger
-from .pauli import _TRIPLES, SIGMA, l_table
+from .pauli import _TRIPLES, L_TABLE, SIGMA
 
 __all__ = [
     "E_HAT",
@@ -99,10 +99,7 @@ class AffineBlochMap:
         return cls(np.zeros(3), np.diag(_checked(axes, "axes", (3,))))
 
     def to_json(self) -> dict:
-        return {
-            "delta": [float(x) for x in self.delta],
-            "linear": [[float(x) for x in row] for row in self.linear],
-        }
+        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
 
 def _affine_map(bmap, name: str) -> AffineBlochMap:
@@ -139,7 +136,7 @@ def transfer_from_gram(e_gram: np.ndarray) -> np.ndarray:
 
 def _transfer(e_gram: np.ndarray) -> np.ndarray:
     """transfer_from_gram of a checked Gram matrix or stack that is Hermitian within DEFAULT_TOL."""
-    return np.einsum("lmjk,...jk->...lm", l_table(), e_gram).real
+    return np.einsum("lmjk,...jk->...lm", L_TABLE, e_gram).real
 
 
 def _isometry_residuals(e_gram: np.ndarray) -> tuple:
@@ -233,21 +230,14 @@ def diagonalize(bmap: AffineBlochMap) -> DiagonalForm:
     s' = rot_in s, the map reads s' = delta' + diag(axes) r'.
     """
     u, s, vh = np.linalg.svd(_affine_map(bmap, "bmap").linear)
-    s = s.copy()
-    neg_u = np.linalg.det(u) < 0
-    neg_v = np.linalg.det(vh) < 0
-    # Flip the smallest singular value's column/row so both factors become
-    # proper rotations; a sign lands on the axes only when exactly one
-    # factor was improper, so at most one axis can come out negative.
-    if neg_u and neg_v:
-        u[:, 2] *= -1.0
-        vh[2, :] *= -1.0
-    elif neg_u:
-        u[:, 2] *= -1.0
-        s[2] *= -1.0
-    elif neg_v:
-        vh[2, :] *= -1.0
-        s[2] *= -1.0
+    # Flip the smallest singular value's column/row of each improper factor
+    # so both become proper rotations; a sign lands on the axes only when
+    # exactly one factor was improper, so at most one axis can come out
+    # negative.  Each sign is +-1, so a factor that was proper keeps its bits.
+    sign_u, sign_v = np.sign(np.linalg.det(u)), np.sign(np.linalg.det(vh))
+    u[:, 2] *= sign_u
+    vh[2, :] *= sign_v
+    s[2] *= sign_u * sign_v
 
     order = np.argsort(np.abs(s), kind="stable")
     perm = np.zeros((3, 3))

@@ -30,7 +30,7 @@ def _fits(shape: tuple, spec: tuple) -> bool:
     for n, want in zip(shape, spec):
         if isinstance(want, str):
             factor = int(want[:-1] or 1)
-            if n % factor or sizes.setdefault(want[-1], n // factor) != n // factor:
+            if not n or n % factor or sizes.setdefault(want[-1], n // factor) != n // factor:
                 return False
         elif n != want:
             return False
@@ -43,12 +43,13 @@ def _checked(
     """x as an array of dtype, after the package's one set of input checks.
 
     shape lists the wanted axis lengths: an int is an exact length, a name
-    such as "d" any length shared by every axis of that name ("2d" is twice
-    it), and a leading ... any number of leading axes.  A wrong shape or a
-    non-finite entry raises ValueError naming the argument; finite=False
-    skips the finiteness test, for predicates that answer False on such
-    entries.  With unit_tol the squared norm must lie within unit_tol of 1,
-    which non-finite entries fail too (NotNormalizedError).
+    such as "d" any length above 0 shared by every axis of that name ("2d"
+    is twice it), and a leading ... any number of leading axes of any
+    length, 0 included.  A wrong shape or a non-finite entry raises
+    ValueError naming the argument; finite=False skips the finiteness test,
+    for predicates that answer False on such entries.  With unit_tol the
+    squared norm must lie within unit_tol of 1, which non-finite entries
+    fail too (NotNormalizedError).
     """
     a = np.asarray(x, dtype=dtype)
     if a.shape != shape and not _fits(a.shape, shape):
@@ -63,9 +64,19 @@ def _checked(
     return a
 
 
+def _number(x, name: str) -> float:
+    """x as a float; str, bytes, bools and anything float() refuses raise ValueError naming it."""
+    try:
+        if isinstance(x, (str, bytes, bool, np.bool_)):
+            raise TypeError
+        return float(x)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {x!r}") from None
+
+
 def _in_unit_interval(x, name: str) -> float:
     """x as a float, which must lie in [0, 1]; NaN and infinities fail too."""
-    x = float(x)
+    x = _number(x, name)
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {x}")
     return x
@@ -90,7 +101,7 @@ def _integer(value, name: str) -> int:
 
 def _tolerance(tol) -> float:
     """A tol argument as a float, which must be finite and at least 0; NaN fails too."""
-    tol = float(tol)
+    tol = _number(tol, "tol")
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be a nonnegative finite number, got {tol}")
     return tol

@@ -20,14 +20,14 @@ and b satisfies b_q >= b_q' b_q'' with 0 <= b_q <= 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 
 import numpy as np
 
 from .errors import NotPossibleError, NotPositiveOptimalError
 from .linalg import DEFAULT_TOL, _checked, _in_unit_interval, _tolerance
-from .pauli import _TRIPLES, CYCLIC, CYCLIC_AXES, lambda_matrix
+from .pauli import _TRIPLES, CYCLIC, CYCLIC_AXES, LAMBDA
 
 __all__ = [
     "tetrahedron_check",
@@ -55,7 +55,7 @@ __all__ = [
 
 # b is attainable when every row of Lambda (1, b), 4 beta^2, is >= 0: the tetrahedron test and g's gate
 # both read the rows here.  The ufuncs that add b_1, b_2, b_3 into row j (Lambda's entries are +-1):
-_LAMBDA_OPS = [[np.add if lambda_matrix()[k, j] > 0 else np.subtract for k in (1, 2, 3)] for j in range(4)]
+_LAMBDA_OPS = [[np.add if LAMBDA[k, j] > 0 else np.subtract for k in (1, 2, 3)] for j in range(4)]
 
 
 def _lambda_row(j: int, b, out: np.ndarray) -> np.ndarray:
@@ -180,12 +180,12 @@ def beta_from_b(b, tol: float = DEFAULT_TOL) -> np.ndarray:
 def b_from_beta(beta) -> np.ndarray:
     """Semi-axes of the first copy, b = (Lambda beta^2) without the leading 1."""
     beta = _checked(beta, "beta", (4,))
-    return (lambda_matrix() @ (beta**2))[1:]
+    return (LAMBDA @ (beta**2))[1:]
 
 
 def gamma_from_beta(beta) -> np.ndarray:
     """Partner coefficients gamma = (1/2) Lambda beta; involutive."""
-    return 0.5 * (lambda_matrix() @ _checked(beta, "beta", (4,)))
+    return 0.5 * (LAMBDA @ _checked(beta, "beta", (4,)))
 
 
 def g_map(b, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -306,25 +306,11 @@ class OptimalPair:
     residuals: dict
 
     def to_json(self) -> dict:
-        def _vec(v):
-            return None if v is None else [float(x) for x in v]
-
-        return {
-            "b": _vec(self.b),
-            "c": _vec(self.c),
-            "beta": _vec(self.beta),
-            "gamma": _vec(self.gamma),
-            "h": _vec(self.h),
-            "flags": {
-                "possible": self.possible,
-                "positive": self.positive,
-                "mutual": self.mutual,
-                "h_nonnegative": self.h_nonnegative,
-                "gamma4_nonnegative": self.gamma4_nonnegative,
-                "conjecturally_optimal": self.conjecturally_optimal,
-            },
-            "residuals": {k: float(v) for k, v in self.residuals.items()},
-        }
+        # the flags are the fields declared bool (annotations are strings here); the rest but residuals are vectors
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "residuals"}
+        flags = {f.name: values.pop(f.name) for f in fields(self) if f.type == "bool"}
+        vectors = {name: None if v is None else v.tolist() for name, v in values.items()}
+        return {**vectors, "flags": flags, "residuals": {k: float(v) for k, v in self.residuals.items()}}
 
 
 def classify_pair(b, c, tol: float = DEFAULT_TOL) -> OptimalPair:

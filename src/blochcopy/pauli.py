@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SIGMA", "l_table", "lambda_matrix"]
+__all__ = ["SIGMA", "LAMBDA", "L_TABLE"]
 
 SIGMA = np.array(
     [
@@ -29,7 +29,9 @@ CYCLIC_AXES = tuple((q - 1, qp - 1, qpp - 1) for q, qp, qpp in CYCLIC)
 # The triples as index rows: column i holds the q, q', q'' of triple i.
 _TRIPLES = np.array(CYCLIC).T
 
-_LAMBDA = np.array(
+# The symmetric 4 x 4 sign matrix, with LAMBDA @ LAMBDA = 4 I.  Row j holds the signs L(jj;ll) over l,
+# so it also converts between the squared machine coefficients and the ellipsoid semi-axes.
+LAMBDA = np.array(
     [
         [1, 1, 1, 1],
         [1, 1, -1, -1],
@@ -38,29 +40,9 @@ _LAMBDA = np.array(
     ],
     dtype=float,
 )
-_LAMBDA.setflags(write=False)
+LAMBDA.setflags(write=False)
 
-
-def _build_l_table() -> np.ndarray:
-    # L[j, k, l, m] = (1/2) Tr[sigma_j sigma_l sigma_k sigma_m]; note the
-    # interleaved order of the factors inside the trace.
-    table = 0.5 * np.einsum("jab,lbc,kcd,mda->jklm", SIGMA, SIGMA, SIGMA, SIGMA)
-    table.setflags(write=False)
-    return table
-
-
-_L = _build_l_table()
-
-
-def l_table() -> np.ndarray:
-    """Full (4, 4, 4, 4) table of L(jk;lm), read-only, axes ordered [j, k, l, m]."""
-    return _L
-
-
-def lambda_matrix() -> np.ndarray:
-    """The symmetric 4 x 4 sign matrix with Lambda @ Lambda = 4 I, read-only.
-
-    Row j holds the signs L(jj;ll) over l, so it also converts between the
-    squared machine coefficients and the ellipsoid semi-axes.
-    """
-    return _LAMBDA
+# The (4, 4, 4, 4) table of L(jk;lm), axes ordered [j, k, l, m]: L[j, k, l, m] =
+# (1/2) Tr[sigma_j sigma_l sigma_k sigma_m], with the factors interleaved inside the trace.
+L_TABLE = 0.5 * np.einsum("jab,lbc,kcd,mda->jklm", SIGMA, SIGMA, SIGMA, SIGMA)
+L_TABLE.setflags(write=False)

@@ -16,7 +16,7 @@ from .circuit import channel_tomography
 from .errors import NotHermitianError, NotPhysicalError
 from .linalg import DEFAULT_TOL, _checked, _hermiticity_error, _in_unit_ball, _in_unit_interval
 from .optimizer import _pair_products
-from .pauli import l_table
+from .pauli import L_TABLE
 
 __all__ = [
     "trace_norm",
@@ -30,7 +30,7 @@ __all__ = [
 
 
 # L(jk; q0) for q = 1, 2, 3: the coefficients of the mode operators F_q0
-_MODE_L = l_table()[:, :, 1:, 0]
+_MODE_L = L_TABLE[:, :, 1:, 0]
 
 
 def trace_norm(h: np.ndarray) -> float | np.ndarray:

@@ -24,6 +24,9 @@ sequential_g writes g out component by component, where the package runs
 one kernel over index rows.  state_push_map pushes the six Bloch-axis
 states through a machine and reads one output's Bloch vectors, where the
 package reads the affine map off in the Heisenberg picture.
+diagonalize_by_cases makes the SVD factors proper in three branches, on
+which factor is improper, where the package multiplies by the signs of
+both determinants.
 """
 
 from __future__ import annotations
@@ -133,9 +136,9 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def gram_from_transfer(transfer: np.ndarray) -> np.ndarray:
     """Inverse contraction of transfer_from_gram: E_jk = (1/4) sum_lm L(jk;lm) T_lm."""
-    from blochcopy.pauli import l_table
+    from blochcopy.pauli import L_TABLE
 
-    return 0.25 * np.einsum("jklm,lm->jk", l_table(), np.asarray(transfer, dtype=float))
+    return 0.25 * np.einsum("jklm,lm->jk", L_TABLE, np.asarray(transfer, dtype=float))
 
 
 def sign_patterns(v: np.ndarray) -> list[np.ndarray]:
@@ -207,9 +210,9 @@ def omega_einsum(e_vectors, m):
 
     The package folds m into the table first, with the same bits.
     """
-    from blochcopy.pauli import l_table
+    from blochcopy.pauli import L_TABLE
 
-    return np.einsum("q,jkq,...jd,...ke->...de", m, l_table()[:, :, 1:, 0], e_vectors, e_vectors.conj())
+    return np.einsum("q,jkq,...jd,...ke->...de", m, L_TABLE[:, :, 1:, 0], e_vectors, e_vectors.conj())
 
 
 def class_p_margins(xi, tol: float = 0.0) -> list[Fraction] | None:
@@ -290,3 +293,30 @@ def state_push_map(push, qubit: str):
 
     s = np.array([[bloch_vector(reduced_state(push(ket), qubit)) for ket in pair] for pair in _AXIS_KETS])
     return AffineBlochMap(0.5 * (s[:, 0] + s[:, 1]).mean(axis=0), 0.5 * (s[:, 0] - s[:, 1]))
+
+
+def diagonalize_by_cases(bmap):
+    """diagonalize with a branch for each combination of improper SVD factors."""
+    from blochcopy.channel import DiagonalForm
+
+    u, s, vh = np.linalg.svd(bmap.linear)
+    s = s.copy()
+    neg_u = np.linalg.det(u) < 0
+    neg_v = np.linalg.det(vh) < 0
+    if neg_u and neg_v:
+        u[:, 2] *= -1.0
+        vh[2, :] *= -1.0
+    elif neg_u:
+        u[:, 2] *= -1.0
+        s[2] *= -1.0
+    elif neg_v:
+        vh[2, :] *= -1.0
+        s[2] *= -1.0
+    order = np.argsort(np.abs(s), kind="stable")
+    perm = np.zeros((3, 3))
+    perm[np.arange(3), order] = 1.0
+    if np.linalg.det(perm) < 0:
+        perm[0, :] *= -1.0
+    rot_out = u @ perm.T
+    rot_in = perm @ vh
+    return DiagonalForm(axes=s[order], delta=rot_in @ bmap.delta, rot_in=rot_in, rot_out=rot_out)

@@ -29,7 +29,7 @@ from blochcopy.optimizer import (
     jacobians,
     same_order,
 )
-from blochcopy.pauli import lambda_matrix, l_table
+from blochcopy.pauli import L_TABLE, LAMBDA
 from blochcopy.quality import quality_c_from_circuit, quality_e, trace_norm
 from blochcopy.validation import (
     ScanConfig,
@@ -242,7 +242,7 @@ def test_check_10_trace_norm_inequalities():
 def test_check_11_class_closure_and_weight_signs():
     rng = np.random.default_rng(111)
     start = time.perf_counter()
-    lam = lambda_matrix()
+    lam = LAMBDA
 
     # closure of the axis-ordering class under the three basic operations
     n = 10**4
@@ -299,7 +299,7 @@ def test_check_12_pair_product_table():
         c = ({1, 2, 3} - {a, b}).pop()
         return 1j * eps[(a, b, c)], c
 
-    table = l_table()
+    table = L_TABLE
     ok = table.shape == (4, 4, 4, 4)
     for j in range(4):
         for k in range(4):

@@ -34,8 +34,8 @@ from blochcopy.errors import (
 )
 from blochcopy.linalg import dagger, random_isometry
 from blochcopy.optimizer import tetrahedron_check, tetrahedron_mask, tetrahedron_violations
-from blochcopy.pauli import lambda_matrix
-from oracles import gram_from_transfer, state_push_map, tetrahedron_rows
+from blochcopy.pauli import LAMBDA
+from oracles import diagonalize_by_cases, gram_from_transfer, state_push_map, tetrahedron_rows
 
 
 def _random_machine_gram(rng):
@@ -200,6 +200,27 @@ def test_diagonalize_reconstructs_and_orders():
         assert np.allclose(form.delta, form.rot_in @ delta, atol=1e-12)
 
 
+@pytest.mark.parametrize("flip_u", [False, True])
+@pytest.mark.parametrize("flip_v", [False, True])
+def test_diagonalize_makes_every_combination_of_improper_factors_proper(monkeypatch, flip_u, flip_v):
+    # np.linalg.svd picks the signs of its factors itself, and on random maps never returns an improper u,
+    # so a stand-in hands diagonalize factors with each combination of determinant signs
+    rng = np.random.default_rng(31)
+    u, s, vh = np.linalg.svd(rng.standard_normal((3, 3)))
+    u, vh = u * np.sign(np.linalg.det(u)), vh * np.sign(np.linalg.det(vh))  # both proper
+    u[:, 0] *= -1.0 if flip_u else 1.0
+    vh[1, :] *= -1.0 if flip_v else 1.0
+    assert (np.linalg.det(u) < 0, np.linalg.det(vh) < 0) == (flip_u, flip_v)
+    bmap = AffineBlochMap(rng.standard_normal(3), u @ np.diag(s) @ vh)
+    monkeypatch.setattr(np.linalg, "svd", lambda a: (u.copy(), s.copy(), vh.copy()))
+    form, expected = diagonalize(bmap), diagonalize_by_cases(bmap)
+    for got, want in zip(form, expected):
+        assert got.tobytes() == want.tobytes()
+    assert np.linalg.det(form.rot_in) == pytest.approx(1.0) and np.linalg.det(form.rot_out) == pytest.approx(1.0)
+    assert np.sum(form.axes < 0) == (flip_u != flip_v)
+    assert np.allclose(form.rot_out @ np.diag(form.axes) @ form.rot_in, bmap.linear, atol=1e-12)
+
+
 def test_diagonalize_known_diagonal_map():
     bmap = AffineBlochMap.diagonal([-0.2, 0.3, 0.4])
     form = diagonalize(bmap)
@@ -255,7 +276,7 @@ def test_tetrahedron_mask_matches_the_scalar_check():
     # face points b = Lambda beta^2: a Dirichlet beta^2 with a 0 put in at a random place
     rng = np.random.default_rng(1)
     squares = [np.insert(w, at, 0.0) for w, at in zip(rng.dirichlet(np.ones(3), 500), rng.integers(0, 4, 500))]
-    rows = np.concatenate([rows, (np.array(squares) @ lambda_matrix().T)[:, 1:]])
+    rows = np.concatenate([rows, (np.array(squares) @ LAMBDA.T)[:, 1:]])
     # tetrahedron_violations runs the mask's kernel; the exact rows of Lambda (1, b) are an independent check
     exact = [tetrahedron_rows(b) for b in rows]
     for tol in (0.0, 1e-12, 0.1):

@@ -160,6 +160,35 @@ def test_wrong_shapes_name_the_argument(call, message):
         call()
 
 
+# a named length ("d", "2d", "n", "r", "c") is at least 1; the leading axes of a stack may be empty
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: output_map(np.empty((0, 2))), r"v must have shape \(2d, 2\), got \(0, 2\)"),
+        (lambda: extract_e_vectors(np.empty((0, 2))), r"v must have shape \(\.\.\., 2d, 2\), got \(0, 2\)"),
+        (lambda: gram_matrix(np.empty((4, 0))), r"e_vectors must have shape \(\.\.\., 4, d\), got \(4, 0\)"),
+        (lambda: isometry_from_e_vectors(np.empty((4, 0))), r"e_vectors must have shape \(4, d\), got \(4, 0\)"),
+        (lambda: trace_norm(np.empty((0, 0))), r"h must have shape \(\.\.\., n, n\), got \(0, 0\)"),
+        (lambda: min_error_rate(np.empty((0, 0)), np.empty((0, 0))), r"rho1 must have shape \(n, n\), got \(0, 0\)"),
+        (lambda: mixed_isometry(np.empty((0, 2)), np.empty((0, 2)), 0.5), r"v1 must have shape \(\.\.\., 2d, 2\)"),
+        (lambda: complex_matrix_to_json(np.empty((2, 0))), r"m must have shape \(r, c\), got \(2, 0\)"),
+        (lambda: complex_matrix_from_json([[]]), r"obj must have shape \(r, c\), got \(1, 0\)"),
+    ],
+    ids=["output_map", "extract_e_vectors", "gram_matrix", "isometry_from_e_vectors", "trace_norm",
+         "min_error_rate", "mixed_isometry", "complex_matrix_to_json", "complex_matrix_from_json"],
+)
+def test_named_axes_of_length_zero_name_the_argument(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_empty_leading_stacks_give_empty_results():
+    assert quality_e(np.empty((0, 4, 4)), _Z).shape == (0,)
+    assert trace_norm(np.empty((0, 2, 2))).shape == (0,)
+    assert gram_matrix(np.empty((0, 4, 2))).shape == (0, 4, 4)
+    assert extract_e_vectors(np.empty((3, 0, 8, 2))).shape == (3, 0, 4, 4)
+
+
 @pytest.mark.parametrize(
     "call, name",
     [
@@ -277,7 +306,39 @@ def test_bad_tolerances_are_named(call, bad):
     assert str(err.value) == f"tol must be a nonnegative finite number, got {bad}"
 
 
+# float() takes the strings and bools among these, and refuses the rest with its own unnamed errors
+_NOT_NUMBERS = ["1e-3", b"0.5", "abc", True, False, np.True_, None, 1j, [0.5]]
+_NOT_NUMBER_IDS = ["str", "bytes", "text", "true", "false", "numpy-bool", "none", "complex", "list"]
+
+
+@pytest.mark.parametrize("bad", _NOT_NUMBERS, ids=_NOT_NUMBER_IDS)
+@pytest.mark.parametrize("call", list(_TOL_CASES.values()), ids=list(_TOL_CASES))
+def test_tolerances_that_are_not_numbers_are_named(call, bad):
+    with pytest.raises(ValueError) as err:
+        call(bad)
+    assert str(err.value) == f"tol must be a number, got {bad!r}"
+
+
 _MIXED = np.eye(2) / 2
+
+
+@pytest.mark.parametrize("bad", _NOT_NUMBERS, ids=_NOT_NUMBER_IDS)
+@pytest.mark.parametrize(
+    "name, call",
+    [*_UNIT_INTERVAL_CASES.items(), ("p1", lambda bad: min_error_rate(_MIXED, _MIXED, p1=bad))],
+    ids=[*_UNIT_INTERVAL_CASES, "min_error_rate-p1"],
+)
+def test_unit_interval_values_that_are_not_numbers_are_named(name, call, bad):
+    with pytest.raises(ValueError) as err:
+        call(bad)
+    assert str(err.value) == f"{name} must be a number, got {bad!r}"
+
+
+def test_numpy_scalars_pass_as_numbers():
+    assert g_map([0.5] * 3, tol=np.float32(1e-9)).tolist() == g_map([0.5] * 3).tolist()
+    assert check_physical(_GRAM, tol=np.int64(0)).tolerance == 0.0
+    assert isotropic_tradeoff(np.float64(0.25)) == isotropic_tradeoff(0.25)
+    assert min_error_rate(np.eye(2), _MIXED, p1=np.float32(0.5)) == min_error_rate(np.eye(2), _MIXED)
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan, np.inf], ids=["below", "above", "nan", "inf"])

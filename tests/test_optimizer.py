@@ -32,7 +32,7 @@ from blochcopy.optimizer import (
     sign_flip_variants,
     tetrahedron_check,
 )
-from blochcopy.pauli import lambda_matrix
+from blochcopy.pauli import LAMBDA
 from oracles import class_p_margins, sequential_g, sign_patterns, unscaled_positive_optimal
 
 
@@ -110,7 +110,7 @@ def test_chain_round_trip():
 
 def test_partner_map_is_involutive():
     rng = np.random.default_rng(61)
-    lam = lambda_matrix()
+    lam = LAMBDA
     assert lam @ lam == pytest.approx(4.0 * np.eye(4))
     beta = np.sqrt(rng.dirichlet(np.ones(4)))
     assert gamma_from_beta(gamma_from_beta(beta)) == pytest.approx(beta)
@@ -135,7 +135,7 @@ def test_scalar_and_batch_g_agree_bit_for_bit(b):
 
 def _matmul_g(b_rows):
     """g as three BLAS products: beta^2 = 1/4 (1, b) L, gamma = 1/2 beta L, c = gamma^2 L."""
-    lam = lambda_matrix()
+    lam = LAMBDA
     lifted = np.concatenate([np.ones((len(b_rows), 1)), b_rows], axis=1)
     beta = np.sqrt(np.maximum(0.25 * lifted @ lam, 0.0))
     gamma = 0.5 * beta @ lam
@@ -146,7 +146,7 @@ def test_g_columns_equals_the_sequential_sum_oracle():
     # 1.1e6 rows: attainable axes Lambda p for points p of the simplex, and
     # draws in the unit cube kept when they lie in the good region (a quarter)
     rng = np.random.default_rng(71)
-    lam_axes = lambda_matrix()[1:]
+    lam_axes = LAMBDA[1:]
     for _ in range(4):
         tetra = np.einsum("qk,nk->nq", lam_axes, rng.dirichlet(np.ones(4), size=175_000))
         cube = rng.random((400_000, 3))
@@ -181,7 +181,7 @@ def test_g_is_more_accurate_than_the_matmul_chain():
     # rows, where the root amplifies the rounding of beta^2, set the maximum
     # error of every path alike, so the mean and the 99th percentile are gated
     rng = np.random.default_rng(2024)
-    rows = np.einsum("qk,nk->nq", lambda_matrix()[1:], rng.dirichlet(np.ones(4), size=20_000))
+    rows = np.einsum("qk,nk->nq", LAMBDA[1:], rng.dirichlet(np.ones(4), size=20_000))
     exact = [_decimal_g(b) for b in rows]
     err = _row_errors(g_map_many(rows), exact)
     chain = _row_errors(_matmul_g(rows), exact)
@@ -433,14 +433,14 @@ def test_class_p_closure_operations():
     xi = _class_p_rows(rng, 500)
     k = 0.1 + 3.0 * rng.random((500, 1))
     a = 0.1 + 3.0 * rng.random((500, 1))
-    images = np.stack([k * xi, xi**a, xi @ lambda_matrix().T])
+    images = np.stack([k * xi, xi**a, xi @ LAMBDA.T])
     assert class_p_mask(images, tol=1e-12).all()
     assert same_order(xi, images).all()
 
 
 def test_class_p_closure_under_compositions():
     rng = np.random.default_rng(71)
-    lam_t = lambda_matrix().T
+    lam_t = LAMBDA.T
     n = 300
     xi = _class_p_rows(rng, n)
     image = xi.copy()
@@ -579,7 +579,7 @@ def test_classify_pair_flags_face_points_whose_squares_round_below_zero(tol):
     rng = np.random.default_rng(1)
     # b = Lambda beta^2 on a face: a Dirichlet beta^2 with a 0 put in at a random place
     squares = [np.insert(w, at, 0.0) for w, at in zip(rng.dirichlet(np.ones(3), 500), rng.integers(0, 4, 500))]
-    for b in [*(np.array(squares) @ lambda_matrix().T)[:, 1:], _ROUNDED_OUT, _ROUNDED_IN]:
+    for b in [*(np.array(squares) @ LAMBDA.T)[:, 1:], _ROUNDED_OUT, _ROUNDED_IN]:
         attainable = tetrahedron_check(b, tol=tol)
         try:
             beta_from_b(b, tol=tol)

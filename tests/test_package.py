@@ -20,7 +20,14 @@ def test_every_submodule_is_bound_as_a_module():
     assert {name: getattr(blochcopy, name) for name in _SUBMODULES} == _SUBMODULES
     import blochcopy.pauli as pauli
 
-    assert pauli.l_table().shape == (4, 4, 4, 4)
+    assert pauli.L_TABLE.shape == (4, 4, 4, 4)
+
+
+def test_the_pauli_tables_are_read_only_constants():
+    # each table is bound as the array itself, as SIGMA always was, not behind a function that returns it
+    pauli = _SUBMODULES["pauli"]
+    assert [name for name, obj in vars(pauli).items() if inspect.isfunction(obj)] == []
+    assert [name for name in pauli.__all__ if getattr(pauli, name).flags.writeable] == []
 
 
 def test_every_name_in_a_submodule_all_exists():
@@ -98,8 +105,13 @@ def _kept_for_a_stated_reason() -> set:
     return kept
 
 
+def _public_names() -> set:
+    """The names that importing blochcopy binds, submodules and private names aside."""
+    return {name for name, obj in vars(blochcopy).items() if not name.startswith("_") and not inspect.ismodule(obj)}
+
+
 def test_every_public_name_has_a_caller_in_the_package_or_a_stated_reason():
-    public = {name for name, obj in vars(blochcopy).items() if not name.startswith("_") and not inspect.ismodule(obj)}
+    public = _public_names()
     assert public
     assert sorted(public - _used_in_the_package() - _kept_for_a_stated_reason()) == []
 

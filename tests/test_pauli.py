@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from blochcopy.pauli import SIGMA, l_table, lambda_matrix
+from blochcopy.pauli import L_TABLE, LAMBDA, SIGMA
 
 # Closed-form single-qubit algebra: sigma_a sigma_b = phase * sigma_c.
 # Built without any matrix arithmetic so it can serve as an independent
@@ -54,46 +54,46 @@ def test_l_table_matches_closed_form_exactly():
             for l in range(4):
                 for m in range(4):
                     oracle[j, k, l, m] = _oracle_entry(j, k, l, m)
-    assert np.array_equal(l_table(), oracle)
+    assert np.array_equal(L_TABLE, oracle)
 
 
 def test_l_tensor_scalar_access():
-    # L(jk;lm) is the entry l_table()[j, k, l, m]
-    table = l_table()
+    # L(jk;lm) is the entry L_TABLE[j, k, l, m]
+    table = L_TABLE
     assert table[0, 0, 0, 0] == 1.0
     assert table[1, 2, 3, 0] == -1j
     assert table[2, 1, 3, 0] == 1j
 
 
 def test_l_entries_are_unimodular_or_zero():
-    mags = np.abs(l_table())
+    mags = np.abs(L_TABLE)
     assert set(np.unique(mags)) <= {0.0, 1.0}
 
 
 def test_half_l_is_its_own_inverse():
     # sum_lm L(jk;lm) L(lm;rs) = 4 delta_jr delta_ks, exact
-    table = l_table()
+    table = L_TABLE
     contracted = np.einsum("jklm,lmrs->jkrs", table, table)
     expected = 4.0 * np.einsum("jr,ks->jkrs", np.eye(4), np.eye(4))
     assert np.array_equal(contracted, expected.astype(complex))
 
 
 def test_swap_symmetries_conjugate():
-    table = l_table()
+    table = L_TABLE
     assert np.array_equal(table.transpose(1, 0, 2, 3), table.conj())
     assert np.array_equal(table.transpose(0, 1, 3, 2), table.conj())
     assert np.array_equal(table.transpose(2, 3, 0, 1), table.conj())
 
 
 def test_lambda_is_diagonal_block_of_l():
-    lam = lambda_matrix()
-    table = l_table()
+    lam = LAMBDA
+    table = L_TABLE
     block = np.array([[table[j, j, l, l] for l in range(4)] for j in range(4)])
     assert np.array_equal(block, lam.astype(complex))
 
 
 def test_lambda_squares_to_four():
-    lam = lambda_matrix()
+    lam = LAMBDA
     assert np.array_equal(lam @ lam, 4.0 * np.eye(4))
 
 

@@ -22,7 +22,7 @@ from blochcopy.channel import (
 from blochcopy.errors import NotPhysicalError
 from blochcopy.linalg import random_isometry
 from blochcopy.optimizer import positive_optimal_condition, tetrahedron_check
-from blochcopy.pauli import CYCLIC_AXES, lambda_matrix
+from blochcopy.pauli import CYCLIC_AXES, LAMBDA
 from blochcopy.quality import quality_e
 from blochcopy.validation import (
     ScanConfig,
@@ -61,7 +61,7 @@ def _oracle_attainable(b):
 
 
 def _oracle_sample_good(rng):
-    lam = lambda_matrix()[1:]
+    lam = LAMBDA[1:]
     while True:
         b = lam @ rng.dirichlet(np.ones(4))
         if _oracle_in_good_region(b):
@@ -375,7 +375,7 @@ def test_spawned_generators_match_spawn_and_default_rng(seed):
 
 def test_normalised_exponentials_are_dirichlet_draws():
     # rows times the reciprocal of their left-to-right sum; dividing by the sum differs
-    lam = lambda_matrix()[1:]
+    lam = LAMBDA[1:]
     for seed in range(300):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         exp = rng.standard_exponential((64, 4))
